@@ -17,13 +17,22 @@ cross-multiplication, which avoids multivariate gcd entirely.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Exponents = tuple[int, ...]
+
+
+def _exact_ratio(a: Coeff, b: Coeff) -> Coeff:
+    """a / b, as an ``int`` when the ratio is integral."""
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class MultiPolynomial:
@@ -145,6 +154,55 @@ class MultiPolynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def divide_exact(self, divisor: "MultiPolynomial") -> "MultiPolynomial":
+        """The quotient q with q * divisor == self; raises if there is none.
+
+        Lex leading-term division.  If the divisor divides self, every step
+        cancels the remainder's leading term and the quotient is exact; the
+        first leading term the divisor's cannot divide, or a quotient term
+        beyond the per-variable degree bound deg(self) - deg(divisor), shows
+        that it does not.  Quotient coefficients stay ``int`` where integral.
+        """
+        divisor = self._coerce(divisor)
+        if divisor is NotImplemented:
+            raise TypeError("can only divide by a polynomial or a constant")
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = max(divisor.terms)
+        lead_c = divisor.terms[lead]
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead]
+        bound = [
+            max((e[i] for e in self.terms), default=0)
+            - max(e[i] for e in divisor.terms)
+            for i in range(len(self.vars))
+        ]
+        rem = dict(self.terms)
+        # max-heap of remainder monomials, keyed by negated exponents;
+        # entries whose monomial has since cancelled are skipped
+        heap = [tuple(-k for k in e) for e in rem]
+        heapq.heapify(heap)
+        quotient: dict = {}
+        while rem:
+            e = tuple(-k for k in heapq.heappop(heap))
+            c = rem.pop(e, 0)
+            if not c:
+                continue
+            qe = tuple(map(sub, e, lead))
+            if any(k < 0 or k > b for k, b in zip(qe, bound)):
+                raise ValueError("the divisor does not divide the polynomial")
+            qc = _exact_ratio(c, lead_c)
+            quotient[qe] = qc
+            for te, tc in tail:
+                m = tuple(map(add, qe, te))
+                if m not in rem:
+                    heapq.heappush(heap, tuple(-k for k in m))
+                s = rem.get(m, 0) - qc * tc
+                if s:
+                    rem[m] = s
+                else:
+                    rem.pop(m, None)
+        return MultiPolynomial(self.vars, quotient)
 
     # -- queries -----------------------------------------------------------
 
@@ -297,10 +355,15 @@ def ratfunc_equal(f: RationalFunction, g: RationalFunction) -> bool:
 
 
 def clear_denominators(terms: Sequence[RationalFunction]) -> MultiPolynomial:
-    """Numerator of a sum of rational terms over the product of all denominators.
+    """Numerator of a sum of rational terms over a common multiple of the
+    denominators.
 
-    For f = sum(terms), returns N with f = N / D where D is the product of
-    every term denominator (no gcd is taken); f == 0 iff N == 0.
+    For f = sum(terms), returns N with f = N / M, where M is built greedily:
+    the denominators are taken by decreasing total degree, and one is
+    multiplied into M only if it does not already divide it.  Each numerator
+    is scaled by its cofactor M / d_i, found by exact division.  M is a
+    nonzero common multiple (not necessarily the least one), so f == 0 iff
+    N == 0.
     """
     terms = list(terms)
     if not terms:
@@ -308,19 +371,16 @@ def clear_denominators(terms: Sequence[RationalFunction]) -> MultiPolynomial:
     for t in terms:
         if t.den.is_zero():
             raise ZeroDivisionError("zero denominator among the terms")
-    dens = [t.den for t in terms]
-    n = len(terms)
-    one = MultiPolynomial.constant(terms[0].num.vars, 1)
-    # prefix[i] = d_0 ... d_{i-1}, suffix[i] = d_i ... d_{n-1}
-    prefix = [one]
-    for d in dens:
-        prefix.append(prefix[-1] * d)
-    suffix = [one] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = dens[i] * suffix[i + 1]
+    common = MultiPolynomial.constant(terms[0].num.vars, 1)
+    for den in sorted((t.den for t in terms), key=MultiPolynomial.total_degree,
+                      reverse=True):
+        try:
+            common.divide_exact(den)
+        except ValueError:
+            common = common * den
     total = MultiPolynomial.zero(terms[0].num.vars)
-    for i, t in enumerate(terms):
-        total = total + t.num * (prefix[i] * suffix[i + 1])
+    for t in terms:
+        total = total + t.num * common.divide_exact(t.den)
     return total
 
 
@@ -352,5 +412,3 @@ def compose_rational(
         total = total + term
     return total
 
-
-DEFAULT_PRECISION_BITS = 256

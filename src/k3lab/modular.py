@@ -302,6 +302,12 @@ def save_modular_polynomial(phi: ModularPolynomial, cache_dir=None) -> Path:
 
 
 def load_modular_polynomial(n: int, cache_dir=None) -> "ModularPolynomial | None":
+    """The cached Phi_n, or None on a miss.
+
+    A file that does not parse, or whose polynomial is not of degree n+1,
+    monic in X and symmetric (Phi_1 = X - Y is antisymmetric instead), is a
+    miss too, so the caller rebuilds it and overwrites the file.
+    """
     path = cache_path(n, cache_dir)
     if not path.exists():
         return None
@@ -309,12 +315,22 @@ def load_modular_polynomial(n: int, cache_dir=None) -> "ModularPolynomial | None
     if not lines or lines[0] != f"n={n}":
         return None
     coefficients = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        i, j, coeff = line.split()
-        coefficients[(int(i), int(j))] = int(coeff)
-    return ModularPolynomial(n, coefficients)
+    try:
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            i, j, coeff = line.split()
+            coefficients[(int(i), int(j))] = int(coeff)
+    except ValueError:
+        return None
+    phi = ModularPolynomial(n, coefficients)
+    monic = coefficients.get((n + 1, 0)) == 1 and all(
+        i <= n for i, j in coefficients if (i, j) != (n + 1, 0))
+    if not monic or phi.degree() != n + 1:
+        return None
+    if not (phi.is_symmetric() if n > 1 else coefficients == {(1, 0): 1, (0, 1): -1}):
+        return None
+    return phi
 
 
 def modular_polynomial(n: int, cache_dir=None,

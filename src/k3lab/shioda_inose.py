@@ -109,19 +109,32 @@ def identity_residual_at(point, kappa: "Fraction | None" = None) -> Fraction:
 
     Zero for every point (off the denominators) when the constants are
     correct; any single-coefficient mutation makes this nonzero at a
-    generic point.
+    generic point.  Each constant is evaluated at the point and the values
+    are combined there, so nothing is expanded symbolically; raises
+    ZeroDivisionError where X1_DEN, Y1_DEN or H_INF vanishes.
     """
     if kappa is None:
         kappa = c.KAPPA
-    return sum(t.evaluate(point) for t in _identity_terms(kappa))
+    at = lambda p: p.evaluate(point)
+    x1_den, y1_den, h_inf = at(c.X1_DEN), at(c.Y1_DEN), at(c.H_INF)
+    if x1_den == 0 or y1_den == 0 or h_inf == 0:
+        raise ZeroDivisionError("a denominator of the cubic relation vanishes")
+    h_plus = Fraction(point["u1"]) * at(c.C1_POLY) * at(c.C2_POLY)
+    h_minus = Fraction(point["v1"]) * at(c.C3_POLY) * at(c.C4_POLY)
+    x1 = at(c.X1_NUM) / x1_den
+    y1_squared = kappa * at(c.Y1_NUM_FACTOR) * h_plus * h_minus / y1_den
+    z_plus_zinv = 2 * (h_minus - h_plus) / h_inf
+    return (x1**3 + at(c.MASTER_X2) * x1**2 + at(c.MASTER_X1) * x1
+            + at(c.MASTER_X0) + y1_squared + at(c.MASTER_Z) * z_plus_zinv)
 
 
 def verify_master_identity(kappa: Fraction) -> bool:
-    """Clear all denominators and test the cubic relation as a polynomial.
+    """Clear denominators and test the cubic relation as a polynomial.
 
-    The common denominator is the plain product of the six term
-    denominators (no gcd); the sum is scaled by 4 first so that all
-    coefficients stay integral, which is exactness-neutral.
+    The common denominator is a common multiple of the six term
+    denominators, built by `clear_denominators` from exact divisibility
+    (Y1_DEN * H_INF for the true constants); the sum is scaled by 4 first
+    so that all coefficients stay integral, which is exactness-neutral.
     """
     terms = [RationalFunction(t.num * 4, t.den) for t in _identity_terms(kappa)]
     return clear_denominators(terms).is_zero()
@@ -136,8 +149,9 @@ _FIT_POINTS = (
 def fit_kappa() -> Fraction:
     """Solve the cubic relation for the y1^2 normalization constant.
 
-    Fits at one generic rational point, confirms at a second, and then
-    verifies the full symbolic identity; raises if no constant works.
+    Fits at one generic rational point and confirms at a second; raises if
+    no single nonzero constant fits both.  The symbolic identity itself is
+    `verify_master_identity`'s to decide.
     """
     values = []
     for pt in _FIT_POINTS:
@@ -149,10 +163,9 @@ def fit_kappa() -> Fraction:
         values.append(-base / y_part)
     if values[0] != values[1]:
         raise ValueError(f"no single constant fits: {values}")
-    kappa = values[0]
-    if kappa == 0 or not verify_master_identity(kappa):
-        raise ValueError("fitted constant fails the symbolic identity")
-    return kappa
+    if values[0] == 0:
+        raise ValueError("the fitted constant is zero")
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,23 @@ def is_degenerate(m: FamilyMember) -> bool:
 
 
 def is_degenerate_numeric(a, b, tolerance=None, prec_bits: int = 256) -> bool:
-    """Numeric double-root test for complex coefficients."""
+    """Numeric double-root test for complex coefficients.
+
+    The discriminant -4a^3 - 27(b -+ 2)^2 counts as zero when it is below
+    `tolerance` (default 2^(-prec_bits/2)) relative to the size of its two
+    summands, |4a^3| + 27|b -+ 2|^2, so the test does not depend on the
+    scale of a and b.
+    """
     with mpmath.workprec(prec_bits):
         if tolerance is None:
             tolerance = mpmath.mpf(2) ** (-prec_bits // 2)
         a, b = mpmath.mpmathify(a), mpmath.mpmathify(b)
-        d1 = -4 * a**3 - 27 * (b - 2) ** 2
-        d2 = -4 * a**3 - 27 * (b + 2) ** 2
-        return bool(abs(d1) < tolerance or abs(d2) < tolerance)
+        four_a3 = 4 * a**3
+        for shifted in (b - 2, b + 2):
+            square = 27 * shifted**2
+            if abs(four_a3 + square) <= tolerance * (abs(four_a3) + abs(square)):
+                return True
+        return False
 
 
 def degeneracy_indicator(a_cubed, b_squared) -> Fraction:

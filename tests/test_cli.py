@@ -6,9 +6,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 
 from k3lab import cli
 from k3lab import constants as cst
+from k3lab import modular as md
 
 
 def run_main(argv, capsys):
@@ -157,6 +159,19 @@ class TestModpolyCommand:
         code, _, _ = run_main(["modpoly", "--n", "2"], capsys)
         assert code == 0
         assert (tmp_path / "modpoly_2.txt").exists()
+
+
+    @pytest.mark.parametrize("content", ["n=3\n0 0 zz\n", "n=3\n"],
+                             ids=["malformed_line", "header_only"])
+    def test_corrupt_cache_rebuilt(self, capsys, tmp_path, content):
+        path = tmp_path / "modpoly_3.txt"
+        path.write_text(content)
+        code, out, _ = run_main(
+            ["modpoly", "--n", "3", "--cache-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "4 0 1" in out.splitlines()
+        assert path.read_text() == out
+        assert md.load_modular_polynomial(3, tmp_path) is not None
 
 
 class TestSubprocessEntry:

@@ -95,10 +95,27 @@ class TestClearDenominators:
         got = clear_denominators([rf(u1, v1), rf(v1, u1)])
         assert got == u1**2 + v1**2
 
+    def test_shared_factors(self):
+        one = MultiPolynomial.constant(VARS, 1)
+        got = clear_denominators([rf(one, u1 * v1), rf(one, u1)])
+        assert got == 1 + v1
+
     def test_zero_denominator_rejected(self):
         one = MultiPolynomial.constant(VARS, 1)
         with pytest.raises(ZeroDivisionError):
             RationalFunction(one, MultiPolynomial.zero(VARS))
+
+
+class TestDivideExact:
+    def test_non_divisor_raises(self):
+        with pytest.raises(ValueError):
+            (u1**2 + v1).divide_exact(u1 + v1)
+
+    def test_integer_quotient_stays_int(self):
+        p = (3 * u1**2 - 5 * v1 * l1 + 7) * (v1 - u1 * l2)
+        q = p.divide_exact(v1 - u1 * l2)
+        assert q == 3 * u1**2 - 5 * v1 * l1 + 7
+        assert all(type(c) is int for c in q.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +151,14 @@ def test_canonical_multiplication_commutes(p, q):
 @given(polys(), polys(), polys())
 def test_distributivity(p, q, r):
     assert p * (q + r) == p * q + p * r
+
+
+@settings(deadline=None)
+@given(polys(), polys())
+def test_divide_exact_inverts_multiplication(p, d):
+    if d.is_zero():
+        return
+    assert (p * d).divide_exact(d) == p
 
 
 @settings(max_examples=100, deadline=None)

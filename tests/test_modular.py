@@ -204,6 +204,20 @@ class TestFamilyCoefficients:
         # a^3 = -1728 * 287496 / 110592 = -35937/8 exactly
         assert abs(a**3 - mpmath.mpf(-35937) / 8) < tol(-10)
 
+    @pytest.mark.parametrize("n", [2, 5, 20, 50, 100, 200])
+    def test_fricke_fixed_point_degenerate(self, n):
+        # at tau = i/sqrt(n), j(tau) = j(-1/(n tau)), so the member is
+        # degenerate at every level, however large a and b are
+        from k3lab.weierstrass import is_degenerate_numeric
+        with mpmath.workprec(256):
+            a, b = md.family_coefficients(mpmath.mpc(0, 1) / mpmath.sqrt(n), n)
+            assert is_degenerate_numeric(a, b)
+
+    def test_off_fixed_point_not_degenerate(self):
+        from k3lab.weierstrass import is_degenerate_numeric
+        a, b = md.family_coefficients(mpmath.mpc(0, 1), 2)
+        assert not is_degenerate_numeric(a, b)
+
     def test_generic_tau_not_degenerate(self):
         from k3lab.weierstrass import is_degenerate_numeric
         a, b = md.family_coefficients(mpmath.mpc("0.31", "1.37"), 2)

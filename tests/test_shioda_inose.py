@@ -149,6 +149,17 @@ class TestMasterIdentity:
     def test_double_kappa_fails(self):
         assert not si.verify_master_identity(2 * c.KAPPA)
 
+    @pytest.mark.parametrize("name", ["X1_DEN", "Y1_DEN"])
+    def test_mutated_denominator_fails_symbolically(self, name, monkeypatch):
+        # the mutated denominator no longer divides Y1_DEN * H_INF, so the
+        # common multiple grows; the identity must still fail
+        original = getattr(c, name)
+        terms = dict(original.terms)
+        exponents = min(terms)
+        terms[exponents] += 1
+        monkeypatch.setattr(c, name, MultiPolynomial(original.vars, terms))
+        assert not si.verify_master_identity(c.KAPPA)
+
     def test_single_coefficient_mutation_detected(self):
         pt = {"u1": 2, "v1": 1, "u2": 3, "v2": 1, "l1": 5, "l2": 7}
         mutated = MultiPolynomial(
