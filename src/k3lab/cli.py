@@ -1,7 +1,9 @@
-"""Command line front end: verification suites, family coefficients, caches.
+"""Command line front end: verification suites, family coefficients and
+modular polynomials.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 domain error (forbidden parameter values).
+3 domain or precision error (forbidden parameter values, or a tau beyond
+the reach of the working precision).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import mpmath
 from . import modular as md
 from . import shioda_inose as si
 from . import weierstrass as w
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
@@ -55,6 +57,24 @@ def _fmt(value) -> str:
     return mpmath.nstr(value, 17)
 
 
+# Options whose value may start with '-'.  argparse reads a separate token
+# such as -5/2 or -0.5+1.2i as an option, because it takes only forms like
+# -123 and -1.5 for negative numbers, so such a token is attached to its
+# option as --option=value.
+NUMBER_OPTIONS = ("--j1", "--j2", "--lambda1", "--lambda2", "--tau", "--n")
+
+
+def _attach_dash_values(argv) -> list:
+    out = []
+    for token in argv:
+        if (out and out[-1] in NUMBER_OPTIONS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3lab",
@@ -66,13 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all",
                           choices=("all",) + SUITE_NAMES)
-    p_verify.add_argument("--cache-dir", default=None)
 
     p_report = sub.add_parser("report", help="run a suite and emit a report")
     p_report.add_argument("--suite", default="all",
                           choices=("all",) + SUITE_NAMES)
     p_report.add_argument("--format", default="json", choices=("json", "text"))
-    p_report.add_argument("--cache-dir", default=None)
 
     p_family = sub.add_parser("family", help="family coefficients for one member")
     p_family.add_argument("--j1", type=parse_rational)
@@ -82,15 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--tau", type=parse_complex)
     p_family.add_argument("--n", type=int)
 
-    p_modpoly = sub.add_parser("modpoly", help="build or load a modular polynomial")
+    p_modpoly = sub.add_parser("modpoly", help="build a modular polynomial")
     p_modpoly.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
-    p_modpoly.add_argument("--cache-dir", default=None)
 
     return parser
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.cache_dir)
+    report = run_suite(args.suite)
     for chk in report.checks:
         print(f"{chk.status.upper():4s} {chk.id}: {chk.description} [{chk.witness}]")
     print(f"suite {report.suite}: {report.status} "
@@ -99,7 +116,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = run_suite(args.suite, args.cache_dir)
+    report = run_suite(args.suite)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -164,7 +181,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_modpoly(args) -> int:
-    phi = md.modular_polynomial(args.n, args.cache_dir)
+    phi = md.build_modular_polynomial(args.n)
     print(f"n={phi.n}")
     for (i, j), coeff in sorted(phi.coefficients.items()):
         print(f"{i} {j} {coeff}")
@@ -174,7 +191,8 @@ def cmd_modpoly(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     handlers = {
@@ -187,6 +205,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except PrecisionError as exc:
+        print(f"precision error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -95,7 +95,7 @@ Y1_DEN = (
 )
 
 # Fitted normalization of y1^2 under the conventions above; recomputed from
-# scratch by shioda_inose.fit_y_square_constant and asserted to equal this.
+# scratch by shioda_inose.fit_kappa and asserted to equal this.
 KAPPA = Fraction(1)
 
 # ---------------------------------------------------------------------------

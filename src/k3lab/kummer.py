@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constants as c
-from .lattice import GramLattice, induced_gram
+from .lattice import GramLattice, induced_gram, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -235,27 +235,8 @@ def labeled_tree_report() -> TreeReport:
                 expected = 1 if frozenset((labels[i], labels[j])) in edges else 0
                 ok = ok and p == expected
         matrix.append(tuple(row))
-    rank = _rational_rank(matrix)
+    rank = matrix_rank(matrix)
     return TreeReport(labels, tuple(matrix), ok, rank)
-
-
-def _rational_rank(matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)

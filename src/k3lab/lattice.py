@@ -180,29 +180,44 @@ def _det(m: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _nullspace(m) -> list[list[Fraction]]:
-    """Basis of the rational null space {v : m v = 0}, reduced echelon form."""
+def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of m over Q, and its pivot columns."""
     rows = _rational_matrix(m)
-    if not rows:
-        return []
-    nr, nc = len(rows), len(rows[0])
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
     piv_cols: list[int] = []
-    r = 0
     for col in range(nc):
+        r = len(piv_cols)
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        # the pivot row is zero left of col, so only columns from col change
         inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        tail = [x * inv for x in rows[r][col:]]
+        rows[r][col:] = tail
         for i in range(nr):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and row[col] != 0:
+                f = row[col]
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
         piv_cols.append(col)
-        r += 1
-        if r == nr:
-            break
+    return rows, piv_cols
+
+
+def matrix_rank(m) -> int:
+    """Rank over Q of a rational matrix given as a list of rows."""
+    return len(_row_reduce(m)[1])
+
+
+def _nullspace(m) -> list[list[Fraction]]:
+    """Basis of the rational null space {v : m v = 0}, reduced echelon form."""
+    if not m:
+        return []
+    rows, piv_cols = _row_reduce(m)
+    nc = len(rows[0])
     basis = []
     for free in (cset for cset in range(nc) if cset not in piv_cols):
         v = [Fraction(0)] * nc
@@ -286,27 +301,13 @@ def _unimodular_with_first_row(v: list[int]) -> list[list[int]]:
 
 def _invert_unimodular(m: list[list[int]]) -> list[list[int]]:
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[x for x in row[n:]] for row in a]
-    result = []
-    for row in out:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            int_row.append(int(x))
-        result.append(int_row)
-    return result
+    reduced, piv_cols = _row_reduce([list(row) + [1 if i == j else 0 for j in range(n)]
+                                     for i, row in enumerate(m)])
+    inverse = [row[n:] for row in reduced]
+    if piv_cols[:n] != list(range(n)) or any(x.denominator != 1
+                                             for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inverse]
 
 
 def _quotient_gram(gram) -> list[list[Fraction]]:

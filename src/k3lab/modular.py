@@ -11,12 +11,12 @@ standard fundamental domain, where |q| <= exp(-pi sqrt(3)) makes the tail
 negligible at 256-bit precision.  The truncation error is bounded
 empirically by doubling N (see the test suite).
 
-Modular polynomials are reconstructed, not transcribed: the coset product
-prod (X - j(gamma tau)) over the n+1 degree-n isogenies is expanded at
-sample points on a vertical line, the coefficient functions of Y = j(tau)
-are fitted by least squares at high precision, rounded to integers, and
-audited (residue < 1e-6 of each coefficient's scale).  Level 1 is X - Y;
-levels 2 and 3 are supported, and results are cached on disk.
+Modular polynomials are derived, not transcribed: Phi_n is the exact
+rational kernel of the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts
+on the q-expansion, computed over the same integer series (the classical
+q-expansion method; Elkies, "Elliptic and modular curves over finite fields
+and related computational issues", 1998).  Level 1 is X - Y; levels 2 and 3
+are supported.
 
 The one-parameter family members here have Picard rank 19 for very general
 tau; that rank statement itself is out of computational reach and is not
@@ -25,14 +25,12 @@ asserted anywhere, only the coefficients and degeneracy flags are computed.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import mpmath
 
 from .errors import DomainError, PrecisionError
+from .lattice import _nullspace
 from .shioda_inose import ab_numeric
 
 DEFAULT_PREC_BITS = 256
@@ -143,11 +141,23 @@ def reduce_to_fundamental_domain(tau, max_steps: int = 4000):
 
 def j_numeric(tau, prec_bits: int = DEFAULT_PREC_BITS,
               series_order: int = DEFAULT_SERIES_ORDER):
-    """j(tau) at the given working precision (>= 64 bits)."""
+    """j(tau) at the given working precision (>= 64 bits).
+
+    q = exp(2 pi i t) carries a relative rounding error of about
+    2 pi Im(t) 2^-prec_bits, and so does j.  Beyond Im(t) = 2^(prec_bits/2 - 16)
+    after reduction that error would exceed 2^(-prec_bits/2 - 13), leaving
+    less than 13 bits of margin under 2^(-prec_bits/2), the relative
+    tolerance of weierstrass.is_degenerate_numeric; such a tau raises
+    PrecisionError.
+    """
     if prec_bits < 64:
         raise ValueError("precision below 64 bits is not supported")
     with mpmath.workprec(prec_bits):
         t = reduce_to_fundamental_domain(tau)
+        if mpmath.im(t) > mpmath.mpf(2) ** (prec_bits // 2 - 16):
+            raise PrecisionError(
+                f"Im(tau) = {mpmath.nstr(mpmath.im(t), 5)} after reduction is beyond "
+                f"2^{prec_bits // 2 - 16}, the limit of {prec_bits}-bit precision")
         q = mpmath.exp(2j * mpmath.pi * t)
         s = _cached_series(series_order)
         return s.evaluate(q) / q
@@ -197,151 +207,68 @@ class ModularPolynomial:
         return best
 
 
-def eval_modpoly(phi: ModularPolynomial, x, y):
-    return phi.evaluate(x, y)
+def _monomial_series(n: int, monomials, top: int) -> dict:
+    """Laurent coefficients of j(q)^i j(q^n)^j for each (i, j) in
+    `monomials` (i, j <= n + 1), listed for q^e, e = -(n+1)^2 .. top."""
+    low = (n + 1) ** 2
+    order = max(low + top, 16)
+    s = _cached_series(max(order, DEFAULT_SERIES_ORDER)).coefficients
+    x = QSeries(s[: order + 1], order)  # q j(q)
+    y = QSeries(tuple(0 if k % n else s[k // n] for k in range(order + 1)), order)  # q^n j(q^n)
+    xs, ys = [x.power(0)], [y.power(0)]
+    for _ in range(n + 1):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    out = {}
+    for i, j in monomials:
+        c = (xs[i] * ys[j]).coefficients
+        pole = i + n * j
+        out[(i, j)] = [c[e + pole] if e + pole >= 0 else 0 for e in range(-low, top + 1)]
+    return out
 
 
-def _coset_values(tau, n: int, prec_bits: int):
-    """j at the n+1 images under the degree-n cosets (n prime)."""
-    values = [j_numeric(n * tau, prec_bits)]
-    for k in range(n):
-        values.append(j_numeric((tau + k) / n, prec_bits))
-    return values
+def q_expansion(phi: ModularPolynomial, top: int) -> dict:
+    """Phi_n(j(q), j(q^n)) as {e: coefficient of q^e}, e = -(n+1)^2 .. top;
+    all zero exactly when Phi_n vanishes on (j(q), j(q^n)) to that order."""
+    low = (phi.n + 1) ** 2
+    series = _monomial_series(phi.n, phi.coefficients, top)
+    return {e: sum(c * series[m][e + low] for m, c in phi.coefficients.items())
+            for e in range(-low, top + 1)}
 
 
-def build_modular_polynomial(n: int, prec_bits: int = DEFAULT_PREC_BITS,
-                             rounding_tolerance=1e-6) -> ModularPolynomial:
-    """Phi_1 = X - Y; Phi_2, Phi_3 reconstructed from coset products."""
+def build_modular_polynomial(n: int) -> ModularPolynomial:
+    """Phi_1 = X - Y; Phi_2, Phi_3 solved exactly from the q-expansions.
+
+    The unknowns are the coefficients of a symmetric polynomial of degree
+    n+1 in each variable.  Phi_n(j(q), j(q^n)) has poles only at the two
+    cusps, which the Fricke involution swaps, so it is zero once its
+    expansion at infinity vanishes from q^-(n+1)^2 through q^0: one
+    equation per exponent.  The kernel must be a line; normalised so that
+    X^(n+1) has coefficient 1, its coefficients must be integers.
+    """
     if n == 1:
         return ModularPolynomial(1, {(1, 0): 1, (0, 1): -1})
     if n not in (2, 3):
         raise ValueError("only levels 1, 2 and 3 are supported")
-    with mpmath.workprec(prec_bits):
-        deg = n + 1
-        sample_count = deg + 4  # oversampled for the least-squares audit
-        taus = [mpmath.mpc(0, mpmath.mpf("1.1") + mpmath.mpf("1.4") * k / (sample_count - 1))
-                for k in range(sample_count)]
-        tol = mpmath.mpf(rounding_tolerance)
-        ys = []
-        prods = []  # per sample: coefficients of X^0 .. X^deg of the coset product
-        for tau in taus:
-            y = j_numeric(tau, prec_bits)
-            if abs(mpmath.im(y)) / max(mpmath.mpf(1), abs(y)) > tol:
-                raise PrecisionError("sample j-value is not real")
-            ys.append(mpmath.re(y))
-            roots = _coset_values(tau, n, prec_bits)
-            coeffs = [mpmath.mpc(1)]
-            for r in roots:
-                nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
-                for idx, ccoef in enumerate(coeffs):
-                    nxt[idx] += ccoef * (-r)
-                    nxt[idx + 1] += ccoef
-                coeffs = nxt
-            prods.append(coeffs)
-        coefficients = {(deg, 0): 1}
-        for i in range(deg):
-            # fit coefficient of X^i as a degree-deg polynomial in Y
-            a = mpmath.matrix(sample_count, deg + 1)
-            rhs = mpmath.matrix(sample_count, 1)
-            for srow in range(sample_count):
-                for jpow in range(deg + 1):
-                    a[srow, jpow] = ys[srow] ** jpow
-                value = prods[srow][i]
-                if abs(mpmath.im(value)) / max(mpmath.mpf(1), abs(value)) > tol:
-                    raise PrecisionError("coset product has a non-real coefficient")
-                rhs[srow] = mpmath.re(value)
-            sol, _ = mpmath.qr_solve(a, rhs)
-            for jpow in range(deg + 1):
-                value = mpmath.re(sol[jpow])
-                rounded = int(mpmath.nint(value))
-                scale = max(mpmath.mpf(1), abs(mpmath.mpf(rounded)))
-                if abs(value - rounded) / scale > tol:
-                    raise PrecisionError(
-                        f"rounding residue too large for X^{i} Y^{jpow}: {value}"
-                    )
-                if rounded:
-                    coefficients[(i, jpow)] = rounded
-        return ModularPolynomial(n, coefficients)
-
-
-# ---------------------------------------------------------------------------
-# Disk cache
-# ---------------------------------------------------------------------------
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("K3LAB_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "k3lab"
-
-
-def cache_path(n: int, cache_dir=None) -> Path:
-    base = Path(cache_dir) if cache_dir else default_cache_dir()
-    return base / f"modpoly_{n}.txt"
-
-
-def save_modular_polynomial(phi: ModularPolynomial, cache_dir=None) -> Path:
-    """Write the cache file atomically (temp file, then rename)."""
-    path = cache_path(phi.n, cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"n={phi.n}"]
-    for (i, j), coeff in sorted(phi.coefficients.items()):
-        lines.append(f"{i} {j} {coeff}")
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".modpoly_tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def load_modular_polynomial(n: int, cache_dir=None) -> "ModularPolynomial | None":
-    """The cached Phi_n, or None on a miss.
-
-    A file that does not parse, or whose polynomial is not of degree n+1,
-    monic in X and symmetric (Phi_1 = X - Y is antisymmetric instead), is a
-    miss too, so the caller rebuilds it and overwrites the file.
-    """
-    path = cache_path(n, cache_dir)
-    if not path.exists():
-        return None
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != f"n={n}":
-        return None
+    unknowns = [(i, j) for j in range(n + 2) for i in range(j + 1)]
+    series = _monomial_series(n, [(i, j) for i in range(n + 2) for j in range(n + 2)], 0)
+    rows = [[series[(i, j)][k] + (series[(j, i)][k] if i != j else 0)
+             for i, j in unknowns]
+            for k in range((n + 1) ** 2 + 1)]
+    kernel = _nullspace(rows)
+    if len(kernel) != 1:
+        raise ArithmeticError(f"level {n}: the ansatz has a kernel of dimension {len(kernel)}")
+    lead = kernel[0][unknowns.index((0, n + 1))]
+    if lead == 0:
+        raise ArithmeticError(f"level {n}: the solution has no X^{n + 1} term")
     coefficients = {}
-    try:
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            i, j, coeff = line.split()
-            coefficients[(int(i), int(j))] = int(coeff)
-    except ValueError:
-        return None
-    phi = ModularPolynomial(n, coefficients)
-    monic = coefficients.get((n + 1, 0)) == 1 and all(
-        i <= n for i, j in coefficients if (i, j) != (n + 1, 0))
-    if not monic or phi.degree() != n + 1:
-        return None
-    if not (phi.is_symmetric() if n > 1 else coefficients == {(1, 0): 1, (0, 1): -1}):
-        return None
-    return phi
-
-
-def modular_polynomial(n: int, cache_dir=None,
-                       prec_bits: int = DEFAULT_PREC_BITS) -> ModularPolynomial:
-    """Load from cache or reconstruct and cache."""
-    cached = load_modular_polynomial(n, cache_dir)
-    if cached is not None:
-        return cached
-    phi = build_modular_polynomial(n, prec_bits)
-    save_modular_polynomial(phi, cache_dir)
-    return phi
+    for (i, j), value in zip(unknowns, kernel[0]):
+        value /= lead
+        if value.denominator != 1:
+            raise ArithmeticError(f"level {n}: non-integer coefficient {value} of X^{i} Y^{j}")
+        if value:
+            coefficients[(i, j)] = coefficients[(j, i)] = int(value)
+    return ModularPolynomial(n, coefficients)
 
 
 def family_coefficients(tau, n: int, prec_bits: int = DEFAULT_PREC_BITS):

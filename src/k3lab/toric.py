@@ -11,12 +11,11 @@ fixed, and no triangulation engine is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
 from . import constants as c
-from .lattice import CurveGraph
+from .lattice import CurveGraph, matrix_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -118,22 +117,7 @@ class LatticePolytope:
 def _affine_rank(points) -> int:
     if not points:
         return -1
-    base = points[0]
-    rows = [[Fraction(x) for x in _sub(p, base)] for p in points[1:]]
-    rank = 0
-    for col in range(3):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return matrix_rank([_sub(p, points[0]) for p in points[1:]])
 
 
 def delta() -> LatticePolytope:

@@ -1,16 +1,17 @@
 """CLI behavior: exit codes, output formats, determinism, mutation response."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from k3lab import cli
 from k3lab import constants as cst
-from k3lab import modular as md
 
 
 def run_main(argv, capsys):
@@ -50,6 +51,33 @@ class TestFamilyCommand:
         assert code == 0
         assert "j1 = 1728.0" in out
         assert "j2 = 287496.0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda1", "3", "--lambda2", "-5/2"],
+        ["--j1", "-1728/5", "--j2", "5"],
+        ["--tau", "-0.5+1.2i", "--n", "2"],
+    ], ids=["lambda", "j", "tau"])
+    def test_negative_value_as_separate_token(self, capsys, argv):
+        code, out, err = run_main(["family", *argv], capsys)
+        assert code == 0, err
+        attached = [f"{opt}={value}" for opt, value in zip(argv[::2], argv[1::2])]
+        code, attached_out, _ = run_main(["family", *attached], capsys)
+        assert code == 0
+        assert out == attached_out
+
+    @pytest.mark.parametrize("tau", ["1e-60i", "1e70i"])
+    def test_tau_beyond_precision_exits_3(self, capsys, tau):
+        code, out, err = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("precision error:")
+
+    @pytest.mark.parametrize("tau", ["1e-30i", "1e20i"])
+    def test_extreme_tau_within_precision_degenerate(self, capsys, tau):
+        # every level-1 member is degenerate, since j(-1/tau) = j(tau)
+        code, out, _ = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
+        assert code == 0
+        assert "degenerate = true" in out
 
     def test_mixed_groups_usage_error(self, capsys):
         code, _, err = run_main(
@@ -147,31 +175,15 @@ class TestReportCommand:
 
 
 class TestModpolyCommand:
-    def test_prints_cache_format(self, capsys, tmp_path):
-        code, out, _ = run_main(
-            ["modpoly", "--n", "1", "--cache-dir", str(tmp_path)], capsys)
+    def test_prints_cache_format(self, capsys):
+        code, out, _ = run_main(["modpoly", "--n", "1"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "n=1"
-        assert (tmp_path / "modpoly_1.txt").exists()
 
-    def test_env_var_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("K3LAB_CACHE_DIR", str(tmp_path))
-        code, _, _ = run_main(["modpoly", "--n", "2"], capsys)
+    def test_line_format(self, capsys):
+        code, out, _ = run_main(["modpoly", "--n", "1"], capsys)
         assert code == 0
-        assert (tmp_path / "modpoly_2.txt").exists()
-
-
-    @pytest.mark.parametrize("content", ["n=3\n0 0 zz\n", "n=3\n"],
-                             ids=["malformed_line", "header_only"])
-    def test_corrupt_cache_rebuilt(self, capsys, tmp_path, content):
-        path = tmp_path / "modpoly_3.txt"
-        path.write_text(content)
-        code, out, _ = run_main(
-            ["modpoly", "--n", "3", "--cache-dir", str(tmp_path)], capsys)
-        assert code == 0
-        assert "4 0 1" in out.splitlines()
-        assert path.read_text() == out
-        assert md.load_modular_polynomial(3, tmp_path) is not None
+        assert out.splitlines() == ["n=1", "0 1 -1", "1 0 1"]  # lexicographic (i, j)
 
 
 class TestSubprocessEntry:
@@ -182,6 +194,19 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert "suite lattice: pass" in result.stdout
+
+    def test_fricke_scan_script(self):
+        root = Path(__file__).resolve().parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
+        result = subprocess.run(
+            [sys.executable, str(root / "scripts" / "fricke_scan.py"), "1", "3"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        rows = result.stdout.splitlines()[2:]
+        assert len(rows) == 3
+        assert all(row.split()[-1] == "True" for row in rows)
 
     def test_usage_exit_code(self):
         result = subprocess.run(

@@ -1,4 +1,4 @@
-"""Numeric j, Fricke pairs, reconstructed modular polynomials, disk cache."""
+"""Numeric j, Fricke pairs, modular polynomials solved from q-expansions."""
 
 import random
 
@@ -6,7 +6,8 @@ import mpmath
 import pytest
 
 from k3lab import modular as md
-from k3lab.errors import DomainError
+from k3lab import suites
+from k3lab.errors import DomainError, PrecisionError
 
 
 def tol(e):
@@ -29,6 +30,18 @@ class TestJNumeric:
             md.j_numeric(mpmath.mpc(0, -1))
         with pytest.raises(DomainError):
             md.j_numeric(mpmath.mpc(2, 0))
+
+    @pytest.mark.parametrize("re, im", [(0, "1e60"), (0, "1e-60"), ("0.25", "1e40")])
+    def test_beyond_precision_rejected(self, re, im):
+        with pytest.raises(PrecisionError):
+            md.j_numeric(mpmath.mpc(re, im))
+
+    def test_precision_bound_follows_prec_bits(self):
+        # 2^112 at 256 bits, 2^240 at 512 bits
+        md.j_numeric(mpmath.mpc(0, 2**111))
+        with pytest.raises(PrecisionError):
+            md.j_numeric(mpmath.mpc(0, 2**113))
+        md.j_numeric(mpmath.mpc(0, 2**113), prec_bits=512)
 
     def test_truncation_error_by_doubling(self):
         rng = random.Random(3)
@@ -134,7 +147,7 @@ class TestModularPolynomials:
         for _ in range(10):
             tau = mpmath.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.9, 1.9))
             x, y = md.fricke_pair(tau, n)
-            val = abs(md.eval_modpoly(phi, x, y))
+            val = abs(phi.evaluate(x, y))
             assert val / phi.coefficient_scale(x, y) < tol(-4)
 
     def test_vanishing_at_integer_pair(self):
@@ -146,51 +159,67 @@ class TestModularPolynomials:
         assert exact == 0
         with mpmath.workprec(256):
             x, y = mpmath.mpf(1728), mpmath.mpf(287496)
-            val = abs(md.eval_modpoly(phi, x, y))
+            val = abs(phi.evaluate(x, y))
             assert val / phi.coefficient_scale(x, y) < tol(-4)
 
     def test_off_curve_control(self):
         phi = md.build_modular_polynomial(2)
         x, y = mpmath.mpf(1728), mpmath.mpf(1729)
-        val = abs(md.eval_modpoly(phi, x, y))
+        val = abs(phi.evaluate(x, y))
         assert val / phi.coefficient_scale(x, y) > tol(-8)
 
     def test_phi1_exact_on_diagonal(self):
         phi = md.build_modular_polynomial(1)
-        assert md.eval_modpoly(phi, mpmath.mpf(5), mpmath.mpf(5)) == 0
+        assert phi.evaluate(mpmath.mpf(5), mpmath.mpf(5)) == 0
 
+    def test_phi2_classical_table(self):
+        # X^3 + Y^3 - X^2 Y^2 + 1488 (X^2 Y + X Y^2) - 162000 (X^2 + Y^2)
+        # + 40773375 X Y + 8748000000 (X + Y) - 157464000000000
+        assert md.build_modular_polynomial(2).coefficients == _symmetric({
+            (3, 0): 1, (2, 2): -1, (2, 1): 1488, (2, 0): -162000,
+            (1, 1): 40773375, (1, 0): 8748000000, (0, 0): -157464000000000,
+        })
 
-class TestCache:
-    def test_roundtrip(self, tmp_path):
+    def test_phi3_classical_table(self):
+        assert md.build_modular_polynomial(3).coefficients == _symmetric({
+            (4, 0): 1, (3, 3): -1, (3, 2): 2232, (3, 1): -1069956,
+            (3, 0): 36864000, (2, 2): 2587918086, (2, 1): 8900222976000,
+            (2, 0): 452984832000000, (1, 1): -770845966336000000,
+            (1, 0): 1855425871872000000000,
+        })
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_q_expansion_vanishes(self, n):
+        phi = md.build_modular_polynomial(n)
+        expansion = md.q_expansion(phi, 16)
+        assert list(expansion) == list(range(-(n + 1) ** 2, 17))
+        assert not any(expansion.values())
+
+    def test_q_expansion_sees_a_changed_coefficient(self):
         phi = md.build_modular_polynomial(2)
-        path = md.save_modular_polynomial(phi, tmp_path)
-        assert path.name == "modpoly_2.txt"
-        text = path.read_text()
-        assert text.startswith("n=2\n")
-        assert text.endswith("\n")
-        loaded = md.load_modular_polynomial(2, tmp_path)
-        assert loaded == phi
+        coefficients = dict(phi.coefficients)
+        coefficients[(0, 0)] += 1
+        expansion = md.q_expansion(md.ModularPolynomial(2, coefficients), 16)
+        # the constant term moves by one, every other coefficient stays zero
+        assert {e: c for e, c in expansion.items() if c} == {0: 1}
 
-    def test_line_format(self, tmp_path):
-        md.save_modular_polynomial(md.build_modular_polynomial(1), tmp_path)
-        lines = (tmp_path / "modpoly_1.txt").read_text().splitlines()
-        assert lines[0] == "n=1"
-        assert lines[1:] == ["0 1 -1", "1 0 1"]  # lexicographic (i, j)
 
-    def test_modular_polynomial_uses_cache(self, tmp_path):
-        first = md.modular_polynomial(2, tmp_path)
-        # corrupt one coefficient on disk; the cached version must be served
-        path = md.cache_path(2, tmp_path)
-        mangled = path.read_text().replace("1488", "1489")
-        path.write_text(mangled)
-        second = md.modular_polynomial(2, tmp_path)
-        assert second != first
-        assert second.coefficients[(1, 2)] == 1489
+def _symmetric(half):
+    return {**half, **{(j, i): c for (i, j), c in half.items()}}
 
-    def test_env_var_controls_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("K3LAB_CACHE_DIR", str(tmp_path))
-        assert md.default_cache_dir() == tmp_path
-        assert md.cache_path(3) == tmp_path / "modpoly_3.txt"
+
+class TestSuiteChecks:
+    @pytest.mark.parametrize("key", [(2, 2), (1, 1)], ids=["X2Y2", "XY"])
+    def test_phi3_check_fails_on_changed_coefficient(self, monkeypatch, key):
+        build = md.build_modular_polynomial
+        coefficients = dict(build(3).coefficients)
+        coefficients[key] += 1  # diagonal: still integer, symmetric, degree 4
+        mutated = md.ModularPolynomial(3, coefficients)
+        monkeypatch.setattr(md, "build_modular_polynomial",
+                            lambda n: mutated if n == 3 else build(n))
+        checks = {c.id: c.status for c in suites.run_suite("modular").checks}
+        assert checks == {"modular.j_values": "pass", "modular.phi2": "pass",
+                          "modular.phi3": "fail"}
 
 
 class TestFamilyCoefficients:
