@@ -35,7 +35,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_complex(text: str):
-    """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'."""
+    """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'; read at
+    the working precision of the j-function, so no digit is lost."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     if cleaned in ("j", "+j"):
         cleaned = "1j"
@@ -44,9 +45,10 @@ def parse_complex(text: str):
     else:
         cleaned = cleaned.replace("+j", "+1j").replace("-j", "-1j")
     try:
-        if "/" in cleaned and "j" not in cleaned:
-            return mpmath.mpf(Fraction(cleaned).numerator) / Fraction(cleaned).denominator
-        return mpmath.mpmathify(cleaned)
+        with mpmath.workprec(md.DEFAULT_PREC_BITS):
+            if "/" in cleaned and "j" not in cleaned:
+                return mpmath.mpf(Fraction(cleaned).numerator) / Fraction(cleaned).denominator
+            return mpmath.mpmathify(cleaned)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
@@ -172,9 +174,13 @@ def cmd_family(args) -> int:
         j1, j2 = md.fricke_pair(args.tau, args.n)
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
-        a, b = si.ab_numeric(j1, j2)
-        degenerate = w.is_degenerate_numeric(a, b)
+        # disc(a, b - 2) disc(a, b + 2) = (j1 - j2)^2 / 256 exactly, so the
+        # flag compares j1 with j2 at the precision j_numeric guarantees
+        with mpmath.workprec(md.DEFAULT_PREC_BITS):
+            degenerate = abs(j1 - j2) <= (mpmath.mpf(2) ** (-md.DEFAULT_PREC_BITS // 2)
+                                          * (abs(j1) + abs(j2)))
         print(f"degenerate = {'true' if degenerate else 'false'}")
+        a, b = si.ab_numeric(j1, j2)
     print(f"a = {_fmt(a)}")
     print(f"b = {_fmt(b)}")
     return EXIT_PASS

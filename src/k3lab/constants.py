@@ -250,23 +250,6 @@ GENUS2_CHAIN_WEIGHTS = (3, 3, 3, 3, 3, 3, 2, 1)
 GENUS2_BRANCH_WEIGHT = 1
 GENUS2_SECTION_WEIGHT = 3
 
-# Images of those two curves on the quotient surface, as multiplicities over
-# TWENTY_LABELS.  Recorded for reference only: the quotient-side pairing
-# normalization is not asserted anywhere in the suite.
-GENUS1_IMAGE_ON_QUOTIENT = (
-    0, 0, 0, 0, 1,
-    2, 2, 2, 2, 2,
-    2, 2, 1, 0, 1,
-    1, 0, 0, 0, 0,
-)
-
-GENUS2_DOUBLE_IMAGE_ON_QUOTIENT = (
-    0, 0, 0, 0, 3,
-    6, 6, 6, 6, 6,
-    6, 6, 4, 2, 2,
-    3, 0, 0, 0, 0,
-)
-
 # ---------------------------------------------------------------------------
 # Toric data: the Newton simplex of the family, its expected dual, and the
 # monomial support of the unreduced hypersurface equation.

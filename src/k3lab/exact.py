@@ -266,14 +266,6 @@ def variables(*names: str) -> tuple[MultiPolynomial, ...]:
     return tuple(MultiPolynomial.variable(vars, w) for w in vars)
 
 
-def poly_is_zero(p: MultiPolynomial) -> bool:
-    return p.is_zero()
-
-
-def poly_evaluate(p: MultiPolynomial, point: Mapping[str, Coeff]) -> Fraction:
-    return p.evaluate(point)
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials; the denominator must be nonzero.
@@ -350,10 +342,6 @@ class RationalFunction:
         return (self.num * other.den - other.num * self.den).is_zero()
 
 
-def ratfunc_equal(f: RationalFunction, g: RationalFunction) -> bool:
-    return f.equals(g)
-
-
 def clear_denominators(terms: Sequence[RationalFunction]) -> MultiPolynomial:
     """Numerator of a sum of rational terms over a common multiple of the
     denominators.
@@ -388,27 +376,4 @@ def cubic_discriminant(p: Coeff, q: Coeff) -> Fraction:
     """Discriminant -4p^3 - 27q^2 of x^3 + p*x + q; zero iff a repeated root."""
     p, q = Fraction(p), Fraction(q)
     return -4 * p**3 - 27 * q**2
-
-
-def compose_rational(
-    p: MultiPolynomial, subs: Mapping[str, RationalFunction]
-) -> RationalFunction:
-    """Substitute rational functions for every variable of p.
-
-    Intended for small polynomials (symmetry and route-independence checks);
-    the result is not reduced.
-    """
-    missing = [w for w in p.vars if w not in subs]
-    if missing:
-        raise ValueError(f"no substitution for {missing}")
-    target_vars = next(iter(subs.values())).num.vars
-    one = MultiPolynomial.constant(target_vars, 1)
-    total = RationalFunction(MultiPolynomial.zero(target_vars), one)
-    for e, c in p.terms.items():
-        term = RationalFunction(MultiPolynomial.constant(target_vars, c), one)
-        for w, k in zip(p.vars, e):
-            if k:
-                term = term * subs[w] ** k
-        total = total + term
-    return total
 

@@ -81,10 +81,6 @@ def pair(x: KummerClass, y: KummerClass) -> Fraction:
     return 2 * (x.f1 * y.f2 + y.f1 * x.f2) - 2 * cross
 
 
-def self_intersection(x: KummerClass) -> Fraction:
-    return pair(x, x)
-
-
 def _unit_matrix(i: int, j: int):
     return [[1 if (r, s) == (i - 1, j - 1) else 0 for s in range(4)]
             for r in range(4)]
@@ -152,41 +148,26 @@ def c2_matches_transcription() -> bool:
     return (named_classes()["C2"] - displayed).is_zero()
 
 
-def e8_fiber_decomposition() -> list:
-    gens = named_classes()
-    return [(label, gens[label], mult) for label, mult in c.E8_FIBER_WEIGHTS]
+def _sums_to(gens: dict, weights, target: str) -> bool:
+    """sum(mult * gens[label] for label, mult in weights) == gens[target]."""
+    total = KummerClass.zero()
+    for label, mult in weights:
+        total = total + mult * gens[label]
+    return (total - gens[target]).is_zero()
 
 
 def verify_e8_fiber() -> bool:
     """The weighted nine-curve sum equals D and every component is
     D-orthogonal."""
     gens = named_classes()
-    d = gens["D"]
-    total = KummerClass.zero()
-    for label, cls, mult in e8_fiber_decomposition():
-        if pair(d, cls) != 0:
-            return False
-        total = total + mult * cls
-    return (total - d).is_zero()
-
-
-def star_fibers() -> tuple:
-    """The two five-curve star fibers, each summing to D."""
-    gens = named_classes()
-    fiber1 = [(label, gens[label], mult) for label, mult in c.STAR_FIBER_1]
-    fiber2 = [(label, gens[label], mult) for label, mult in c.STAR_FIBER_2]
-    return fiber1, fiber2
+    return (all(pair(gens["D"], gens[label]) == 0 for label, _ in c.E8_FIBER_WEIGHTS)
+            and _sums_to(gens, c.E8_FIBER_WEIGHTS, "D"))
 
 
 def verify_star_fibers() -> bool:
-    d = named_classes()["D"]
-    for fiber in star_fibers():
-        total = KummerClass.zero()
-        for _, cls, mult in fiber:
-            total = total + mult * cls
-        if not (total - d).is_zero():
-            return False
-    return True
+    """The two five-curve star fibers each sum to D."""
+    gens = named_classes()
+    return all(_sums_to(gens, fiber, "D") for fiber in (c.STAR_FIBER_1, c.STAR_FIBER_2))
 
 
 def branch_octet() -> list:
@@ -292,16 +273,8 @@ def integrality_report() -> bool:
 def fiber_relations_hold() -> bool:
     """F1 = 2 F_1i + sum_j G_ij and F2 = 2 F_2j + sum_i G_ij for all indices."""
     gens = standard_generators()
-    for i in range(1, 5):
-        total = 2 * gens[f"F1_{i}"]
-        for j in range(1, 5):
-            total = total + gens[f"G{i}_{j}"]
-        if not (total - gens["F1"]).is_zero():
-            return False
-    for j in range(1, 5):
-        total = 2 * gens[f"F2_{j}"]
-        for i in range(1, 5):
-            total = total + gens[f"G{i}_{j}"]
-        if not (total - gens["F2"]).is_zero():
-            return False
-    return True
+    ks = range(1, 5)
+    return (all(_sums_to(gens, [(f"F1_{i}", 2)] + [(f"G{i}_{j}", 1) for j in ks], "F1")
+                for i in ks)
+            and all(_sums_to(gens, [(f"F2_{j}", 2)] + [(f"G{i}_{j}", 1) for i in ks], "F2")
+                    for j in ks))

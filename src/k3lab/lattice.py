@@ -1,9 +1,9 @@
 """Integer lattices with bilinear forms, and curve-incidence graphs.
 
 A lattice is a labeled symmetric integer Gram matrix.  Everything is exact:
-rank and kernels by Gaussian elimination over Q, signatures by congruence
-diagonalization (never floating eigenvalues), determinants on the quotient
-by the kernel via unimodular basis completion.
+rank and kernels by Gaussian elimination over Q; the quotient by the kernel
+by integer congruence, so its Gram stays integral; its signature and
+determinant by congruence diagonalization (never floating eigenvalues).
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ class CurveGraph:
 
     def degree(self, node: str) -> int:
         return sum(1 for e in self.edges if node in e)
-
-    def adjacent(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edges
 
     def subgraph(self, nodes: Iterable[str]) -> "CurveGraph":
         keep = tuple(nodes)
@@ -159,27 +156,6 @@ def _rational_matrix(m) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in m]
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for j in range(col, n):
-                    m[r][j] -= f * m[col][j]
-    return det
-
-
 def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of m over Q, and its pivot columns."""
     rows = _rational_matrix(m)
@@ -252,87 +228,32 @@ def kernel_basis(L: GramLattice) -> list[list[int]]:
     return [_primitive(v) for v in _nullspace(L.gram)]
 
 
-def _unimodular_with_first_row(v: list[int]) -> list[list[int]]:
-    """A unimodular integer matrix whose first row is the primitive vector v.
+def _quotient_gram(gram) -> list[list[int]]:
+    """Integer Gram of the quotient by the kernel.
 
-    Column-reduces v to a unit vector by gcd steps, tracking the inverse
-    column operations.
+    Peels one primitive kernel vector v at a time.  Euclid's steps on the
+    entries of v bring it to a unit vector e_k; each step v[b] -= q v[a] is
+    the change of basis e_a -> e_a + q e_b, applied to the Gram as a
+    congruence (row a += q row b, then column a += q column b).  Then e_k
+    spans the kernel vector, so row and column k are zero and are dropped.
     """
-    n = len(v)
-    work = list(v)
-    # U accumulates the column operations: work = v * U_ops, start identity
-    ops: list[list[int]] = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_axpy(dst, src, f):
-        # column dst += f * column src
-        for i in range(n):
-            ops[i][dst] += f * ops[i][src]
-
-    def col_swap(a, b):
-        for i in range(n):
-            ops[i][a], ops[i][b] = ops[i][b], ops[i][a]
-
-    def col_neg(a):
-        for i in range(n):
-            ops[i][a] = -ops[i][a]
-
-    # Euclid across the entries until work = (g, 0, ..., 0)
-    while True:
-        nz = [i for i in range(n) if work[i] != 0]
-        if len(nz) == 1:
-            if nz[0] != 0:
-                work[0], work[nz[0]] = work[nz[0]], work[0]
-                col_swap(0, nz[0])
-            break
-        nz.sort(key=lambda i: abs(work[i]))
-        a, b = nz[0], nz[1]
-        q = work[b] // work[a]
-        work[b] -= q * work[a]
-        col_axpy(b, a, -q)
-    if work[0] < 0:
-        work[0] = -work[0]
-        col_neg(0)
-    if work[0] != 1:
-        raise ValueError("vector is not primitive")
-    # v * ops = e1, hence rows of ops^{-1} start with v; invert exactly
-    inv = _invert_unimodular(ops)
-    return inv
-
-
-def _invert_unimodular(m: list[list[int]]) -> list[list[int]]:
-    n = len(m)
-    reduced, piv_cols = _row_reduce([list(row) + [1 if i == j else 0 for j in range(n)]
-                                     for i, row in enumerate(m)])
-    inverse = [row[n:] for row in reduced]
-    if piv_cols[:n] != list(range(n)) or any(x.denominator != 1
-                                             for row in inverse for x in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inverse]
-
-
-def _quotient_gram(gram) -> list[list[Fraction]]:
-    """Gram of the quotient by the kernel, via unimodular completion.
-
-    Peels one primitive kernel vector at a time: completes it to a basis of
-    Z^n and restricts the form to the remaining basis vectors.
-    """
-    g = _rational_matrix(gram)
-    while True:
-        null = _nullspace(g)
-        if not null:
-            return g
-        k = _primitive(null[0])
-        u = _unimodular_with_first_row(k)
-        rest = u[1:]
-        n = len(g)
-        g = [
-            [
-                sum(Fraction(vi) * g[i][j] * Fraction(wj)
-                    for i, vi in enumerate(v) for j, wj in enumerate(w) if vi and wj)
-                for w in rest
-            ]
-            for v in rest
-        ]
+    g = [list(row) for row in gram]
+    while null := _nullspace(g):
+        v = _primitive(null[0])
+        while True:
+            nz = sorted((i for i, x in enumerate(v) if x), key=lambda i: abs(v[i]))
+            if len(nz) == 1:
+                break
+            a, b = nz[:2]
+            q = v[b] // v[a]
+            v[b] -= q * v[a]
+            g[a] = [x + q * y for x, y in zip(g[a], g[b])]
+            for row in g:
+                row[a] += q * row[b]
+        del g[nz[0]]
+        for row in g:
+            del row[nz[0]]
+    return g
 
 
 @dataclass(frozen=True)
@@ -345,22 +266,21 @@ class LatticeInvariants:
 
 def lattice_invariants(L: GramLattice) -> LatticeInvariants:
     """Rank over Q, signature of the kernel quotient, its determinant, parity."""
-    n = L.dim
-    if n == 0:
-        return LatticeInvariants(0, (0, 0), Fraction(1), True)
     q = _quotient_gram(L.gram)
-    rank = len(q)
-    det = _det(q) if q else Fraction(1)
-    pos, neg = _signature(q)
-    is_even = all(L.gram[i][i] % 2 == 0 for i in range(n))
-    return LatticeInvariants(rank, (pos, neg), det, is_even)
+    pos, neg, det = _signature(q)
+    is_even = all(L.gram[i][i] % 2 == 0 for i in range(L.dim))
+    return LatticeInvariants(len(q), (pos, neg), det, is_even)
 
 
-def _signature(gram: list[list[Fraction]]) -> tuple[int, int]:
-    """Counts of positive and negative squares via congruence diagonalization."""
-    m = [row[:] for row in gram]
+def _signature(gram) -> tuple[int, int, Fraction]:
+    """Counts of positive and negative squares, and the determinant, via
+    congruence diagonalization.  Every move has determinant 1, so the
+    determinant is the product of the pivots, or 0 if a zero block is left.
+    """
+    m = _rational_matrix(gram)
     n = len(m)
     pos = neg = 0
+    det = Fraction(1)
     idx = list(range(n))
     while idx:
         i = next((k for k in idx if m[k][k] != 0), None)
@@ -375,7 +295,7 @@ def _signature(gram: list[list[Fraction]]) -> tuple[int, int]:
                 if found:
                     break
             if found is None:
-                break  # remaining block is zero (kernel), contributes nothing
+                return pos, neg, Fraction(0)  # the remaining block is zero
             a, b = found
             # row/col a += row/col b turns m[a][a] into 2 m[a][b] != 0
             for j in range(n):
@@ -384,6 +304,7 @@ def _signature(gram: list[list[Fraction]]) -> tuple[int, int]:
                 m[j][a] += m[j][b]
             continue
         d = m[i][i]
+        det *= d
         if d > 0:
             pos += 1
         else:
@@ -396,7 +317,7 @@ def _signature(gram: list[list[Fraction]]) -> tuple[int, int]:
                     m[r][j] -= f * m[i][j]
                 for j in range(n):
                     m[j][r] -= f * m[j][i]
-    return pos, neg
+    return pos, neg, det
 
 
 def induced_gram(ambient: GramLattice, vectors: Sequence[Sequence],

@@ -146,9 +146,9 @@ def j_numeric(tau, prec_bits: int = DEFAULT_PREC_BITS,
     q = exp(2 pi i t) carries a relative rounding error of about
     2 pi Im(t) 2^-prec_bits, and so does j.  Beyond Im(t) = 2^(prec_bits/2 - 16)
     after reduction that error would exceed 2^(-prec_bits/2 - 13), leaving
-    less than 13 bits of margin under 2^(-prec_bits/2), the relative
-    tolerance of weierstrass.is_degenerate_numeric; such a tau raises
-    PrecisionError.
+    less than 13 bits of margin under 2^(-prec_bits/2), the tolerance of
+    |j1 - j2| relative to |j1| + |j2| with which `k3lab family --tau`
+    decides degeneracy; such a tau raises PrecisionError.
     """
     if prec_bits < 64:
         raise ValueError("precision below 64 bits is not supported")

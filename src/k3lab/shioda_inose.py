@@ -49,14 +49,6 @@ class HPolys:
     h_minus: MultiPolynomial
 
 
-@dataclass(frozen=True)
-class MasterIdentityData:
-    x1: RationalFunction
-    y1_squared: RationalFunction
-    z_plus_zinv: RationalFunction
-    kappa: Fraction
-
-
 def build_h_polys() -> HPolys:
     return HPolys(c.H_INF, c.h_plus(), c.h_minus())
 
@@ -77,30 +69,17 @@ def z_invariant() -> RationalFunction:
     return RationalFunction(2 * (h.h_minus - h.h_plus), h.h_inf)
 
 
-def _build_unchecked(kappa: Fraction) -> MasterIdentityData:
+def _identity_terms(kappa: Fraction) -> list[RationalFunction]:
     h = build_h_polys()
     x1 = RationalFunction(c.X1_NUM, c.X1_DEN)
-    y1_squared = RationalFunction(
-        kappa * (c.Y1_NUM_FACTOR * h.h_plus * h.h_minus), c.Y1_DEN
-    )
-    return MasterIdentityData(x1, y1_squared, z_invariant(), Fraction(kappa))
-
-
-def build_x1_y1(kappa: Fraction) -> MasterIdentityData:
-    if kappa == 0:
-        raise ValueError("kappa must be nonzero")
-    return _build_unchecked(kappa)
-
-
-def _identity_terms(kappa: Fraction) -> list[RationalFunction]:
-    d = _build_unchecked(kappa)
+    y1_squared = RationalFunction(kappa * (c.Y1_NUM_FACTOR * h.h_plus * h.h_minus), c.Y1_DEN)
     return [
-        d.x1**3,
-        RationalFunction(c.MASTER_X2, _ONE) * d.x1**2,
-        RationalFunction(c.MASTER_X1, _ONE) * d.x1,
+        x1**3,
+        RationalFunction(c.MASTER_X2, _ONE) * x1**2,
+        RationalFunction(c.MASTER_X1, _ONE) * x1,
         RationalFunction(c.MASTER_X0, _ONE),
-        d.y1_squared,
-        RationalFunction(c.MASTER_Z, _ONE) * d.z_plus_zinv,
+        y1_squared,
+        RationalFunction(c.MASTER_Z, _ONE) * z_invariant(),
     ]
 
 

@@ -266,18 +266,22 @@ def x_curve_graph() -> CurveGraph:
     return CurveGraph.build(c.X_TREE_NODES, c.X_TREE_EDGES)
 
 
-def _weight_vector(chain_weights, branch_weight, side: str) -> list[int]:
-    w = {f"{side}_{i}": chain_weights[i - 1] for i in range(1, 9)}
-    w[f"{side}_b"] = branch_weight
+def _node_weights(chain, branch, sides, section=0) -> list[int]:
+    """Weights over X_TREE_NODES: `chain` along each side's chain, `branch`
+    on its branch node, `section` on the section, 0 elsewhere."""
+    w = {"sec": section}
+    for side in sides:
+        w.update({f"{side}_{i}": x for i, x in enumerate(chain, 1)})
+        w[f"{side}_b"] = branch
     return [w.get(node, 0) for node in c.X_TREE_NODES]
 
 
 def fiber_class_at_zero() -> list[int]:
-    return _weight_vector(c.E8_AFFINE_CHAIN_WEIGHTS, c.E8_AFFINE_BRANCH_WEIGHT, "z0")
+    return _node_weights(c.E8_AFFINE_CHAIN_WEIGHTS, c.E8_AFFINE_BRANCH_WEIGHT, ("z0",))
 
 
 def fiber_class_at_infinity() -> list[int]:
-    return _weight_vector(c.E8_AFFINE_CHAIN_WEIGHTS, c.E8_AFFINE_BRANCH_WEIGHT, "zi")
+    return _node_weights(c.E8_AFFINE_CHAIN_WEIGHTS, c.E8_AFFINE_BRANCH_WEIGHT, ("zi",))
 
 
 def section_class() -> list[int]:
@@ -293,20 +297,10 @@ def e8_side_nodes(side: str) -> tuple:
 
 
 def genus1_curve_class() -> list[int]:
-    both = {}
-    for side in ("z0", "zi"):
-        for i in range(1, 9):
-            both[f"{side}_{i}"] = c.GENUS1_CHAIN_WEIGHTS[i - 1]
-        both[f"{side}_b"] = c.GENUS1_BRANCH_WEIGHT
-    both["sec"] = c.GENUS1_SECTION_WEIGHT
-    return [both[node] for node in c.X_TREE_NODES]
+    return _node_weights(c.GENUS1_CHAIN_WEIGHTS, c.GENUS1_BRANCH_WEIGHT, ("z0", "zi"),
+                         c.GENUS1_SECTION_WEIGHT)
 
 
 def genus2_curve_class() -> list[int]:
-    both = {}
-    for side in ("z0", "zi"):
-        for i in range(1, 9):
-            both[f"{side}_{i}"] = c.GENUS2_CHAIN_WEIGHTS[i - 1]
-        both[f"{side}_b"] = c.GENUS2_BRANCH_WEIGHT
-    both["sec"] = c.GENUS2_SECTION_WEIGHT
-    return [both[node] for node in c.X_TREE_NODES]
+    return _node_weights(c.GENUS2_CHAIN_WEIGHTS, c.GENUS2_BRANCH_WEIGHT, ("z0", "zi"),
+                         c.GENUS2_SECTION_WEIGHT)

@@ -18,7 +18,7 @@ from k3lab import modular as md
 from k3lab import shioda_inose as si
 from k3lab import toric
 from k3lab import weierstrass as w
-from k3lab.exact import MultiPolynomial, RationalFunction, ratfunc_equal, variables
+from k3lab.exact import MultiPolynomial, RationalFunction, variables
 
 
 class _Criterion:
@@ -129,12 +129,12 @@ def test_criterion_03_route_independence():
         denom = (m1 * (m1 - one) * m2 * (m2 - one)) ** 2
         a3 = RationalFunction(
             Fraction(-16, 27) * (m1**2 - m1 + 1) ** 3 * (m2**2 - m2 + 1) ** 3, denom)
-        assert ratfunc_equal(
-            a3, RationalFunction(-jn(m1) * jn(m2), Fraction(110592) * jd(m1) * jd(m2)))
+        assert a3.equals(
+            RationalFunction(-jn(m1) * jn(m2), Fraction(110592) * jd(m1) * jd(m2)))
         bj = lambda m: (m + one) * (m - 2) * (2 * m - one)
         b2 = RationalFunction(Fraction(4, 729) * bj(m1) ** 2 * bj(m2) ** 2, denom)
-        assert ratfunc_equal(
-            b2, RationalFunction(
+        assert b2.equals(
+            RationalFunction(
                 (jn(m1) - 1728 * jd(m1)) * (jn(m2) - 1728 * jd(m2)),
                 Fraction(746496) * jd(m1) * jd(m2)))
 

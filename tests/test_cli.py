@@ -1,13 +1,12 @@
 """CLI behavior: exit codes, output formats, determinism, mutation response."""
 
 import json
-import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
+import mpmath
 import pytest
 
 from k3lab import cli
@@ -72,12 +71,32 @@ class TestFamilyCommand:
         assert out == ""
         assert err.startswith("precision error:")
 
-    @pytest.mark.parametrize("tau", ["1e-30i", "1e20i"])
+    @pytest.mark.parametrize("tau", ["1e-30i", "1e20i", "1i", "1.3333333333333333i",
+                                     "1.6666666666666667i"])
     def test_extreme_tau_within_precision_degenerate(self, capsys, tau):
         # every level-1 member is degenerate, since j(-1/tau) = j(tau)
         code, out, _ = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
         assert code == 0
         assert "degenerate = true" in out
+
+    @pytest.mark.parametrize("tau", ["16i", "20i", "100i"])
+    def test_large_j_not_degenerate(self, capsys, tau):
+        # j(tau) != j(2 tau), though both are beyond 2^128
+        code, out, _ = run_main(["family", f"--tau={tau}", "--n=2"], capsys)
+        assert code == 0
+        assert "degenerate = false" in out
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 50, 100, 200])
+    def test_fricke_fixed_point_degenerate(self, capsys, n):
+        # tau = i/sqrt(n) is fixed by tau -> -1/(n tau); 80 digits are read
+        with mpmath.workprec(300):
+            tau = mpmath.nstr(1 / mpmath.sqrt(n), 80) + "i"
+        code, out, _ = run_main(["family", f"--tau={tau}", f"--n={n}"], capsys)
+        assert code == 0
+        assert "degenerate = true" in out
+
+    def test_tau_parsed_past_double_precision(self):
+        assert cli.parse_complex("0.1+1.00000000000000000001i").imag != 1
 
     def test_mixed_groups_usage_error(self, capsys):
         code, _, err = run_main(
@@ -129,6 +148,33 @@ class TestVerifyCommand:
         code, out, _ = run_main(["verify", "--suite", "toric"], capsys)
         assert code == 1
         assert "FAIL toric.dual" in out
+
+    @pytest.mark.parametrize("name,check", [
+        ("E8_FIBER_WEIGHTS", "kummer.e8_fiber"),
+        ("STAR_FIBER_1", "kummer.star_fibers"),
+        ("STAR_FIBER_2", "kummer.star_fibers"),
+        ("GENUS1_CHAIN_WEIGHTS", "lattice.coordinate_curves"),
+        ("GENUS1_BRANCH_WEIGHT", "lattice.coordinate_curves"),
+        ("GENUS2_SECTION_WEIGHT", "lattice.coordinate_curves"),
+        ("E8_AFFINE_CHAIN_WEIGHTS", "lattice.kernel lattice.section_fiber"),
+        ("E8_AFFINE_BRANCH_WEIGHT", "lattice.kernel lattice.section_fiber"),
+    ])
+    def test_mutated_weight_flips_owning_check(self, capsys, monkeypatch, name, check):
+        # raise the first weight of the constant by one
+        value = getattr(cst, name)
+        if isinstance(value, int):
+            value += 1
+        elif isinstance(value[0], int):
+            value = (value[0] + 1,) + value[1:]
+        else:
+            (label, weight), *rest = value
+            value = ((label, weight + 1), *rest)
+        monkeypatch.setattr(cst, name, value)
+        checks = check.split()
+        code, out, _ = run_main(["verify", "--suite", checks[0].split(".")[0]], capsys)
+        assert code == 1
+        for cid in checks:
+            assert f"FAIL {cid}:" in out
 
 
 class TestReportCommand:
@@ -194,19 +240,6 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert "suite lattice: pass" in result.stdout
-
-    def test_fricke_scan_script(self):
-        root = Path(__file__).resolve().parents[1]
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
-        result = subprocess.run(
-            [sys.executable, str(root / "scripts" / "fricke_scan.py"), "1", "3"],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        rows = result.stdout.splitlines()[2:]
-        assert len(rows) == 3
-        assert all(row.split()[-1] == "True" for row in rows)
 
     def test_usage_exit_code(self):
         result = subprocess.run(

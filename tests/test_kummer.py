@@ -157,9 +157,3 @@ class TestIsogenyFiberNumbers:
         with pytest.raises(ValueError):
             km.isogeny_fiber_numbers(0)
 
-
-class TestQuotientImageConstants:
-    def test_recorded_lengths(self):
-        # reference-only constants: multiplicities over the twenty labels
-        assert len(c.GENUS1_IMAGE_ON_QUOTIENT) == 20
-        assert len(c.GENUS2_DOUBLE_IMAGE_ON_QUOTIENT) == 20

@@ -1,7 +1,8 @@
 """Gram lattices: standard forms, graph lattices, invariants, kernels."""
 
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lab import toric
 from k3lab.lattice import (
@@ -209,3 +210,53 @@ class TestInvariantUniquenessCrossCheck:
         assert tree_inv.signature == ref_inv.signature == (1, 17)
         assert abs(tree_inv.determinant) == abs(ref_inv.determinant) == 1
         assert tree_inv.is_even and ref_inv.is_even
+
+
+def _congruence_move(gram, a, b, q):
+    """U gram U^T in place, for U: e_a -> e_a + q e_b, or e_a -> -e_a if a == b."""
+    if a == b:
+        gram[a] = [-x for x in gram[a]]
+        for row in gram:
+            row[a] = -row[a]
+    else:
+        gram[a] = [x + q * y for x, y in zip(gram[a], gram[b])]
+        for row in gram:
+            row[a] += q * row[b]
+
+
+def _invariants(gram):
+    inv = lattice_invariants(GramLattice(tuple(f"x{i}" for i in range(len(gram))),
+                                         tuple(map(tuple, gram))))
+    return inv.rank, inv.signature, inv.determinant, inv.is_even
+
+
+class TestQuotientByKernel:
+    def test_kernel_vector_without_unit_entry(self):
+        # the primitive kernel vector (2, 3) has no entry of absolute value 1
+        assert _invariants([[9, -6], [-6, 4]])[:3] == (1, (1, 0), 1)
+
+    def test_affine_e8(self):
+        assert _invariants(graph_to_gram(affine_e8_graph()).gram)[:3] == (8, (0, 8), 1)
+
+    def test_two_affine_e8(self):
+        gram = graph_to_gram(affine_e8_graph())
+        inv = lattice_invariants(direct_sum(gram, gram))
+        assert (inv.rank, inv.signature, inv.determinant) == (16, (0, 16), 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_invariant_under_unimodular_congruence(self, data):
+        # a possibly degenerate Gram B^T D B, moved by elementary integer moves
+        n = data.draw(st.integers(1, 6))
+        r = data.draw(st.integers(1, n))
+        b = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=r, max_size=r))
+        d = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2, 3]), min_size=r, max_size=r))
+        gram = [[sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+        moved = [row[:] for row in gram]
+        index = st.integers(0, n - 1)
+        for a, c, q in data.draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
+                                          max_size=12)):
+            _congruence_move(moved, a, c, q)
+        assert _invariants(moved) == _invariants(gram)

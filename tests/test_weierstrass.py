@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lab import shioda_inose as si
 from k3lab import weierstrass as w
@@ -124,6 +126,13 @@ class TestDegeneration:
             from k3lab.exact import cubic_discriminant
             prod = cubic_discriminant(a, b - 2) * cubic_discriminant(a, b + 2)
             assert w.degeneracy_indicator(a**3, b**2) == prod
+
+    @settings(deadline=None)
+    @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+    def test_indicator_from_j_is_squared_difference(self, j1, j2):
+        # the product of the two discriminants is (j1 - j2)^2 / 256 exactly
+        p = si.ab_powers_from_j(j1, j2)
+        assert w.degeneracy_indicator(p.a_cubed, p.b_squared) == (j1 - j2) ** 2 / 256
 
     def test_double_root_example(self):
         # x^3 - 3x + 2 = (x-1)^2 (x+2): the member (-3, 0) hits b - 2 = -2
