@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,23 +35,29 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+# A real part, an imaginary part ending in i (or j), or both; 'i' alone is 1i
+_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX = re.compile(rf"(?P<re>[+-]?{_DECIMAL})??(?:(?P<im>[+-]?(?:{_DECIMAL})?)[ij])?")
+
+
 def parse_complex(text: str):
     """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'; read at
-    the working precision of the j-function, so no digit is lost."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    if cleaned in ("j", "+j"):
-        cleaned = "1j"
-    elif cleaned == "-j":
-        cleaned = "-1j"
-    else:
-        cleaned = cleaned.replace("+j", "+1j").replace("-j", "-1j")
-    try:
+    the working precision of the j-function, so no digit is lost.  Anything
+    else, 'inf' and 'nan' included, is not a number."""
+    cleaned = text.strip().replace(" ", "")
+    if "/" in cleaned:
+        q = parse_rational(cleaned)
         with mpmath.workprec(md.DEFAULT_PREC_BITS):
-            if "/" in cleaned and "j" not in cleaned:
-                return mpmath.mpf(Fraction(cleaned).numerator) / Fraction(cleaned).denominator
-            return mpmath.mpmathify(cleaned)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+            return mpmath.mpf(q.numerator) / q.denominator
+    match = _COMPLEX.fullmatch(cleaned)
+    if not cleaned or match is None:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    im = match["im"]
+    with mpmath.workprec(md.DEFAULT_PREC_BITS):
+        real = mpmath.mpf(match["re"] or 0)
+        if im is None:
+            return real
+        return mpmath.mpc(real, mpmath.mpf(im + "1" if im in ("", "+", "-") else im))
 
 
 def _fmt(value) -> str:

@@ -323,12 +323,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def __pow__(self, n: int) -> "RationalFunction":
         return RationalFunction(self.num**n, self.den**n)
 

@@ -1,11 +1,10 @@
 """Divisor-class calculus on the Kummer surface of a product E1 x E2.
 
-A class is written a*F1 + b*F2 + sum_ij A[i][j]*G_ij where F1, F2 pull back
-the two rulings of P^1 x P^1 and the G_ij are the sixteen exceptional
-curves.  The intersection pairing polarizes the self-intersection rule
-(a,b);A -> 4ab - 2 Tr(A A^T) to
-
-    <(a,b;A), (a',b';A')> = 2(a b' + a' b) - 2 sum_ij A_ij A'_ij.
+A class a*F1 + b*F2 + sum_ij A[i][j]*G_ij is its coordinate vector
+(a, b, A[1][1], A[1][2], ..., A[4][4]) in `KUMMER_LATTICE`, whose Gram is
+U(2) + <-2>^16: F1, F2 pull back the two rulings of P^1 x P^1
+(F1.F2 = 2) and the G_ij are the sixteen exceptional curves.  Every
+pairing is `KUMMER_LATTICE.pairing`.
 
 The eight half-fiber curves need half-integer entries:
 
@@ -26,101 +25,68 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constants as c
-from .lattice import GramLattice, induced_gram, matrix_rank
+from .lattice import (
+    CurveGraph,
+    GramLattice,
+    direct_sum,
+    graph_to_gram,
+    induced_gram,
+    matrix_rank,
+)
+
+KUMMER_LATTICE = direct_sum(
+    GramLattice(("F1", "F2"), ((0, 2), (2, 0))),
+    *(GramLattice((f"G{i}_{j}",), ((-2,),)) for i in range(1, 5) for j in range(1, 5)),
+)
 
 
-@dataclass(frozen=True)
-class KummerClass:
-    f1: Fraction
-    f2: Fraction
-    g: tuple  # 4x4 tuple of tuples of Fractions
-
-    @classmethod
-    def build(cls, f1, f2, matrix) -> "KummerClass":
-        g = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        if len(g) != 4 or any(len(row) != 4 for row in g):
-            raise ValueError("G-coefficient matrix must be 4x4")
-        return cls(Fraction(f1), Fraction(f2), g)
-
-    @classmethod
-    def zero(cls) -> "KummerClass":
-        return cls.build(0, 0, [[0] * 4] * 4)
-
-    def __add__(self, other: "KummerClass") -> "KummerClass":
-        return KummerClass(
-            self.f1 + other.f1,
-            self.f2 + other.f2,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.g, other.g)
-            ),
-        )
-
-    def __sub__(self, other: "KummerClass") -> "KummerClass":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "KummerClass":
-        s = Fraction(scalar)
-        return KummerClass(
-            s * self.f1, s * self.f2,
-            tuple(tuple(s * x for x in row) for row in self.g),
-        )
-
-    def is_zero(self) -> bool:
-        return self.f1 == 0 and self.f2 == 0 and all(
-            x == 0 for row in self.g for x in row)
-
-    def has_half_integral_entries(self) -> bool:
-        entries = [self.f1, self.f2] + [x for row in self.g for x in row]
-        return all(x.denominator in (1, 2) for x in entries)
-
-
-def pair(x: KummerClass, y: KummerClass) -> Fraction:
+def pair(x, y) -> Fraction:
     """Symmetric bilinear intersection pairing."""
-    cross = sum(a * b for r1, r2 in zip(x.g, y.g) for a, b in zip(r1, r2))
-    return 2 * (x.f1 * y.f2 + y.f1 * x.f2) - 2 * cross
+    return KUMMER_LATTICE.pairing(x, y)
 
 
-def _unit_matrix(i: int, j: int):
-    return [[1 if (r, s) == (i - 1, j - 1) else 0 for s in range(4)]
-            for r in range(4)]
+def _vector(f1, f2, matrix) -> tuple:
+    """The coordinate vector of f1*F1 + f2*F2 + sum_ij matrix[i][j]*G_ij."""
+    return (f1, f2, *(x for row in matrix for x in row))
+
+
+def combination(gens: dict, weights) -> tuple:
+    """The coordinate vector of sum(mult * gens[label] for label, mult in weights)."""
+    total = [0] * KUMMER_LATTICE.dim
+    for label, mult in weights:
+        for k, x in enumerate(gens[label]):
+            if x:
+                total[k] += mult * x
+    return tuple(total)
 
 
 def standard_generators() -> dict:
     """The 26 named generators: F1, F2, the sixteen G_ij, and the eight
     half-fiber curves."""
-    gens = {
-        "F1": KummerClass.build(1, 0, [[0] * 4] * 4),
-        "F2": KummerClass.build(0, 1, [[0] * 4] * 4),
-    }
-    for i in range(1, 5):
-        for j in range(1, 5):
-            gens[f"G{i}_{j}"] = KummerClass.build(0, 0, _unit_matrix(i, j))
+    n = KUMMER_LATTICE.dim
+    gens = {lab: (0,) * k + (1,) + (0,) * (n - 1 - k)
+            for k, lab in enumerate(KUMMER_LATTICE.labels)}
     half = Fraction(1, 2)
-    for i in range(1, 5):
-        row = [[-half if r == i - 1 else 0 for _ in range(4)] for r in range(4)]
-        gens[f"F1_{i}"] = KummerClass.build(half, 0, row)
-    for j in range(1, 5):
-        col = [[-half if s == j - 1 else 0 for s in range(4)] for _ in range(4)]
-        gens[f"F2_{j}"] = KummerClass.build(0, half, col)
+    ks = range(1, 5)
+    for i in ks:
+        gens[f"F1_{i}"] = combination(gens, [("F1", half)] + [(f"G{i}_{j}", -half) for j in ks])
+    for j in ks:
+        gens[f"F2_{j}"] = combination(gens, [("F2", half)] + [(f"G{i}_{j}", -half) for i in ks])
     return gens
 
 
-def one_one_curve_class(rows, cols) -> KummerClass:
+def one_one_curve_class(rows, cols) -> tuple:
     """F1 + F2 - G_{r1,c1} - G_{r2,c2} - G_{r3,c3}, self-intersection -2."""
     rows, cols = tuple(rows), tuple(cols)
     if len(set(rows)) != 3 or len(set(cols)) != 3:
         raise ValueError("row and column indices must each be distinct triples")
-    g = standard_generators()
-    out = g["F1"] + g["F2"]
-    for r, s in zip(rows, cols):
-        out = out - g[f"G{r}_{s}"]
-    return out
+    return combination(standard_generators(),
+                       [("F1", 1), ("F2", 1)] + [(f"G{r}_{s}", -1) for r, s in zip(rows, cols)])
 
 
-def quotient_fibration_class() -> KummerClass:
+def quotient_fibration_class() -> tuple:
     """The class inducing the second elliptic fibration (square zero)."""
-    return KummerClass.build(c.D_F1, c.D_F2, c.D_MATRIX)
+    return _vector(c.D_F1, c.D_F2, c.D_MATRIX)
 
 
 def named_classes() -> dict:
@@ -133,27 +99,16 @@ def named_classes() -> dict:
     gens = standard_generators()
     gens["C1"] = one_one_curve_class(*zip(*c.C1_NODES))
     gens["C3"] = one_one_curve_class(*zip(*c.C3_NODES))
-    gens["C4"] = KummerClass.build(c.C4_F1, c.C4_F2, c.C4_MATRIX)
-    d = quotient_fibration_class()
-    gens["D"] = d
-    gens["C2"] = (
-        d - 2 * gens["F2_1"] - gens["G3_1"] - gens["G4_1"] - gens["C1"]
-    )
+    gens["C4"] = _vector(c.C4_F1, c.C4_F2, c.C4_MATRIX)
+    gens["D"] = quotient_fibration_class()
+    gens["C2"] = combination(
+        gens, [("D", 1), ("F2_1", -2), ("G3_1", -1), ("G4_1", -1), ("C1", -1)])
     return gens
 
 
 def c2_matches_transcription() -> bool:
     """The difference definition of C2 equals its displayed expansion."""
-    displayed = KummerClass.build(c.C2_F1, c.C2_F2, c.C2_MATRIX)
-    return (named_classes()["C2"] - displayed).is_zero()
-
-
-def _sums_to(gens: dict, weights, target: str) -> bool:
-    """sum(mult * gens[label] for label, mult in weights) == gens[target]."""
-    total = KummerClass.zero()
-    for label, mult in weights:
-        total = total + mult * gens[label]
-    return (total - gens[target]).is_zero()
+    return named_classes()["C2"] == _vector(c.C2_F1, c.C2_F2, c.C2_MATRIX)
 
 
 def verify_e8_fiber() -> bool:
@@ -161,13 +116,14 @@ def verify_e8_fiber() -> bool:
     D-orthogonal."""
     gens = named_classes()
     return (all(pair(gens["D"], gens[label]) == 0 for label, _ in c.E8_FIBER_WEIGHTS)
-            and _sums_to(gens, c.E8_FIBER_WEIGHTS, "D"))
+            and combination(gens, c.E8_FIBER_WEIGHTS) == gens["D"])
 
 
 def verify_star_fibers() -> bool:
     """The two five-curve star fibers each sum to D."""
     gens = named_classes()
-    return all(_sums_to(gens, fiber, "D") for fiber in (c.STAR_FIBER_1, c.STAR_FIBER_2))
+    return all(combination(gens, fiber) == gens["D"]
+               for fiber in (c.STAR_FIBER_1, c.STAR_FIBER_2))
 
 
 def branch_octet() -> list:
@@ -185,13 +141,6 @@ class TreeReport:
     rank: int
 
 
-def expected_tree_adjacency() -> dict:
-    edges = set()
-    for a, b in c.TWENTY_EDGES:
-        edges.add(frozenset((a, b)))
-    return edges
-
-
 def labeled_tree_report() -> TreeReport:
     """Pairings of the twenty labeled curves against the incidence tree.
 
@@ -200,24 +149,10 @@ def labeled_tree_report() -> TreeReport:
     """
     gens = named_classes()
     labels = c.TWENTY_LABELS
-    classes = [gens[lab] for lab in labels]
-    edges = expected_tree_adjacency()
-    n = len(labels)
-    matrix = []
-    ok = True
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = pair(classes[i], classes[j])
-            row.append(p)
-            if i == j:
-                ok = ok and p == -2
-            else:
-                expected = 1 if frozenset((labels[i], labels[j])) in edges else 0
-                ok = ok and p == expected
-        matrix.append(tuple(row))
-    rank = matrix_rank(matrix)
-    return TreeReport(labels, tuple(matrix), ok, rank)
+    induced = induced_gram(KUMMER_LATTICE, [gens[lab] for lab in labels], labels)
+    expected = graph_to_gram(CurveGraph.build(labels, c.TWENTY_EDGES))
+    return TreeReport(labels, induced.gram, induced.gram == expected.gram,
+                      matrix_rank(induced.gram))
 
 
 @dataclass(frozen=True)
@@ -257,24 +192,22 @@ def isogeny_fiber_numbers(n: int) -> IsogenyFiberNumbers:
 
 
 def integrality_report() -> bool:
-    """Every named class pairs integrally with all 24 standard generators."""
+    """Every named class pairs integrally with all 24 standard generators.
+
+    Pairing with G_ij is -2 A_ij and with F_1i is b + sum_j A_ij, so this
+    also forces every coordinate into (1/2)Z.
+    """
     gens = standard_generators()
     probes = [v for k, v in gens.items() if k not in ("F1", "F2")]
-    all_named = named_classes()
-    for cls in all_named.values():
-        if not cls.has_half_integral_entries():
-            return False
-        for p in probes:
-            if pair(cls, p).denominator != 1:
-                return False
-    return True
+    return all(pair(cls, p).denominator == 1
+               for cls in named_classes().values() for p in probes)
 
 
 def fiber_relations_hold() -> bool:
     """F1 = 2 F_1i + sum_j G_ij and F2 = 2 F_2j + sum_i G_ij for all indices."""
     gens = standard_generators()
     ks = range(1, 5)
-    return (all(_sums_to(gens, [(f"F1_{i}", 2)] + [(f"G{i}_{j}", 1) for j in ks], "F1")
-                for i in ks)
-            and all(_sums_to(gens, [(f"F2_{j}", 2)] + [(f"G{i}_{j}", 1) for i in ks], "F2")
-                    for j in ks))
+    return (all(combination(gens, [(f"F1_{i}", 2)] + [(f"G{i}_{j}", 1) for j in ks])
+                == gens["F1"] for i in ks)
+            and all(combination(gens, [(f"F2_{j}", 2)] + [(f"G{i}_{j}", 1) for i in ks])
+                    == gens["F2"] for j in ks))

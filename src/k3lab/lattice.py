@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -32,16 +33,22 @@ class GramLattice:
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _nonzero_rows(self) -> list:
+        return [tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram]
+
     def pairing(self, v: Sequence, w: Sequence) -> Fraction:
+        """sum_ij v_i g_ij w_j over the nonzero Gram entries, in int
+        arithmetic as long as the coordinates are integers."""
         if len(v) != self.dim or len(w) != self.dim:
             raise ValueError("vector length does not match lattice dimension")
-        total = Fraction(0)
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            row = self.gram[i]
-            total += Fraction(vi) * sum(Fraction(wj) * row[j] for j, wj in enumerate(w) if wj != 0)
-        return total
+        total = 0
+        for vi, row in zip(v, self._nonzero_rows):
+            if vi:
+                for j, g in row:
+                    if w[j]:
+                        total += vi * g * w[j]
+        return Fraction(total)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,10 +14,36 @@ from k3lab import cli
 from k3lab import constants as cst
 
 
+# `python -m k3lab` started here imports the same k3lab as these tests, from a
+# checkout or an installation alike
+PACKAGE_PARENT = Path(cli.__file__).resolve().parents[1]
+
+
 def run_main(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# (constant, mutation, the kummer checks it must fail): the last node moved
+# to (4, 4), the first coefficient raised by one, the first label or edge
+# redirected, the last octet curve swapped for a half-fiber
+KUMMER_MUTATIONS = [
+    ("C1_NODES", lambda v: v[:-1] + ((4, 4),),
+     "branch_octet labeled_tree star_fibers"),
+    ("C3_NODES", lambda v: v[:-1] + ((4, 4),),
+     "branch_octet labeled_tree star_fibers"),
+    ("C4_F1", lambda v: v + 1, "branch_octet labeled_tree star_fibers"),
+    ("C4_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:],
+     "branch_octet labeled_tree star_fibers"),
+    ("C2_F2", lambda v: v + 1, "star_fibers"),
+    ("C2_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:], "star_fibers"),
+    ("D_F1", lambda v: v + 1,
+     "branch_octet d_class e8_fiber labeled_tree star_fibers"),
+    ("TWENTY_EDGES", lambda v: (("C1", "F2_2"),) + v[1:], "labeled_tree"),
+    ("TWENTY_LABELS", lambda v: ("G1_1",) + v[1:], "labeled_tree"),
+    ("BRANCH_OCTET", lambda v: v[:-1] + ("F2_1",), "branch_octet"),
+]
 
 
 class TestFamilyCommand:
@@ -94,6 +121,13 @@ class TestFamilyCommand:
         code, out, _ = run_main(["family", f"--tau={tau}", f"--n={n}"], capsys)
         assert code == 0
         assert "degenerate = true" in out
+
+    @pytest.mark.parametrize("tau", ["i/2", "1+nani", "inf", "infi", "0.5+infi", "nan"])
+    def test_malformed_tau_exits_2(self, capsys, tau):
+        code, out, err = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tau" in err
 
     def test_tau_parsed_past_double_precision(self):
         assert cli.parse_complex("0.1+1.00000000000000000001i").imag != 1
@@ -177,6 +211,17 @@ class TestVerifyCommand:
             assert f"FAIL {cid}:" in out
 
 
+    @pytest.mark.parametrize("name,mutate,failing", KUMMER_MUTATIONS,
+                             ids=[name for name, _, _ in KUMMER_MUTATIONS])
+    def test_mutated_kummer_constant_flips_owning_check(self, capsys, monkeypatch,
+                                                        name, mutate, failing):
+        monkeypatch.setattr(cst, name, mutate(getattr(cst, name)))
+        code, out, _ = run_main(["verify", "--suite", "kummer"], capsys)
+        assert code == 1
+        failed = set(re.findall(r"^FAIL kummer\.(\w+):", out, re.MULTILINE))
+        assert failed == set(failing.split())
+
+
 class TestReportCommand:
     def test_json_schema(self, capsys):
         code, out, _ = run_main(
@@ -236,7 +281,7 @@ class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "k3lab", "verify", "--suite", "lattice"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, cwd=PACKAGE_PARENT,
         )
         assert result.returncode == 0
         assert "suite lattice: pass" in result.stdout
@@ -244,6 +289,6 @@ class TestSubprocessEntry:
     def test_usage_exit_code(self):
         result = subprocess.run(
             [sys.executable, "-m", "k3lab", "verify", "--suite", "bogus"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, cwd=PACKAGE_PARENT,
         )
         assert result.returncode == 2

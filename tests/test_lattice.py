@@ -1,5 +1,7 @@
 """Gram lattices: standard forms, graph lattices, invariants, kernels."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,27 @@ class TestSectionAndFiber:
         assert lat.pairing(s, f2) == 1
         assert lat.pairing(f2, f2) == 0
         assert lat.pairing(f, f2) == 0
+
+
+class TestPairing:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_dense_sum(self, data):
+        n = data.draw(st.integers(1, 8))
+        upper = {(i, j): data.draw(st.integers(-4, 4)) for i in range(n) for j in range(i, n)}
+        gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+        coordinate = st.one_of(st.integers(-6, 6),
+                               st.integers(-13, 13).map(lambda k: Fraction(k, 2)))
+        v = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        w = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        got = GramLattice(tuple(f"x{i}" for i in range(n)), gram).pairing(v, w)
+        assert isinstance(got, Fraction)
+        assert got == sum(Fraction(v[i]) * gram[i][j] * w[j]
+                          for i in range(n) for j in range(n))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            standard_lattice("U").pairing((1, 0, 0), (1, 0))
 
 
 class TestInducedGram:
