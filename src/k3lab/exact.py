@@ -285,38 +285,11 @@ class RationalFunction:
     def from_poly(cls, p: MultiPolynomial) -> "RationalFunction":
         return cls(p, MultiPolynomial.constant(p.vars, 1))
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, MultiPolynomial):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            one = MultiPolynomial.constant(self.num.vars, 1)
-            return RationalFunction(MultiPolynomial.constant(self.num.vars, other), one)
-        return NotImplemented
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, MultiPolynomial)):
-            other = self._coerce(other)
+        if isinstance(other, (int, Fraction)):
+            other = MultiPolynomial.constant(self.num.vars, other)
+        if isinstance(other, MultiPolynomial):
+            other = RationalFunction.from_poly(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)

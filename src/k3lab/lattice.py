@@ -1,9 +1,10 @@
 """Integer lattices with bilinear forms, and curve-incidence graphs.
 
 A lattice is a labeled symmetric integer Gram matrix.  Everything is exact:
-rank and kernels by Gaussian elimination over Q; the quotient by the kernel
-by integer congruence, so its Gram stays integral; its signature and
-determinant by congruence diagonalization (never floating eigenvalues).
+rank and kernels by one fraction-free row reduction that stays in Z; the
+quotient by the kernel by integer congruence, so its Gram stays integral;
+its signature and determinant by congruence diagonalization over Q (never
+floating eigenvalues).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -159,13 +160,22 @@ def graph_to_gram(g: CurveGraph) -> GramLattice:
 # ---------------------------------------------------------------------------
 
 
-def _rational_matrix(m) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m]
+def _content_free(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of m over Q, and its pivot columns."""
-    rows = _rational_matrix(m)
+def _row_reduce(m) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced echelon form of the integer matrix m, and its
+    pivot columns.
+
+    A pivot p in column col is cleared from row i by
+    row_i := p row_i - row_i[col] row_r, and row_i is then divided by the gcd
+    of its entries, so every row stays integral and content-free.  Each
+    pivot row ends up zero in every other pivot column.
+    """
+    rows = [_content_free(list(row)) for row in m]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     piv_cols: list[int] = []
@@ -173,66 +183,49 @@ def _row_reduce(m) -> tuple[list[list[Fraction]], list[int]]:
         r = len(piv_cols)
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, nr) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        # the pivot row is zero left of col, so only columns from col change
-        inv = 1 / rows[r][col]
-        tail = [x * inv for x in rows[r][col:]]
-        rows[r][col:] = tail
-        for i in range(nr):
-            row = rows[i]
-            if i != r and row[col] != 0:
-                f = row[col]
-                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+        pivot_row = rows[r]
+        p = pivot_row[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                rows[i] = _content_free([p * x - f * y for x, y in zip(row, pivot_row)])
         piv_cols.append(col)
     return rows, piv_cols
 
 
 def matrix_rank(m) -> int:
-    """Rank over Q of a rational matrix given as a list of rows."""
+    """Rank over Q of an integer matrix given as a list of rows."""
     return len(_row_reduce(m)[1])
 
 
-def _nullspace(m) -> list[list[Fraction]]:
-    """Basis of the rational null space {v : m v = 0}, reduced echelon form."""
+def _nullspace(m) -> list[list[int]]:
+    """One primitive integer vector of {v : m v = 0} per free column of the
+    integer matrix m, with its first nonzero entry positive; together they
+    span the rational null space."""
     if not m:
         return []
     rows, piv_cols = _row_reduce(m)
     nc = len(rows[0])
+    pivots = [row[pc] for row, pc in zip(rows, piv_cols)]
+    scale = lcm(*pivots)
     basis = []
-    for free in (cset for cset in range(nc) if cset not in piv_cols):
-        v = [Fraction(0)] * nc
-        v[free] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -rows[i][free]
-        basis.append(v)
+    for free in (col for col in range(nc) if col not in piv_cols):
+        v = [0] * nc
+        v[free] = scale
+        for row, pc, p in zip(rows, piv_cols, pivots):
+            v[pc] = -row[free] * (scale // p)
+        v = _content_free(v)
+        basis.append(v if next(x for x in v if x) > 0 else [-x for x in v])
     return basis
-
-
-def _primitive(v: Sequence[Fraction]) -> list[int]:
-    from math import lcm
-
-    denom = lcm(*(f.denominator for f in v)) if v else 1
-    ints = [int(f * denom) for f in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    # fix sign: first nonzero entry positive
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
 
 
 def kernel_basis(L: GramLattice) -> list[list[int]]:
     """Primitive integer generators of the null space of the Gram matrix."""
-    return [_primitive(v) for v in _nullspace(L.gram)]
+    return _nullspace(L.gram)
 
 
 def _quotient_gram(gram) -> list[list[int]]:
@@ -246,7 +239,7 @@ def _quotient_gram(gram) -> list[list[int]]:
     """
     g = [list(row) for row in gram]
     while null := _nullspace(g):
-        v = _primitive(null[0])
+        v = null[0]
         while True:
             nz = sorted((i for i, x in enumerate(v) if x), key=lambda i: abs(v[i]))
             if len(nz) == 1:
@@ -284,7 +277,7 @@ def _signature(gram) -> tuple[int, int, Fraction]:
     congruence diagonalization.  Every move has determinant 1, so the
     determinant is the product of the pivots, or 0 if a zero block is left.
     """
-    m = _rational_matrix(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
     n = len(m)
     pos = neg = 0
     det = Fraction(1)

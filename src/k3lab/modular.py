@@ -12,7 +12,7 @@ negligible at 256-bit precision.  The truncation error is bounded
 empirically by doubling N (see the test suite).
 
 Modular polynomials are derived, not transcribed: Phi_n is the exact
-rational kernel of the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts
+integer kernel of the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts
 on the q-expansion, computed over the same integer series (the classical
 q-expansion method; Elkies, "Elliptic and modular curves over finite fields
 and related computational issues", 1998).  Level 1 is X - Y; levels 2 and 3
@@ -26,12 +26,12 @@ asserted anywhere, only the coefficients and degeneracy flags are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
 from .errors import DomainError, PrecisionError
 from .lattice import _nullspace
-from .shioda_inose import ab_numeric
 
 DEFAULT_PREC_BITS = 256
 DEFAULT_SERIES_ORDER = 64
@@ -263,16 +263,9 @@ def build_modular_polynomial(n: int) -> ModularPolynomial:
         raise ArithmeticError(f"level {n}: the solution has no X^{n + 1} term")
     coefficients = {}
     for (i, j), value in zip(unknowns, kernel[0]):
-        value /= lead
-        if value.denominator != 1:
-            raise ArithmeticError(f"level {n}: non-integer coefficient {value} of X^{i} Y^{j}")
+        if value % lead:
+            raise ArithmeticError(
+                f"level {n}: non-integer coefficient {Fraction(value, lead)} of X^{i} Y^{j}")
         if value:
-            coefficients[(i, j)] = coefficients[(j, i)] = int(value)
+            coefficients[(i, j)] = coefficients[(j, i)] = value // lead
     return ModularPolynomial(n, coefficients)
-
-
-def family_coefficients(tau, n: int, prec_bits: int = DEFAULT_PREC_BITS):
-    """Principal-branch (a, b) of the family member attached to
-    (j(tau), j(-1/(n tau)))."""
-    j1, j2 = fricke_pair(tau, n, prec_bits)
-    return ab_numeric(j1, j2, prec_bits)

@@ -69,17 +69,22 @@ def z_invariant() -> RationalFunction:
     return RationalFunction(2 * (h.h_minus - h.h_plus), h.h_inf)
 
 
-def _identity_terms(kappa: Fraction) -> list[RationalFunction]:
+def _identity_terms(kappa, at, ratio) -> list:
+    """The six terms of the cubic relation's left side, each a
+    ratio(at(numerator), at(denominator)) of constants: symbolic with at the
+    identity and ratio RationalFunction, values at a point with
+    at = p.evaluate(point) and ratio Fraction."""
     h = build_h_polys()
-    x1 = RationalFunction(c.X1_NUM, c.X1_DEN)
-    y1_squared = RationalFunction(kappa * (c.Y1_NUM_FACTOR * h.h_plus * h.h_minus), c.Y1_DEN)
+    h_plus, h_minus, one = at(h.h_plus), at(h.h_minus), at(_ONE)
+    x1 = ratio(at(c.X1_NUM), at(c.X1_DEN))
     return [
         x1**3,
-        RationalFunction(c.MASTER_X2, _ONE) * x1**2,
-        RationalFunction(c.MASTER_X1, _ONE) * x1,
-        RationalFunction(c.MASTER_X0, _ONE),
-        y1_squared,
-        RationalFunction(c.MASTER_Z, _ONE) * z_invariant(),
+        ratio(at(c.MASTER_X2), one) * x1**2,
+        ratio(at(c.MASTER_X1), one) * x1,
+        ratio(at(c.MASTER_X0), one),
+        ratio(kappa * at(c.Y1_NUM_FACTOR) * h_plus * h_minus, at(c.Y1_DEN)),
+        # z + 1/z, as in z_invariant
+        ratio(at(c.MASTER_Z), one) * ratio(2 * (h_minus - h_plus), at(h.h_inf)),
     ]
 
 
@@ -89,22 +94,12 @@ def identity_residual_at(point, kappa: "Fraction | None" = None) -> Fraction:
     Zero for every point (off the denominators) when the constants are
     correct; any single-coefficient mutation makes this nonzero at a
     generic point.  Each constant is evaluated at the point and the values
-    are combined there, so nothing is expanded symbolically; raises
-    ZeroDivisionError where X1_DEN, Y1_DEN or H_INF vanishes.
+    are combined there; raises ZeroDivisionError where X1_DEN, Y1_DEN or
+    H_INF vanishes.
     """
     if kappa is None:
         kappa = c.KAPPA
-    at = lambda p: p.evaluate(point)
-    x1_den, y1_den, h_inf = at(c.X1_DEN), at(c.Y1_DEN), at(c.H_INF)
-    if x1_den == 0 or y1_den == 0 or h_inf == 0:
-        raise ZeroDivisionError("a denominator of the cubic relation vanishes")
-    h_plus = Fraction(point["u1"]) * at(c.C1_POLY) * at(c.C2_POLY)
-    h_minus = Fraction(point["v1"]) * at(c.C3_POLY) * at(c.C4_POLY)
-    x1 = at(c.X1_NUM) / x1_den
-    y1_squared = kappa * at(c.Y1_NUM_FACTOR) * h_plus * h_minus / y1_den
-    z_plus_zinv = 2 * (h_minus - h_plus) / h_inf
-    return (x1**3 + at(c.MASTER_X2) * x1**2 + at(c.MASTER_X1) * x1
-            + at(c.MASTER_X0) + y1_squared + at(c.MASTER_Z) * z_plus_zinv)
+    return sum(_identity_terms(kappa, lambda p: p.evaluate(point), Fraction))
 
 
 def verify_master_identity(kappa: Fraction) -> bool:
@@ -115,7 +110,8 @@ def verify_master_identity(kappa: Fraction) -> bool:
     (Y1_DEN * H_INF for the true constants); the sum is scaled by 4 first
     so that all coefficients stay integral, which is exactness-neutral.
     """
-    terms = [RationalFunction(t.num * 4, t.den) for t in _identity_terms(kappa)]
+    terms = [RationalFunction(t.num * 4, t.den)
+             for t in _identity_terms(kappa, lambda p: p, RationalFunction)]
     return clear_denominators(terms).is_zero()
 
 

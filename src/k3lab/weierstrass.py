@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-import mpmath
-
 from .exact import MultiPolynomial, cubic_discriminant, variables
 
 (_T,) = variables("t")
@@ -158,26 +156,6 @@ def is_degenerate(m: FamilyMember) -> bool:
     """True iff x^3 + a x + (b -+ 2) has a repeated root (exact rationals)."""
     a, b = Fraction(m.a), Fraction(m.b)
     return cubic_discriminant(a, b - 2) == 0 or cubic_discriminant(a, b + 2) == 0
-
-
-def is_degenerate_numeric(a, b, tolerance=None, prec_bits: int = 256) -> bool:
-    """Numeric double-root test for complex coefficients.
-
-    The discriminant -4a^3 - 27(b -+ 2)^2 counts as zero when it is below
-    `tolerance` (default 2^(-prec_bits/2)) relative to the size of its two
-    summands, |4a^3| + 27|b -+ 2|^2, so the test does not depend on the
-    scale of a and b.
-    """
-    with mpmath.workprec(prec_bits):
-        if tolerance is None:
-            tolerance = mpmath.mpf(2) ** (-prec_bits // 2)
-        a, b = mpmath.mpmathify(a), mpmath.mpmathify(b)
-        four_a3 = 4 * a**3
-        for shifted in (b - 2, b + 2):
-            square = 27 * shifted**2
-            if abs(four_a3 + square) <= tolerance * (abs(four_a3) + abs(square)):
-                return True
-        return False
 
 
 def degeneracy_indicator(a_cubed, b_squared) -> Fraction:

@@ -122,6 +122,13 @@ class TestFamilyCommand:
         assert code == 0
         assert "degenerate = true" in out
 
+    @pytest.mark.parametrize("tau", ["i", "0.31+1.37i"])
+    def test_off_fixed_point_not_degenerate(self, capsys, tau):
+        # neither tau is fixed by tau -> -1/(2 tau), so j1 != j2
+        code, out, _ = run_main(["family", f"--tau={tau}", "--n=2"], capsys)
+        assert code == 0
+        assert "degenerate = false" in out
+
     @pytest.mark.parametrize("tau", ["i/2", "1+nani", "inf", "infi", "0.5+infi", "nan"])
     def test_malformed_tau_exits_2(self, capsys, tau):
         code, out, err = run_main(["family", f"--tau={tau}", "--n=1"], capsys)

@@ -1,6 +1,7 @@
 """Gram lattices: standard forms, graph lattices, invariants, kernels."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from k3lab import toric
 from k3lab.lattice import (
     CurveGraph,
+    _nullspace,
     GramLattice,
     direct_sum,
     e8_dynkin_graph,
@@ -17,6 +19,7 @@ from k3lab.lattice import (
     is_e8_dynkin,
     kernel_basis,
     lattice_invariants,
+    matrix_rank,
     standard_lattice,
 )
 
@@ -122,6 +125,68 @@ class TestKernel:
         for i in range(n):
             e = [1 if j == i else 0 for j in range(n)]
             assert lat.pairing(k, e) == 0
+
+
+def _rational_rank(m):
+    """Rank by Gauss-Jordan elimination over Fraction: the reference that the
+    integer row reduction must agree with."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 6 x 8: dense, with zero rows, or a rank-deficient product B C."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entries = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12))
+    kind = draw(st.sampled_from(["dense", "zero_rows", "product"]))
+    if kind == "product":
+        k = draw(st.integers(1, max(1, min(nr, nc) - 1)))
+        b = draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                          min_size=nr, max_size=nr))
+        c = draw(st.lists(st.lists(st.integers(-5, 5), min_size=nc, max_size=nc),
+                          min_size=k, max_size=k))
+        return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(nc)]
+                for i in range(nr)]
+    m = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                      min_size=nr, max_size=nr))
+    if kind == "zero_rows":
+        for i in draw(st.lists(st.integers(0, nr - 1), max_size=nr)):
+            m[i] = [0] * nc
+    return m
+
+
+class TestIntegerKernel:
+    @settings(deadline=None, max_examples=200)
+    @given(_integer_matrices())
+    def test_matches_rational_elimination(self, m):
+        rank = matrix_rank(m)
+        assert rank == _rational_rank(m)
+        basis = _nullspace(m)
+        assert len(basis) == len(m[0]) - rank
+        for v in basis:
+            assert all(type(x) is int for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+            assert gcd(*v) == 1
+            assert next(x for x in v if x) > 0
+        if basis:
+            assert _rational_rank(basis) == len(basis)
+
+    def test_input_left_unchanged(self):
+        m = [[2, 4, 6], [1, 1, 1]]
+        assert _nullspace(m) == [[1, -2, 1]]
+        assert m == [[2, 4, 6], [1, 1, 1]]
 
 
 class TestSectionAndFiber:

@@ -114,10 +114,6 @@ class TestDegeneration:
     def test_known_smooth(self):
         assert not w.is_degenerate(w.FamilyMember(Fraction(1), Fraction(1)))
 
-    def test_numeric_mode(self):
-        assert w.is_degenerate_numeric(-3, 0)
-        assert not w.is_degenerate_numeric(1, 1)
-
     def test_indicator_matches_product(self):
         rng = random.Random(8)
         for _ in range(20):
