@@ -5,7 +5,7 @@ K3 surfaces y^2 + z + 1/z + x^3 + a*x + b = 0 and its identification with
 double covers of Kummer surfaces of products of elliptic curves:
 
 * ``exact``        -- multivariate polynomials and rational functions over Q
-* ``lattice``      -- integer Gram lattices, Dynkin graphs, invariants
+* ``lattice``      -- integer Gram lattices, curve Grams, invariants
 * ``kummer``       -- divisor-class calculus on Kummer surfaces of E1 x E2
 * ``toric``        -- the reflexive simplex, its dual, and the 19-curve tree
 * ``weierstrass``  -- Weierstrass models and Kodaira fiber classification

@@ -6,7 +6,8 @@ two polynomials are equal iff their term maps are equal, and a sum of terms is
 zero iff the map is empty.
 
 Coefficients are ``int`` or ``fractions.Fraction``; the two interoperate, and
-integer-only inputs stay integer, which keeps the large expansions fast.
+an integral coefficient is always stored as ``int``, so integer-only inputs
+stay integer, which keeps the large expansions fast.
 Rational functions are never reduced; equality is decided by
 cross-multiplication, which avoids multivariate gcd entirely.
 
@@ -42,7 +43,9 @@ class MultiPolynomial:
 
     def __init__(self, vars: tuple[str, ...], terms: Mapping[Exponents, Coeff]):
         self.vars = vars
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        # Fraction * int is a Fraction even when integral: store those as int
+        self.terms = {e: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+                      for e, c in terms.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
 

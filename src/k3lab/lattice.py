@@ -1,15 +1,17 @@
-"""Integer lattices with bilinear forms, and curve-incidence graphs.
+"""Integer lattices with bilinear forms; a curve configuration is its Gram.
 
-A lattice is a labeled symmetric integer Gram matrix.  Everything is exact:
-rank and kernels by one fraction-free row reduction that stays in Z; the
-quotient by the kernel by integer congruence, so its Gram stays integral;
-its signature and determinant by congruence diagonalization over Q (never
-floating eigenvalues).
+A lattice is a labeled symmetric integer Gram matrix.  A configuration of
+(-2)-curves is stored only as its Gram (`curve_gram`): an induced Gram equal
+to a reference Gram read in the same order fixes both which curves meet and
+how.  Everything is exact: rank and kernels by one fraction-free row
+reduction that stays in Z; the quotient by the kernel by integer congruence,
+so its Gram stays integral; its signature and determinant by congruence
+diagonalization over Q (never floating eigenvalues).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -52,37 +54,25 @@ class GramLattice:
         return Fraction(total)
 
 
-@dataclass(frozen=True)
-class CurveGraph:
-    """Nodes with self-intersections (default -2) and simple crossings."""
+def curve_gram(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> GramLattice:
+    """Gram of a configuration of (-2)-curves: -2 on the diagonal, 1 for each
+    pair of curves that meet (listed in `edges`), 0 elsewhere."""
+    nodes = tuple(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    gram = [[-2 if i == j else 0 for j in range(len(nodes))] for i in range(len(nodes))]
+    for a, b in edges:
+        if a not in index or b not in index:
+            raise ValueError(f"edge ({a}, {b}) references unknown node")
+        if a == b:
+            raise ValueError(f"self-loop at {a}")
+        gram[index[a]][index[b]] = gram[index[b]][index[a]] = 1
+    return GramLattice(nodes, tuple([tuple(row) for row in gram]))
 
-    nodes: tuple[str, ...]
-    edges: frozenset[frozenset]
-    self_intersections: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]],
-              self_intersections: "dict | None" = None) -> "CurveGraph":
-        nodes = tuple(nodes)
-        node_set = set(nodes)
-        edge_set = set()
-        for a, b in edges:
-            if a not in node_set or b not in node_set:
-                raise ValueError(f"edge ({a}, {b}) references unknown node")
-            if a == b:
-                raise ValueError(f"self-loop at {a}")
-            edge_set.add(frozenset((a, b)))
-        return cls(nodes, frozenset(edge_set), dict(self_intersections or {}))
-
-    def degree(self, node: str) -> int:
-        return sum(1 for e in self.edges if node in e)
-
-    def subgraph(self, nodes: Iterable[str]) -> "CurveGraph":
-        keep = tuple(nodes)
-        keep_set = set(keep)
-        edges = [tuple(e) for e in self.edges if e <= keep_set]
-        selfi = {n: s for n, s in self.self_intersections.items() if n in keep_set}
-        return CurveGraph.build(keep, edges, selfi)
+# The E8 diagram: a chain of seven nodes with the eighth attached to the fifth,
+# so the arms from the trivalent node have lengths 1, 2 and 4.
+E8_NODES = tuple(f"n{i}" for i in range(1, 9))
+E8_EDGES = tuple(zip(E8_NODES[:6], E8_NODES[1:7])) + ((E8_NODES[4], E8_NODES[7]),)
 
 
 def standard_lattice(name: str) -> GramLattice:
@@ -90,36 +80,18 @@ def standard_lattice(name: str) -> GramLattice:
     name = name.strip()
     if name == "U":
         return GramLattice(("e", "f"), ((0, 1), (1, 0)))
-    if name == "E8":
-        return _e8(1)
     if name == "E8(-1)":
-        return _e8(-1)
+        return curve_gram(E8_NODES, E8_EDGES)
+    if name == "E8":
+        # the positive-definite Cartan form is the negated curve Gram
+        lat = curve_gram(E8_NODES, E8_EDGES)
+        return GramLattice(lat.labels, tuple([tuple([-x for x in row]) for row in lat.gram]))
     if name.startswith("rank1(") and name.endswith(")"):
         m = int(name[6:-1])
         if m == 0:
             raise ValueError("rank1 requires a nonzero integer")
         return GramLattice((f"<{m}>",), ((m,),))
     raise ValueError(f"unknown lattice name {name!r}")
-
-
-def e8_dynkin_graph(prefix: str = "n") -> CurveGraph:
-    """Chain of seven nodes with the eighth attached to the fifth.
-
-    Arm lengths from the trivalent node are 1, 2 and 4.
-    """
-    nodes = [f"{prefix}{i}" for i in range(1, 9)]
-    edges = [(nodes[i], nodes[i + 1]) for i in range(6)]
-    edges.append((nodes[4], nodes[7]))
-    return CurveGraph.build(nodes, edges)
-
-
-def _e8(sign: int) -> GramLattice:
-    lat = graph_to_gram(e8_dynkin_graph())  # the negative-definite form
-    if sign > 0:
-        # the positive-definite Cartan form is its negation
-        gram = tuple(tuple(-x for x in row) for row in lat.gram)
-        return GramLattice(lat.labels, gram)
-    return lat
 
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:
@@ -139,20 +111,6 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
                 gram[offset + i][offset + j] = lat.gram[i][j]
         offset += d
     return GramLattice(tuple(labels), tuple(tuple(row) for row in gram))
-
-
-def graph_to_gram(g: CurveGraph) -> GramLattice:
-    """Diagonal from self-intersections (default -2), 1 on edges, else 0."""
-    n = len(g.nodes)
-    index = {node: i for i, node in enumerate(g.nodes)}
-    gram = [[0] * n for _ in range(n)]
-    for node, i in index.items():
-        gram[i][i] = g.self_intersections.get(node, -2)
-    for e in g.edges:
-        a, b = tuple(e)
-        gram[index[a]][index[b]] = 1
-        gram[index[b]][index[a]] = 1
-    return GramLattice(g.nodes, tuple(tuple(row) for row in gram))
 
 
 # ---------------------------------------------------------------------------
@@ -343,53 +301,3 @@ def induced_gram(ambient: GramLattice, vectors: Sequence[Sequence],
             row.append(int(p))
         gram.append(tuple(row))
     return GramLattice(tuple(labels), tuple(gram))
-
-
-def is_e8_dynkin(g: CurveGraph) -> bool:
-    """Graph isomorphism test against the E8 diagram via arm lengths."""
-    if len(g.nodes) != 8 or len(g.edges) != 7:
-        return False
-    degrees = {node: g.degree(node) for node in g.nodes}
-    if sorted(degrees.values()) != [1, 1, 1, 2, 2, 2, 2, 3]:
-        return False
-    if not _is_connected(g):
-        return False
-    center = next(node for node, d in degrees.items() if d == 3)
-    arms = sorted(_arm_length(g, center, nbr) for nbr in _neighbors(g, center))
-    return arms == [1, 2, 4]
-
-
-def _neighbors(g: CurveGraph, node: str) -> list[str]:
-    out = []
-    for e in g.edges:
-        if node in e:
-            (other,) = e - {node}
-            out.append(other)
-    return out
-
-
-def _arm_length(g: CurveGraph, center: str, start: str) -> int:
-    length = 1
-    prev, cur = center, start
-    while True:
-        nxt = [n for n in _neighbors(g, cur) if n != prev]
-        if not nxt:
-            return length
-        if len(nxt) > 1:
-            return -1  # branches again; not a clean arm
-        prev, cur = cur, nxt[0]
-        length += 1
-
-
-def _is_connected(g: CurveGraph) -> bool:
-    if not g.nodes:
-        return True
-    seen = {g.nodes[0]}
-    frontier = [g.nodes[0]]
-    while frontier:
-        cur = frontier.pop()
-        for n in _neighbors(g, cur):
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    return len(seen) == len(g.nodes)

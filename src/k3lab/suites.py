@@ -112,7 +112,7 @@ def _identities_checks(checks):
 
 def _lattice_checks(checks):
     def invariants():
-        inv = lat.lattice_invariants(lat.graph_to_gram(toric.x_curve_graph()))
+        inv = lat.lattice_invariants(toric.x_tree_lattice())
         ok = (inv.rank == 18 and inv.signature == (1, 17)
               and abs(inv.determinant) == 1 and inv.is_even)
         return ok, f"rank {inv.rank}, signature {inv.signature}, det {inv.determinant}"
@@ -121,14 +121,10 @@ def _lattice_checks(checks):
            invariants)
 
     def e8_sides():
-        tree = toric.x_curve_graph()
-        gram = lat.graph_to_gram(tree)
+        gram = toric.x_tree_lattice()
         std = lat.standard_lattice("E8(-1)")
         for side in ("z0", "zi"):
-            nodes = toric.e8_side_nodes(side)
-            if not lat.is_e8_dynkin(tree.subgraph(nodes)):
-                return False, f"{side} side fails Dynkin recognition"
-            idx = [tree.nodes.index(n) for n in nodes]
+            idx = [gram.labels.index(n) for n in toric.e8_side_nodes(side)]
             vecs = [[1 if j == i else 0 for j in range(gram.dim)] for i in idx]
             if lat.induced_gram(gram, vecs).gram != std.gram:
                 return False, f"{side} side induced Gram differs"
@@ -137,7 +133,7 @@ def _lattice_checks(checks):
            "both eight-node sides are E8 diagrams with the standard Gram", e8_sides)
 
     def section_fiber():
-        gram = lat.graph_to_gram(toric.x_curve_graph())
+        gram = toric.x_tree_lattice()
         s = toric.section_class()
         f0 = toric.fiber_class_at_zero()
         fi = toric.fiber_class_at_infinity()
@@ -150,7 +146,7 @@ def _lattice_checks(checks):
            "the section and fiber classes span a hyperbolic pair", section_fiber)
 
     def kernel():
-        gram = lat.graph_to_gram(toric.x_curve_graph())
+        gram = toric.x_tree_lattice()
         basis = lat.kernel_basis(gram)
         diff = [a - b for a, b in zip(toric.fiber_class_at_zero(),
                                       toric.fiber_class_at_infinity())]
@@ -161,7 +157,7 @@ def _lattice_checks(checks):
            kernel)
 
     def coordinate_curves():
-        gram = lat.graph_to_gram(toric.x_curve_graph())
+        gram = toric.x_tree_lattice()
         g1 = toric.genus1_curve_class()
         g2 = toric.genus2_curve_class()
         v1 = gram.pairing(g1, g1)

@@ -3,9 +3,9 @@
 Exact 3-dimensional lattice polytope computations: facets, duality, lattice
 point enumeration by bounding box against facet inequalities, edge lattice
 lengths (surface singularity types), and facet interior points (curve
-genera).  Also exposes the 19-curve incidence tree of the resolved family
-member, which this module owns as a constant: the incidence structure is
-fixed, and no triangulation engine is involved.
+genera).  Also exposes the Gram of the 19-curve incidence tree of the
+resolved family member, which this module owns as a constant: the incidence
+structure is fixed, and no triangulation engine is involved.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import gcd
 
 from . import constants as c
-from .lattice import CurveGraph, matrix_rank
+from .lattice import GramLattice, curve_gram, matrix_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -189,38 +189,18 @@ def edge_reports(p: LatticePolytope) -> list[EdgeReport]:
 
 
 def facet_genus(p: LatticePolytope, facet_vertices) -> int:
-    """Number of lattice points in the relative interior of a facet."""
+    """Number of lattice points in the relative interior of a facet: on its
+    plane and strictly inside every other facet."""
+    facets = p.facets()
     want = set(facet_vertices)
-    match = None
-    for f in p.facets():
-        if {p.vertices[i] for i in f.vertex_indices} == want:
-            match = f
-            break
+    match = next((f for f in facets
+                  if {p.vertices[i] for i in f.vertex_indices} == want), None)
     if match is None:
         raise ValueError(f"{facet_vertices} is not a facet")
-    facet_verts = [p.vertices[i] for i in match.vertex_indices]
-    edge_pairs = [(p.vertices[i], p.vertices[j]) for i, j in p.edges()
-                  if i in match.vertex_indices and j in match.vertex_indices]
-    count = 0
-    for q in lattice_points(p):
-        if _dot(match.normal, q) != match.offset:
-            continue
-        if any(q == v for v in facet_verts):
-            continue
-        if any(_on_segment(q, a, b) for a, b in edge_pairs):
-            continue
-        count += 1
-    return count
-
-
-def _on_segment(q, a, b) -> bool:
-    d = _sub(b, a)
-    r = _sub(q, a)
-    if _cross(d, r) != (0, 0, 0):
-        return False
-    t_num = _dot(r, d)
-    t_den = _dot(d, d)
-    return 0 <= t_num <= t_den
+    others = [f for f in facets if f is not match]
+    return sum(1 for q in lattice_points(p)
+               if _dot(match.normal, q) == match.offset
+               and all(_dot(f.normal, q) < f.offset for f in others))
 
 
 def support_shift():
@@ -255,15 +235,16 @@ def shifted_support_points() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def x_curve_graph() -> CurveGraph:
-    """Two chains of eight (-2)-curves with branch nodes (the fibers over
-    z = 0 and z = infinity) joined through the section.
+def x_tree_lattice() -> GramLattice:
+    """Gram of two chains of eight (-2)-curves with branch nodes (the fibers
+    over z = 0 and z = infinity) joined through the section.
 
-    Node order: z=0 chain, its branch, the section, z=infinity chain, its
-    branch.  The trivalent chain nodes are the genus-0 coordinate curves;
-    the others resolve one A11, two A2 and two A1 singularities.
+    Labels are X_TREE_NODES, in order: z=0 chain, its branch, the section,
+    z=infinity chain, its branch.  The trivalent chain nodes are the genus-0
+    coordinate curves; the others resolve one A11, two A2 and two A1
+    singularities.
     """
-    return CurveGraph.build(c.X_TREE_NODES, c.X_TREE_EDGES)
+    return curve_gram(c.X_TREE_NODES, c.X_TREE_EDGES)
 
 
 def _node_weights(chain, branch, sides, section=0) -> list[int]:

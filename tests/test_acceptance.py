@@ -142,16 +142,18 @@ def test_criterion_03_route_independence():
 def test_criterion_04_tree_lattice():
     with _Criterion(4, "19-curve tree: even rank-18 lattice, signature (1,17), "
                        "unimodular basis, E8 sides, hyperbolic S/F, kernel", 5):
-        tree = toric.x_curve_graph()
-        gram = lat.graph_to_gram(tree)
+        gram = toric.x_tree_lattice()
         inv = lat.lattice_invariants(gram)
         assert inv.rank == 18
         assert inv.signature == (1, 17)
         assert abs(inv.determinant) == 1
         assert inv.is_even
 
+        e8 = lat.standard_lattice("E8(-1)")
         for side in ("z0", "zi"):
-            assert lat.is_e8_dynkin(tree.subgraph(toric.e8_side_nodes(side)))
+            idx = [gram.labels.index(n) for n in toric.e8_side_nodes(side)]
+            vecs = [[1 if j == i else 0 for j in range(gram.dim)] for i in idx]
+            assert lat.induced_gram(gram, vecs).gram == e8.gram
 
         s = toric.section_class()
         f = toric.fiber_class_at_zero()
@@ -289,10 +291,9 @@ def test_criterion_09_j1728():
         assert j - 1728 == Fraction(19600, 9)
 
 
-def test_criterion_10_cli(capsys, monkeypatch, tmp_path):
+def test_criterion_10_cli(capsys, monkeypatch):
     with _Criterion(10, "CLI: full suite exits 0; a mutated constant exits 1 "
                         "naming the failing check; JSON schema validates", None):
-        monkeypatch.setenv("K3LAB_CACHE_DIR", str(tmp_path))
         code = cli.main(["verify", "--suite", "all"])
         out = capsys.readouterr().out
         assert code == 0

@@ -45,6 +45,24 @@ KUMMER_MUTATIONS = [
     ("BRANCH_OCTET", lambda v: v[:-1] + ("F2_1",), "branch_octet"),
 ]
 
+# (suite, constant, mutation, the checks of that suite it must fail): the
+# Kummer rows above, then the z0 branch edge of the 19-curve tree dropped or
+# moved from z0_6 to z0_5, and the first tree node renamed
+CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_MUTATIONS] + [
+    pytest.param("lattice", "X_TREE_EDGES",
+                 lambda v: tuple(e for e in v if e != ("z0_6", "z0_b")),
+                 "coordinate_curves e8_sides kernel section_fiber tree_invariants",
+                 id="X_TREE_EDGES-drop"),
+    pytest.param("lattice", "X_TREE_EDGES",
+                 lambda v: tuple(("z0_5", "z0_b") if e == ("z0_6", "z0_b") else e
+                                 for e in v),
+                 "e8_sides kernel section_fiber tree_invariants",
+                 id="X_TREE_EDGES-move"),
+    pytest.param("lattice", "X_TREE_NODES", lambda v: ("zz",) + v[1:],
+                 "coordinate_curves e8_sides kernel section_fiber tree_invariants",
+                 id="X_TREE_NODES"),
+]
+
 
 class TestFamilyCommand:
     def test_j_route(self, capsys):
@@ -218,14 +236,13 @@ class TestVerifyCommand:
             assert f"FAIL {cid}:" in out
 
 
-    @pytest.mark.parametrize("name,mutate,failing", KUMMER_MUTATIONS,
-                             ids=[name for name, _, _ in KUMMER_MUTATIONS])
+    @pytest.mark.parametrize("suite,name,mutate,failing", CONSTANT_MUTATIONS)
     def test_mutated_kummer_constant_flips_owning_check(self, capsys, monkeypatch,
-                                                        name, mutate, failing):
+                                                        suite, name, mutate, failing):
         monkeypatch.setattr(cst, name, mutate(getattr(cst, name)))
-        code, out, _ = run_main(["verify", "--suite", "kummer"], capsys)
+        code, out, _ = run_main(["verify", "--suite", suite], capsys)
         assert code == 1
-        failed = set(re.findall(r"^FAIL kummer\.(\w+):", out, re.MULTILINE))
+        failed = set(re.findall(rf"^FAIL {suite}\.(\w+):", out, re.MULTILINE))
         assert failed == set(failing.split())
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3lab import constants as cst
 from k3lab.exact import (
     MultiPolynomial,
     RationalFunction,
@@ -112,6 +113,15 @@ class TestDivideExact:
         q = p.divide_exact(v1 - u1 * l2)
         assert q == 3 * u1**2 - 5 * v1 * l1 + 7
         assert all(type(c) is int for c in q.terms.values())
+
+
+class TestIntegralCoefficients:
+    def test_integral_fraction_stored_as_int(self):
+        # Fraction(-1, 4) * 4 is Fraction(-1, 1); it is stored as the int -1
+        scaled = cst.MASTER_Z * 4
+        assert scaled.terms
+        assert all(type(c) is int for c in scaled.terms.values())
+        assert all(type(c) is int for c in (u1 * Fraction(6, 3)).terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Gram lattices: standard forms, graph lattices, invariants, kernels."""
+"""Gram lattices: standard forms, curve Grams, invariants, kernels."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from k3lab import toric
 from k3lab.lattice import (
-    CurveGraph,
+    E8_EDGES,
+    E8_NODES,
     _nullspace,
     GramLattice,
+    curve_gram,
     direct_sum,
-    e8_dynkin_graph,
-    graph_to_gram,
     induced_gram,
-    is_e8_dynkin,
     kernel_basis,
     lattice_invariants,
     matrix_rank,
@@ -24,12 +23,12 @@ from k3lab.lattice import (
 )
 
 
-def affine_e8_graph():
+def affine_e8_lattice():
     """Chain of eight plus a branch node on the sixth; the two-isotropic
     extension of the E8 diagram."""
     nodes = [f"a{i}" for i in range(1, 10)]
     edges = [(nodes[i], nodes[i + 1]) for i in range(7)] + [(nodes[5], nodes[8])]
-    return CurveGraph.build(nodes, edges)
+    return curve_gram(nodes, edges)
 
 
 class TestStandardLattices:
@@ -85,18 +84,25 @@ class TestDirectSum:
 
 class TestGraphToGram:
     def test_a2(self):
-        g = CurveGraph.build(["p", "q"], [("p", "q")])
-        lat = graph_to_gram(g)
+        lat = curve_gram(["p", "q"], [("p", "q"), ("q", "p")])
         assert lat.gram == ((-2, 1), (1, -2))
         assert lattice_invariants(lat).determinant == 3
 
+    def test_unknown_node_rejected(self):
+        with pytest.raises(ValueError, match=r"^edge \(p, r\) references unknown node$"):
+            curve_gram(["p", "q"], [("p", "r")])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop at p"):
+            curve_gram(["p", "q"], [("p", "p")])
+
     def test_e8_dynkin_graph_lattice(self):
-        inv = lattice_invariants(graph_to_gram(e8_dynkin_graph()))
+        inv = lattice_invariants(curve_gram(E8_NODES, E8_EDGES))
         assert inv.determinant == 1
         assert inv.signature == (0, 8)
 
     def test_full_tree_rank_and_kernel(self):
-        lat = graph_to_gram(toric.x_curve_graph())
+        lat = toric.x_tree_lattice()
         inv = lattice_invariants(lat)
         assert inv.rank == 18
         assert len(kernel_basis(lat)) == 1
@@ -107,19 +113,19 @@ class TestKernel:
         assert kernel_basis(standard_lattice("U")) == []
 
     def test_affine_e8_multiplicities(self):
-        lat = graph_to_gram(affine_e8_graph())
+        lat = affine_e8_lattice()
         basis = kernel_basis(lat)
         assert basis == [[1, 2, 3, 4, 5, 6, 4, 2, 3]]
 
     def test_tree_kernel_is_fiber_difference(self):
-        lat = graph_to_gram(toric.x_curve_graph())
+        lat = toric.x_tree_lattice()
         (k,) = kernel_basis(lat)
         diff = [a - b for a, b in zip(toric.fiber_class_at_zero(),
                                       toric.fiber_class_at_infinity())]
         assert k == diff or k == [-x for x in diff]
 
     def test_kernel_pairs_to_zero_with_nodes(self):
-        lat = graph_to_gram(toric.x_curve_graph())
+        lat = toric.x_tree_lattice()
         (k,) = kernel_basis(lat)
         n = lat.dim
         for i in range(n):
@@ -191,7 +197,7 @@ class TestIntegerKernel:
 
 class TestSectionAndFiber:
     def test_u_pairings(self):
-        lat = graph_to_gram(toric.x_curve_graph())
+        lat = toric.x_tree_lattice()
         s = toric.section_class()
         f = toric.fiber_class_at_zero()
         f2 = toric.fiber_class_at_infinity()
@@ -237,52 +243,24 @@ class TestInducedGram:
     def test_e8_sides_match_standard(self):
         # both eight-node sides of the tree induce the standard E8(-1) Gram
         # when read off in chain-then-branch order
-        tree = toric.x_curve_graph()
-        lat = graph_to_gram(tree)
+        lat = toric.x_tree_lattice()
         std = standard_lattice("E8(-1)")
         for side in ("z0", "zi"):
             nodes = toric.e8_side_nodes(side)
-            idx = [tree.nodes.index(n) for n in nodes]
+            idx = [lat.labels.index(n) for n in nodes]
             vecs = [[1 if j == i else 0 for j in range(lat.dim)] for i in idx]
             got = induced_gram(lat, vecs, labels=nodes)
             assert got.gram == std.gram
 
 
-class TestE8Recognition:
-    def test_standard(self):
-        assert is_e8_dynkin(e8_dynkin_graph())
-
-    def test_tree_sides(self):
-        tree = toric.x_curve_graph()
-        for side in ("z0", "zi"):
-            assert is_e8_dynkin(tree.subgraph(toric.e8_side_nodes(side)))
-
-    def test_chain_rejected(self):
-        nodes = [f"c{i}" for i in range(8)]
-        chain = CurveGraph.build(nodes, [(nodes[i], nodes[i + 1]) for i in range(7)])
-        assert not is_e8_dynkin(chain)
-
-    def test_missing_edge_rejected(self):
-        g = e8_dynkin_graph()
-        edges = [tuple(e) for e in g.edges][:-1]
-        broken = CurveGraph.build(g.nodes, edges)
-        assert not is_e8_dynkin(broken)
-
-    def test_d8_rejected(self):
-        nodes = [f"d{i}" for i in range(8)]
-        edges = [(nodes[i], nodes[i + 1]) for i in range(6)] + [(nodes[1], nodes[7])]
-        # degree multiset matches E8 but arms are 1, 1, 5
-        assert not is_e8_dynkin(CurveGraph.build(nodes, edges))
-
-
 class TestCoordinateCurveClasses:
     def test_genus1_self_pairing(self):
-        lat = graph_to_gram(toric.x_curve_graph())
+        lat = toric.x_tree_lattice()
         w = toric.genus1_curve_class()
         assert lat.pairing(w, w) == 0  # 2g - 2 with g = 1
 
     def test_genus2_self_pairing(self):
-        lat = graph_to_gram(toric.x_curve_graph())
+        lat = toric.x_tree_lattice()
         w = toric.genus2_curve_class()
         assert lat.pairing(w, w) == 2  # 2g - 2 with g = 2
         doubled = [2 * x for x in w]
@@ -291,7 +269,7 @@ class TestCoordinateCurveClasses:
 
 class TestInvariantUniquenessCrossCheck:
     def test_tree_matches_mirror_lattice_invariants(self):
-        tree_inv = lattice_invariants(graph_to_gram(toric.x_curve_graph()))
+        tree_inv = lattice_invariants(toric.x_tree_lattice())
         ref_inv = lattice_invariants(direct_sum(
             standard_lattice("E8(-1)"), standard_lattice("E8(-1)"), standard_lattice("U")))
         assert tree_inv.rank == ref_inv.rank == 18
@@ -324,10 +302,10 @@ class TestQuotientByKernel:
         assert _invariants([[9, -6], [-6, 4]])[:3] == (1, (1, 0), 1)
 
     def test_affine_e8(self):
-        assert _invariants(graph_to_gram(affine_e8_graph()).gram)[:3] == (8, (0, 8), 1)
+        assert _invariants(affine_e8_lattice().gram)[:3] == (8, (0, 8), 1)
 
     def test_two_affine_e8(self):
-        gram = graph_to_gram(affine_e8_graph())
+        gram = affine_e8_lattice()
         inv = lattice_invariants(direct_sum(gram, gram))
         assert (inv.rank, inv.signature, inv.determinant) == (16, (0, 16), 1)
 

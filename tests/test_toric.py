@@ -109,6 +109,14 @@ class TestFacetGenus:
         assert facet_genus(p, (v2, v3, v4)) == 0
         assert facet_genus(p, (v1, v3, v4)) == 0
 
+    def test_dual_facets(self):
+        # every facet of the dual has lattice points inside its edges (the A11
+        # edge holds eleven); they are not interior to the facet
+        p = dual_polytope(delta())
+        genera = sorted(facet_genus(p, [p.vertices[i] for i in f.vertex_indices])
+                        for f in p.facets())
+        assert genera == [1, 1, 5, 10]
+
     def test_not_a_facet(self):
         with pytest.raises(ValueError):
             facet_genus(delta(), ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
@@ -123,7 +131,7 @@ class TestFacetGenus:
         # curves give the 19 tree nodes
         lengths = [r.lattice_length - 1 for r in edge_reports(dual_polytope(delta()))]
         assert sum(lengths) == 17
-        assert sum(lengths) + 2 == len(toric.x_curve_graph().nodes) == 19
+        assert sum(lengths) + 2 == toric.x_tree_lattice().dim == 19
 
 
 class TestSupportShift:
@@ -151,11 +159,13 @@ class TestSupportShift:
 
 class TestTreeShape:
     def test_node_and_edge_counts(self):
-        g = toric.x_curve_graph()
-        assert len(g.nodes) == 19
-        assert len(g.edges) == 18  # a tree
+        lat = toric.x_tree_lattice()
+        assert lat.dim == 19
+        assert all(row[i] == -2 for i, row in enumerate(lat.gram))
+        meetings = [x for i, row in enumerate(lat.gram) for x in row[i + 1:] if x]
+        assert meetings == [1] * 18  # a tree
 
     def test_trivalent_nodes(self):
-        g = toric.x_curve_graph()
-        trivalent = [n for n in g.nodes if g.degree(n) == 3]
+        lat = toric.x_tree_lattice()
+        trivalent = [lab for lab, row in zip(lat.labels, lat.gram) if row.count(1) == 3]
         assert sorted(trivalent) == ["z0_6", "zi_6"]
