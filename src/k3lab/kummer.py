@@ -68,12 +68,13 @@ def standard_generators() -> dict:
     return gens
 
 
-def one_one_curve_class(rows, cols) -> tuple:
-    """F1 + F2 - G_{r1,c1} - G_{r2,c2} - G_{r3,c3}, self-intersection -2."""
+def one_one_curve_class(gens: dict, rows, cols) -> tuple:
+    """F1 + F2 - G_{r1,c1} - G_{r2,c2} - G_{r3,c3}, self-intersection -2,
+    over the generator table `gens`."""
     rows, cols = tuple(rows), tuple(cols)
     if len(set(rows)) != 3 or len(set(cols)) != 3:
         raise ValueError("row and column indices must each be distinct triples")
-    return combination(standard_generators(),
+    return combination(gens,
                        [("F1", 1), ("F2", 1)] + [(f"G{r}_{s}", -1) for r, s in zip(rows, cols)])
 
 
@@ -90,8 +91,8 @@ def named_classes() -> dict:
     against its transcribed expansion; C4 is transcribed directly.
     """
     gens = standard_generators()
-    gens["C1"] = one_one_curve_class(*zip(*c.C1_NODES))
-    gens["C3"] = one_one_curve_class(*zip(*c.C3_NODES))
+    gens["C1"] = one_one_curve_class(gens, *zip(*c.C1_NODES))
+    gens["C3"] = one_one_curve_class(gens, *zip(*c.C3_NODES))
     gens["C4"] = _vector(c.C4_F1, c.C4_F2, c.C4_MATRIX)
     gens["D"] = quotient_fibration_class()
     gens["C2"] = combination(
@@ -99,30 +100,29 @@ def named_classes() -> dict:
     return gens
 
 
-def c2_matches_transcription() -> bool:
-    """The difference definition of C2 equals its displayed expansion."""
-    return named_classes()["C2"] == _vector(c.C2_F1, c.C2_F2, c.C2_MATRIX)
+def c2_matches_transcription(gens: dict) -> bool:
+    """The difference definition of C2 in the `named_classes` table `gens`
+    equals its displayed expansion."""
+    return gens["C2"] == _vector(c.C2_F1, c.C2_F2, c.C2_MATRIX)
 
 
-def verify_e8_fiber() -> bool:
+def verify_e8_fiber(gens: dict) -> bool:
     """The weighted nine-curve sum equals D and every component is
-    D-orthogonal."""
-    gens = named_classes()
+    D-orthogonal, over the `named_classes` table `gens`."""
     return (all(pair(gens["D"], gens[label]) == 0 for label, _ in c.E8_FIBER_WEIGHTS)
             and combination(gens, c.E8_FIBER_WEIGHTS) == gens["D"])
 
 
-def verify_star_fibers() -> bool:
-    """The two five-curve star fibers each sum to D."""
-    gens = named_classes()
+def verify_star_fibers(gens: dict) -> bool:
+    """The two five-curve star fibers of the `named_classes` table `gens`
+    each sum to D."""
     return all(combination(gens, fiber) == gens["D"]
                for fiber in (c.STAR_FIBER_1, c.STAR_FIBER_2))
 
 
-def branch_octet() -> list:
+def branch_octet(gens: dict) -> list:
     """The eight disjoint (-2)-curves over which the double cover recovers
-    the mirror surface."""
-    gens = named_classes()
+    the mirror surface, from the `named_classes` table `gens`."""
     return [(label, gens[label]) for label in c.BRANCH_OCTET]
 
 
@@ -132,13 +132,13 @@ class TreeReport:
     rank: int
 
 
-def labeled_tree_report() -> TreeReport:
-    """Pairings of the twenty labeled curves against the incidence tree.
+def labeled_tree_report(gens: dict) -> TreeReport:
+    """Pairings of the twenty labeled curves of the `named_classes` table
+    `gens` against the incidence tree.
 
     Diagonal -2, 1 exactly on tree edges, 0 elsewhere; the pairing matrix
     has rank 18 (the three fiber decompositions of D give two relations).
     """
-    gens = named_classes()
     labels = c.TWENTY_LABELS
     induced = induced_gram(KUMMER_LATTICE, [gens[lab] for lab in labels], labels)
     expected = curve_gram(labels, c.TWENTY_EDGES)
@@ -181,16 +181,15 @@ def isogeny_fiber_numbers(n: int) -> IsogenyFiberNumbers:
     )
 
 
-def integrality_report() -> bool:
-    """Every named class pairs integrally with all 24 standard generators.
+def integrality_report(gens: dict) -> bool:
+    """Every class of the `named_classes` table `gens` pairs integrally with
+    the 24 standard generators G_ij, F_1i and F_2j.
 
     Pairing with G_ij is -2 A_ij and with F_1i is b + sum_j A_ij, so this
     also forces every coordinate into (1/2)Z.
     """
-    gens = standard_generators()
-    probes = [v for k, v in gens.items() if k not in ("F1", "F2")]
-    return all(pair(cls, p).denominator == 1
-               for cls in named_classes().values() for p in probes)
+    probes = [v for k, v in gens.items() if k.startswith(("G", "F1_", "F2_"))]
+    return all(pair(cls, p).denominator == 1 for cls in gens.values() for p in probes)
 
 
 def fiber_relations_hold() -> bool:

@@ -25,6 +25,7 @@ asserted anywhere, only the coefficients and degeneracy flags are computed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,36 +102,30 @@ def eisenstein_e4(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
 def eta_product_24(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
     """prod_{n>=1} (1 - q^n)^24, truncated."""
     coeffs = [1] + [0] * order
-    current = QSeries(tuple(coeffs), order)
     for n in range(1, order + 1):
-        factor = [0] * (order + 1)
-        factor[0] = 1
-        if n <= order:
-            factor[n] = -1
-        current = current * QSeries(tuple(factor), order)
-    return current.power(24)
+        # times (1 - q^n), in place: from the top down, c[k - n] is still
+        # the coefficient before this factor
+        for k in range(order, n - 1, -1):
+            coeffs[k] -= coeffs[k - n]
+    return QSeries(tuple(coeffs), order).power(24)
 
 
+@functools.cache
 def j_series(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
     """Integer series S with j(q) = S(q)/q; starts 1, 744, 196884, ..."""
     return eisenstein_e4(order).power(3) * eta_product_24(order).inverse()
 
 
-_SERIES_CACHE: dict = {}
+# Translations and inversions allowed before reduction gives up.
+REDUCTION_STEPS = 4000
 
 
-def _cached_series(order: int) -> QSeries:
-    if order not in _SERIES_CACHE:
-        _SERIES_CACHE[order] = j_series(order)
-    return _SERIES_CACHE[order]
-
-
-def reduce_to_fundamental_domain(tau, max_steps: int = 4000):
+def reduce_to_fundamental_domain(tau):
     """Translate and invert until |Re| <= 1/2 and |tau| >= 1."""
     tau = mpmath.mpc(tau)
     if mpmath.im(tau) <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    for _ in range(max_steps):
+    for _ in range(REDUCTION_STEPS):
         tau = tau - mpmath.floor(mpmath.re(tau) + mpmath.mpf(1) / 2)
         if abs(tau) < 1:
             tau = -1 / tau
@@ -159,19 +154,19 @@ def j_numeric(tau, prec_bits: int = DEFAULT_PREC_BITS,
                 f"Im(tau) = {mpmath.nstr(mpmath.im(t), 5)} after reduction is beyond "
                 f"2^{prec_bits // 2 - 16}, the limit of {prec_bits}-bit precision")
         q = mpmath.exp(2j * mpmath.pi * t)
-        s = _cached_series(series_order)
+        s = j_series(series_order)
         return s.evaluate(q) / q
 
 
-def fricke_pair(tau, n: int, prec_bits: int = DEFAULT_PREC_BITS):
-    """(j(tau), j(-1/(n tau)))."""
+def fricke_pair(tau, n: int):
+    """(j(tau), j(-1/(n tau))) at the default precision."""
     if n < 1:
         raise ValueError("the level must be a positive integer")
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(DEFAULT_PREC_BITS):
         tau = mpmath.mpc(tau)
         if mpmath.im(tau) <= 0:
             raise DomainError("tau must lie in the upper half plane")
-        return j_numeric(tau, prec_bits), j_numeric(-1 / (n * tau), prec_bits)
+        return j_numeric(tau), j_numeric(-1 / (n * tau))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ def _monomial_series(n: int, monomials, top: int) -> dict:
     `monomials` (i, j <= n + 1), listed for q^e, e = -(n+1)^2 .. top."""
     low = (n + 1) ** 2
     order = max(low + top, 16)
-    s = _cached_series(max(order, DEFAULT_SERIES_ORDER)).coefficients
+    s = j_series(max(order, DEFAULT_SERIES_ORDER)).coefficients
     x = QSeries(s[: order + 1], order)  # q j(q)
     y = QSeries(tuple(0 if k % n else s[k // n] for k in range(order + 1)), order)  # q^n j(q^n)
     xs, ys = [x.power(0)], [y.power(0)]

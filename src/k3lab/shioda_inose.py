@@ -190,15 +190,14 @@ def ab_powers_from_j(j1: Fraction, j2: Fraction) -> AbPowers:
     )
 
 
-def ab_numeric(j1, j2, prec_bits: int = 256):
-    """Principal-branch (a, b); one representative of the root orbit.
+def ab_numeric(j1, j2):
+    """Principal-branch (a, b) at 256 bits; one representative of the root
+    orbit.
 
     Different root choices give isomorphic surfaces; only a^3 and b^2 are
     canonical, and those agree with ab_powers_from_j by construction.
     """
-    if prec_bits < 64:
-        raise ValueError("precision below 64 bits is not supported")
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(256):
         j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
         a = -(mpmath.power(j1, mpmath.mpf(1) / 3) * mpmath.power(j2, mpmath.mpf(1) / 3)) / c.A_J_ROOT_DIVISOR
         b = -(mpmath.sqrt(j1 - 1728) * mpmath.sqrt(j2 - 1728)) / c.B_J_ROOT_DIVISOR

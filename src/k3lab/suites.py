@@ -4,9 +4,10 @@ owning check to fail."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -39,20 +40,7 @@ class SuiteReport:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "status": self.status,
-            "checks": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "status": c.status,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _check(checks, cid, description, fn):
@@ -174,13 +162,18 @@ def _lattice_checks(checks):
 
 
 def _kummer_checks(checks):
+    # One class table per call, built by the first check that needs it, so
+    # that a constant mutated before the run still reaches every check, and
+    # a build that raises fails each of them inside _check.
+    classes = functools.cache(km.named_classes)
+
     _check(checks, "kummer.fiber_relations",
            "the ruling classes decompose through every half-fiber",
-           lambda: (km.fiber_relations_hold() and km.integrality_report(),
+           lambda: (km.fiber_relations_hold() and km.integrality_report(classes()),
                     "relations and integral pairings hold"))
 
     def d_class():
-        gens = km.named_classes()
+        gens = classes()
         d2 = km.pair(gens["D"], gens["D"])
         sec = km.pair(gens["D"], gens["F1_3"])
         return (d2, sec) == (0, 1), f"D^2 = {d2}, D.F1_3 = {sec}"
@@ -189,22 +182,22 @@ def _kummer_checks(checks):
 
     _check(checks, "kummer.e8_fiber",
            "the nine-curve weighted sum equals D with orthogonal components",
-           lambda: (km.verify_e8_fiber(), "decomposition verified"))
+           lambda: (km.verify_e8_fiber(classes()), "decomposition verified"))
 
     _check(checks, "kummer.star_fibers",
            "both five-curve star fibers sum to D; C2 matches its expansion",
-           lambda: (km.verify_star_fibers() and km.c2_matches_transcription(),
+           lambda: (km.verify_star_fibers(classes()) and km.c2_matches_transcription(classes()),
                     "both fibers sum to D"))
 
     def tree():
-        report = km.labeled_tree_report()
+        report = km.labeled_tree_report(classes())
         return (report.matches_expected and report.rank == 18,
                 f"adjacency ok: {report.matches_expected}, rank {report.rank}")
     _check(checks, "kummer.labeled_tree",
            "the twenty labeled curves realize the incidence tree at rank 18", tree)
 
     def octet():
-        octet = km.branch_octet()
+        octet = km.branch_octet(classes())
         for i, (_, a) in enumerate(octet):
             if km.pair(a, a) != -2:
                 return False, "self-intersection failure"

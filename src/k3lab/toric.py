@@ -1,9 +1,11 @@
 """The reflexive Newton simplex of the family and its combinatorics.
 
-Exact 3-dimensional lattice polytope computations: facets, duality, lattice
-point enumeration by bounding box against facet inequalities, edge lattice
-lengths (surface singularity types), and facet interior points (curve
-genera).  Also exposes the Gram of the 19-curve incidence tree of the
+Exact lattice 3-simplex computations: facets, duality, lattice point
+enumeration by bounding box against facet inequalities, edge lattice lengths
+(surface singularity types), and facet interior points (curve genera).  A
+simplex is all the toric data needs: the Newton polytope and its dual both
+have four vertices, every vertex pair spans an edge, and facet k is opposite
+vertex k.  Also exposes the Gram of the 19-curve incidence tree of the
 resolved family member, which this module owns as a constant: the incidence
 structure is fixed, and no triangulation engine is involved.
 """
@@ -11,11 +13,12 @@ structure is fixed, and no triangulation engine is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 
 from . import constants as c
-from .lattice import GramLattice, curve_gram, matrix_rank
+from .lattice import GramLattice, _nullspace, curve_gram, matrix_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -28,96 +31,47 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _reduce(v):
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    return v if g in (0, 1) else (v[0] // g, v[1] // g, v[2] // g)
-
-
 @dataclass(frozen=True)
 class Facet:
     """Supporting inequality dot(normal, x) <= offset, tight on the facet."""
 
     normal: Vec3
     offset: int
-    vertex_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class LatticePolytope:
+    """A lattice 3-simplex: four integer vertices that do not lie in a plane."""
+
     vertices: tuple
 
     def __post_init__(self):
-        if any(len(v) != 3 or any(not isinstance(x, int) for x in v)
-               for v in self.vertices):
-            raise ValueError("vertices must be integer 3-vectors")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        if _affine_rank(self.vertices) != 3:
-            raise ValueError("polytope is not 3-dimensional")
-        for i, v in enumerate(self.vertices):
-            if not self._is_vertex(i):
-                raise ValueError(f"{v} is not a vertex of the hull")
+        if len(self.vertices) != 4 or any(
+                len(v) != 3 or any(not isinstance(x, int) for x in v) for v in self.vertices):
+            raise ValueError("a lattice simplex has four integer 3-vectors as vertices")
+        v0 = self.vertices[0]
+        if matrix_rank([_sub(v, v0) for v in self.vertices[1:]]) != 3:
+            raise ValueError("the vertices lie in a plane")
 
-    def facets(self) -> list[Facet]:
-        verts = self.vertices
-        found = {}
-        for i, j, k in combinations(range(len(verts)), 3):
-            n = _cross(_sub(verts[j], verts[i]), _sub(verts[k], verts[i]))
-            if n == (0, 0, 0):
-                continue
-            d = _dot(n, verts[i])
-            values = [_dot(n, v) for v in verts]
-            if all(x <= d for x in values):
-                pass
-            elif all(x >= d for x in values):
-                n = (-n[0], -n[1], -n[2])
-                d = -d
-                values = [-x for x in values]
-            else:
-                continue
-            n = _reduce(n)
-            d = _dot(n, verts[i])
-            on = tuple(m for m, v in enumerate(verts) if _dot(n, v) == d)
-            found[(n, d)] = Facet(n, d, on)
-        return sorted(found.values(), key=lambda f: (f.normal, f.offset))
-
-    def _is_vertex(self, i: int) -> bool:
-        # a generating point is a vertex iff the facet normals through it
-        # span all of R^3
-        verts = self.vertices
-        normals = [f.normal for f in self.facets() if i in f.vertex_indices]
-        return _affine_rank([(0, 0, 0)] + normals) == 3 if normals else False
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Vertex index pairs joined by a 1-face (two facets in common)."""
-        facets = self.facets()
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        """Facet k lies opposite vertex k.  Its primitive (normal, -offset)
+        spans the kernel of the rows [v, 1] of the other three vertices, with
+        the sign that puts vertex k strictly inside."""
         out = []
-        for i, j in combinations(range(len(self.vertices)), 2):
-            common = [f for f in facets
-                      if i in f.vertex_indices and j in f.vertex_indices]
-            if len({f.normal for f in common}) >= 2:
-                out.append((i, j))
-        return out
+        for k, vk in enumerate(self.vertices):
+            (kernel,) = _nullspace([[*v, 1] for i, v in enumerate(self.vertices) if i != k])
+            normal, offset = tuple(kernel[:3]), -kernel[3]
+            if _dot(normal, vk) > offset:
+                normal, offset = (-normal[0], -normal[1], -normal[2]), -offset
+            out.append(Facet(normal, offset))
+        return tuple(out)
 
     def contains(self, point) -> bool:
-        return all(_dot(f.normal, point) <= f.offset for f in self.facets())
+        return all(_dot(f.normal, point) <= f.offset for f in self.facets)
 
     def strictly_contains(self, point) -> bool:
-        return all(_dot(f.normal, point) < f.offset for f in self.facets())
-
-
-def _affine_rank(points) -> int:
-    if not points:
-        return -1
-    return matrix_rank([_sub(p, points[0]) for p in points[1:]])
+        return all(_dot(f.normal, point) < f.offset for f in self.facets)
 
 
 def delta() -> LatticePolytope:
@@ -133,13 +87,12 @@ def delta() -> LatticePolytope:
 
 
 def dual_polytope(p: LatticePolytope) -> LatticePolytope:
-    """{y : <y, x> >= -1 for all x in p}, for p with the origin interior."""
+    """{y : <y, x> >= -1 for all x in p}, for p with the origin interior.
+    Its vertex k is -normal/offset of facet k of p."""
     if not p.strictly_contains((0, 0, 0)):
         raise ValueError("origin is not interior to the polytope")
     duals = []
-    for f in p.facets():
-        if f.offset <= 0:
-            raise ValueError("origin is not interior to the polytope")
+    for f in p.facets:
         n = f.normal
         if any(x % f.offset for x in n):
             raise ValueError("dual vertex is not integral; polytope not reflexive")
@@ -149,20 +102,14 @@ def dual_polytope(p: LatticePolytope) -> LatticePolytope:
 
 def lattice_points(p: LatticePolytope) -> list:
     """All integer points of p: bounding box filtered by facet inequalities."""
-    facets = p.facets()
     lo = [min(v[i] for v in p.vertices) for i in range(3)]
     hi = [max(v[i] for v in p.vertices) for i in range(3)]
-    out = []
-    for point in product(*(range(lo[i], hi[i] + 1) for i in range(3))):
-        if all(_dot(f.normal, point) <= f.offset for f in facets):
-            out.append(point)
-    return out
+    return [point for point in product(*(range(lo[i], hi[i] + 1) for i in range(3)))
+            if p.contains(point)]
 
 
 def interior_lattice_points(p: LatticePolytope) -> list:
-    facets = p.facets()
-    return [q for q in lattice_points(p)
-            if all(_dot(f.normal, q) < f.offset for f in facets)]
+    return [q for q in lattice_points(p) if p.strictly_contains(q)]
 
 
 @dataclass(frozen=True)
@@ -173,14 +120,14 @@ class EdgeReport:
 
 
 def edge_reports(p: LatticePolytope) -> list[EdgeReport]:
-    """Lattice length (gcd of coordinate differences) per edge.
+    """Lattice length (gcd of coordinate differences) per edge, that is per
+    vertex pair of the simplex.
 
     Length L corresponds to an A_{L-1} surface singularity along the dual
     stratum; length 1 is smooth.
     """
     out = []
-    for i, j in p.edges():
-        a, b = p.vertices[i], p.vertices[j]
+    for a, b in combinations(p.vertices, 2):
         d = _sub(b, a)
         length = gcd(gcd(abs(d[0]), abs(d[1])), abs(d[2]))
         sing = "smooth" if length == 1 else f"A{length - 1}"
@@ -190,14 +137,14 @@ def edge_reports(p: LatticePolytope) -> list[EdgeReport]:
 
 def facet_genus(p: LatticePolytope, facet_vertices) -> int:
     """Number of lattice points in the relative interior of a facet: on its
-    plane and strictly inside every other facet."""
-    facets = p.facets()
+    plane and strictly inside every other facet.  The facet is the one
+    opposite the vertex missing from `facet_vertices`."""
     want = set(facet_vertices)
-    match = next((f for f in facets
-                  if {p.vertices[i] for i in f.vertex_indices} == want), None)
-    if match is None:
+    omitted = [k for k, v in enumerate(p.vertices) if v not in want]
+    if len(want) != 3 or len(omitted) != 1:
         raise ValueError(f"{facet_vertices} is not a facet")
-    others = [f for f in facets if f is not match]
+    match = p.facets[omitted[0]]
+    others = [f for f in p.facets if f is not match]
     return sum(1 for q in lattice_points(p)
                if _dot(match.normal, q) == match.offset
                and all(_dot(f.normal, q) < f.offset for f in others))

@@ -173,12 +173,12 @@ def test_criterion_05_kummer_side():
                        "adjacency, branch octet, rank 18, isogeny squares", 5):
         gens = km.named_classes()
         assert km.pair(gens["D"], gens["D"]) == 0
-        assert km.verify_e8_fiber()
-        assert km.verify_star_fibers()
-        report = km.labeled_tree_report()
+        assert km.verify_e8_fiber(gens)
+        assert km.verify_star_fibers(gens)
+        report = km.labeled_tree_report(gens)
         assert report.matches_expected
         assert report.rank == 18
-        octet = km.branch_octet()
+        octet = km.branch_octet(gens)
         for i, (_, a) in enumerate(octet):
             assert km.pair(a, a) == -2
             for _, b in octet[i + 1:]:

@@ -47,7 +47,10 @@ KUMMER_MUTATIONS = [
 
 # (suite, constant, mutation, the checks of that suite it must fail): the
 # Kummer rows above, then the z0 branch edge of the 19-curve tree dropped or
-# moved from z0_6 to z0_5, and the first tree node renamed
+# moved from z0_6 to z0_5, the first tree node renamed, and the toric rows:
+# the A11 dual vertex moved to (12, -1, -1), the support shift changed, the
+# y^2 vertex correspondence given to y, the xy exponent moved off its point,
+# and the Newton vertices v3 and v4 swapped (the weight relation breaks)
 CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_MUTATIONS] + [
     pytest.param("lattice", "X_TREE_EDGES",
                  lambda v: tuple(e for e in v if e != ("z0_6", "z0_b")),
@@ -61,6 +64,17 @@ CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_
     pytest.param("lattice", "X_TREE_NODES", lambda v: ("zz",) + v[1:],
                  "coordinate_curves e8_sides kernel section_fiber tree_invariants",
                  id="X_TREE_NODES"),
+    pytest.param("toric", "DELTA_DUAL_VERTICES",
+                 lambda v: tuple((12, -1, -1) if x == (11, -1, -1) else x for x in v),
+                 "dual", id="DELTA_DUAL_VERTICES"),
+    pytest.param("toric", "SUPPORT_SHIFT", lambda v: (0, -2, -2), "support_shift",
+                 id="SUPPORT_SHIFT"),
+    pytest.param("toric", "SUPPORT_VERTEX_MAP", lambda v: v[:-1] + (("y", 3),),
+                 "points support_shift", id="SUPPORT_VERTEX_MAP"),
+    pytest.param("toric", "SUPPORT_MONOMIALS", lambda v: {**v, "x*y": (0, 2, 4)},
+                 "points support_shift", id="SUPPORT_MONOMIALS"),
+    pytest.param("toric", "DELTA_VERTICES", lambda v: (v[0], v[1], v[3], v[2]),
+                 "dual edges genera points support_shift", id="DELTA_VERTICES"),
 ]
 
 

@@ -70,8 +70,8 @@ class TestGenerators:
                                + [(f"G1_{j}", -1) for j in range(1, 5)])
         assert not any(residual)
 
-    def test_integrality(self):
-        assert km.integrality_report()
+    def test_integrality(self, gens):
+        assert km.integrality_report(gens)
 
 
 class TestOneOneCurves:
@@ -81,18 +81,18 @@ class TestOneOneCurves:
     def test_c3_self_intersection(self, gens):
         assert pair(gens["C3"], gens["C3"]) == -2
 
-    def test_f1_pairing(self):
-        cls = km.one_one_curve_class((1, 2, 4), (2, 3, 1))
-        assert pair(cls, km.standard_generators()["F1"]) == 2
+    def test_f1_pairing(self, gens):
+        cls = km.one_one_curve_class(gens, (1, 2, 4), (2, 3, 1))
+        assert pair(cls, gens["F1"]) == 2
 
-    def test_index_collision(self):
+    def test_index_collision(self, gens):
         with pytest.raises(ValueError):
-            km.one_one_curve_class((1, 1, 3), (1, 2, 3))
+            km.one_one_curve_class(gens, (1, 1, 3), (1, 2, 3))
 
 
 class TestE8Fiber:
-    def test_decomposition(self):
-        assert km.verify_e8_fiber()
+    def test_decomposition(self, gens):
+        assert km.verify_e8_fiber(gens)
 
     def test_perturbed_weight_fails(self, gens):
         weights = [(label, 5 if label == "F2_4" else mult)
@@ -104,11 +104,11 @@ class TestE8Fiber:
 
 
 class TestStarFibers:
-    def test_sums(self):
-        assert km.verify_star_fibers()
+    def test_sums(self, gens):
+        assert km.verify_star_fibers(gens)
 
-    def test_c2_matches_displayed_expansion(self):
-        assert km.c2_matches_transcription()
+    def test_c2_matches_displayed_expansion(self, gens):
+        assert km.c2_matches_transcription(gens)
 
     def test_c2_numbers(self, gens):
         assert pair(gens["C2"], gens["C2"]) == -2
@@ -120,8 +120,8 @@ class TestStarFibers:
 
 
 class TestLabeledTree:
-    def test_report(self):
-        report = km.labeled_tree_report()
+    def test_report(self, gens):
+        report = km.labeled_tree_report(gens)
         assert report.matches_expected
         assert report.rank == 18
 
@@ -142,8 +142,8 @@ class TestLabeledTree:
 
 
 class TestBranchOctet:
-    def test_pairwise_orthogonal_minus_two(self):
-        octet = km.branch_octet()
+    def test_pairwise_orthogonal_minus_two(self, gens):
+        octet = km.branch_octet(gens)
         assert len(octet) == 8
         for i, (_, a) in enumerate(octet):
             assert pair(a, a) == -2

@@ -1,5 +1,7 @@
 """Polytope duality, point counts, singularity profile, monomial support."""
 
+import math
+
 import pytest
 
 from k3lab import constants as c
@@ -75,6 +77,29 @@ class TestDual:
             dual_polytope(shifted)
 
 
+class TestSimplex:
+    @pytest.mark.parametrize("vertices", [
+        ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)),  # a bipyramid
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),  # coplanar
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0.5)),  # not integral
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0)),  # a triangle
+    ], ids=["bipyramid", "coplanar", "non-integer", "three-vertices"])
+    def test_rejects_non_simplex(self, vertices):
+        with pytest.raises(ValueError):
+            LatticePolytope(vertices)
+
+    @pytest.mark.parametrize("polytope", [delta, lambda: dual_polytope(delta())],
+                             ids=["delta", "dual"])
+    def test_facet_k_opposite_vertex_k(self, polytope):
+        p = polytope()
+        assert len(p.facets) == 4
+        for k, f in enumerate(p.facets):
+            values = [sum(a * b for a, b in zip(f.normal, v)) for v in p.vertices]
+            assert values[k] < f.offset
+            assert values[:k] + values[k + 1:] == [f.offset] * 3
+            assert math.gcd(*f.normal) == 1
+
+
 class TestUnitSimplex:
     def test_four_points(self):
         p = LatticePolytope(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -113,8 +138,8 @@ class TestFacetGenus:
         # every facet of the dual has lattice points inside its edges (the A11
         # edge holds eleven); they are not interior to the facet
         p = dual_polytope(delta())
-        genera = sorted(facet_genus(p, [p.vertices[i] for i in f.vertex_indices])
-                        for f in p.facets())
+        genera = sorted(facet_genus(p, p.vertices[:k] + p.vertices[k + 1:])
+                        for k in range(4))
         assert genera == [1, 1, 5, 10]
 
     def test_not_a_facet(self):
