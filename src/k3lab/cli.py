@@ -47,13 +47,13 @@ def parse_complex(text: str):
     cleaned = text.strip().replace(" ", "")
     if "/" in cleaned:
         q = parse_rational(cleaned)
-        with mpmath.workprec(md.DEFAULT_PREC_BITS):
+        with mpmath.workprec(md.PREC_BITS):
             return mpmath.mpf(q.numerator) / q.denominator
     match = _COMPLEX.fullmatch(cleaned)
     if not cleaned or match is None:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     im = match["im"]
-    with mpmath.workprec(md.DEFAULT_PREC_BITS):
+    with mpmath.workprec(md.PREC_BITS):
         real = mpmath.mpf(match["re"] or 0)
         if im is None:
             return real
@@ -182,11 +182,8 @@ def cmd_family(args) -> int:
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
         # disc(a, b - 2) disc(a, b + 2) = (j1 - j2)^2 / 256 exactly, so the
-        # flag compares j1 with j2 at the precision j_numeric guarantees
-        with mpmath.workprec(md.DEFAULT_PREC_BITS):
-            degenerate = abs(j1 - j2) <= (mpmath.mpf(2) ** (-md.DEFAULT_PREC_BITS // 2)
-                                          * (abs(j1) + abs(j2)))
-        print(f"degenerate = {'true' if degenerate else 'false'}")
+        # flag compares j1 with j2
+        print(f"degenerate = {'true' if md.same_j(j1, j2) else 'false'}")
         a, b = si.ab_numeric(j1, j2)
     print(f"a = {_fmt(a)}")
     print(f"b = {_fmt(b)}")

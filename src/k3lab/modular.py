@@ -6,10 +6,12 @@ q * prod (1 - q^n)^24,
 
     j(q) = E4(q)^3 / (q * prod(1 - q^n)^24),
 
-truncated at order N (default 64) after reducing the argument into the
+truncated at order SERIES_ORDER = 64 after reducing the argument into the
 standard fundamental domain, where |q| <= exp(-pi sqrt(3)) makes the tail
-negligible at 256-bit precision.  The truncation error is bounded
-empirically by doubling N (see the test suite).
+negligible at PREC_BITS = 256.  The truncation error is bounded
+empirically by doubling the order (see the test suite).  This module alone
+fixes the working precision, the series order and the tolerance `same_j`
+with which two numeric j-values count as equal.
 
 Modular polynomials are derived, not transcribed: Phi_n is the exact
 integer kernel of the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts
@@ -34,22 +36,19 @@ import mpmath
 from .errors import DomainError, PrecisionError
 from .lattice import _nullspace
 
-DEFAULT_PREC_BITS = 256
-DEFAULT_SERIES_ORDER = 64
+PREC_BITS = 256
+SERIES_ORDER = 64
 
 
 @dataclass(frozen=True)
 class QSeries:
-    """Truncated integer power series in q, inclusive of order N >= 16."""
+    """Truncated integer power series in q, inclusive of its order N."""
 
     coefficients: tuple  # c_0 ... c_N
-    order: int
 
-    def __post_init__(self):
-        if self.order < 16:
-            raise ValueError("series order must be at least 16")
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("coefficient count must be order + 1")
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
@@ -61,10 +60,10 @@ class QSeries:
                 b = other.coefficients[j]
                 if b:
                     out[i + j] += a * b
-        return QSeries(tuple(out), n)
+        return QSeries(tuple(out))
 
     def power(self, k: int) -> "QSeries":
-        result = QSeries((1,) + (0,) * self.order, self.order)
+        result = QSeries((1,) + (0,) * self.order)
         base = self
         while k:
             if k & 1:
@@ -82,7 +81,7 @@ class QSeries:
         out[0] = 1
         for m in range(1, n + 1):
             out[m] = -sum(self.coefficients[k] * out[m - k] for k in range(1, m + 1))
-        return QSeries(tuple(out), n)
+        return QSeries(tuple(out))
 
     def evaluate(self, q):
         total = mpmath.mpf(0)
@@ -95,11 +94,11 @@ def _sigma3(n: int) -> int:
     return sum(d**3 for d in range(1, n + 1) if n % d == 0)
 
 
-def eisenstein_e4(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
-    return QSeries(tuple([1] + [240 * _sigma3(n) for n in range(1, order + 1)]), order)
+def eisenstein_e4(order: int) -> QSeries:
+    return QSeries(tuple([1] + [240 * _sigma3(n) for n in range(1, order + 1)]))
 
 
-def eta_product_24(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
+def eta_product_24(order: int) -> QSeries:
     """prod_{n>=1} (1 - q^n)^24, truncated."""
     coeffs = [1] + [0] * order
     for n in range(1, order + 1):
@@ -107,11 +106,11 @@ def eta_product_24(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
         # the coefficient before this factor
         for k in range(order, n - 1, -1):
             coeffs[k] -= coeffs[k - n]
-    return QSeries(tuple(coeffs), order).power(24)
+    return QSeries(tuple(coeffs)).power(24)
 
 
 @functools.cache
-def j_series(order: int = DEFAULT_SERIES_ORDER) -> QSeries:
+def j_series(order: int) -> QSeries:
     """Integer series S with j(q) = S(q)/q; starts 1, 744, 196884, ..."""
     return eisenstein_e4(order).power(3) * eta_product_24(order).inverse()
 
@@ -134,38 +133,40 @@ def reduce_to_fundamental_domain(tau):
     raise PrecisionError("fundamental domain reduction did not converge")
 
 
-def j_numeric(tau, prec_bits: int = DEFAULT_PREC_BITS,
-              series_order: int = DEFAULT_SERIES_ORDER):
-    """j(tau) at the given working precision (>= 64 bits).
+def same_j(j1, j2) -> bool:
+    """|j1 - j2| <= 2^-(PREC_BITS/2) (|j1| + |j2|) at PREC_BITS: the one
+    tolerance for comparing numeric j-values.  j_numeric bounds its own
+    error well below it."""
+    with mpmath.workprec(PREC_BITS):
+        return abs(j1 - j2) <= mpmath.mpf(2) ** (-PREC_BITS // 2) * (abs(j1) + abs(j2))
+
+
+def j_numeric(tau):
+    """j(tau) at PREC_BITS.
 
     q = exp(2 pi i t) carries a relative rounding error of about
-    2 pi Im(t) 2^-prec_bits, and so does j.  Beyond Im(t) = 2^(prec_bits/2 - 16)
-    after reduction that error would exceed 2^(-prec_bits/2 - 13), leaving
-    less than 13 bits of margin under 2^(-prec_bits/2), the tolerance of
-    |j1 - j2| relative to |j1| + |j2| with which `k3lab family --tau`
-    decides degeneracy; such a tau raises PrecisionError.
+    2 pi Im(t) 2^-PREC_BITS, and so does j.  Beyond Im(t) = 2^(PREC_BITS/2 - 16)
+    after reduction that error would exceed 2^(-PREC_BITS/2 - 13), leaving
+    less than 13 bits of margin under the relative tolerance 2^(-PREC_BITS/2)
+    of `same_j`; such a tau raises PrecisionError.
     """
-    if prec_bits < 64:
-        raise ValueError("precision below 64 bits is not supported")
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(PREC_BITS):
         t = reduce_to_fundamental_domain(tau)
-        if mpmath.im(t) > mpmath.mpf(2) ** (prec_bits // 2 - 16):
+        if mpmath.im(t) > mpmath.mpf(2) ** (PREC_BITS // 2 - 16):
             raise PrecisionError(
                 f"Im(tau) = {mpmath.nstr(mpmath.im(t), 5)} after reduction is beyond "
-                f"2^{prec_bits // 2 - 16}, the limit of {prec_bits}-bit precision")
+                f"2^{PREC_BITS // 2 - 16}, the limit of {PREC_BITS}-bit precision")
         q = mpmath.exp(2j * mpmath.pi * t)
-        s = j_series(series_order)
-        return s.evaluate(q) / q
+        return j_series(SERIES_ORDER).evaluate(q) / q
 
 
 def fricke_pair(tau, n: int):
-    """(j(tau), j(-1/(n tau))) at the default precision."""
+    """(j(tau), j(-1/(n tau))); j_numeric(tau) runs first, so a tau outside
+    the upper half plane raises DomainError before it is inverted."""
     if n < 1:
         raise ValueError("the level must be a positive integer")
-    with mpmath.workprec(DEFAULT_PREC_BITS):
+    with mpmath.workprec(PREC_BITS):
         tau = mpmath.mpc(tau)
-        if mpmath.im(tau) <= 0:
-            raise DomainError("tau must lie in the upper half plane")
         return j_numeric(tau), j_numeric(-1 / (n * tau))
 
 
@@ -186,30 +187,15 @@ class ModularPolynomial:
         return all(self.coefficients.get((j, i), 0) == c
                    for (i, j), c in self.coefficients.items())
 
-    def evaluate(self, x, y):
-        total = mpmath.mpf(0)
-        for (i, j), c in sorted(self.coefficients.items()):
-            total += c * x**i * y**j
-        return total
-
-    def coefficient_scale(self, x, y):
-        """Largest monomial magnitude at (x, y), for relative residues."""
-        best = mpmath.mpf(1)
-        for (i, j), c in self.coefficients.items():
-            m = abs(c * x**i * y**j)
-            if m > best:
-                best = m
-        return best
-
 
 def _monomial_series(n: int, monomials, top: int) -> dict:
     """Laurent coefficients of j(q)^i j(q^n)^j for each (i, j) in
     `monomials` (i, j <= n + 1), listed for q^e, e = -(n+1)^2 .. top."""
     low = (n + 1) ** 2
-    order = max(low + top, 16)
-    s = j_series(max(order, DEFAULT_SERIES_ORDER)).coefficients
-    x = QSeries(s[: order + 1], order)  # q j(q)
-    y = QSeries(tuple(0 if k % n else s[k // n] for k in range(order + 1)), order)  # q^n j(q^n)
+    order = low + top
+    s = j_series(max(order, SERIES_ORDER)).coefficients
+    x = QSeries(s[: order + 1])  # q j(q)
+    y = QSeries(tuple(0 if k % n else s[k // n] for k in range(order + 1)))  # q^n j(q^n)
     xs, ys = [x.power(0)], [y.power(0)]
     for _ in range(n + 1):
         xs.append(xs[-1] * x)

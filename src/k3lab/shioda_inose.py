@@ -30,6 +30,7 @@ from fractions import Fraction
 import mpmath
 
 from . import constants as c
+from . import modular as md
 from .errors import DomainError
 from .exact import (
     MultiPolynomial,
@@ -191,13 +192,13 @@ def ab_powers_from_j(j1: Fraction, j2: Fraction) -> AbPowers:
 
 
 def ab_numeric(j1, j2):
-    """Principal-branch (a, b) at 256 bits; one representative of the root
-    orbit.
+    """Principal-branch (a, b) at modular.PREC_BITS; one representative of
+    the root orbit.
 
     Different root choices give isomorphic surfaces; only a^3 and b^2 are
     canonical, and those agree with ab_powers_from_j by construction.
     """
-    with mpmath.workprec(256):
+    with mpmath.workprec(md.PREC_BITS):
         j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
         a = -(mpmath.power(j1, mpmath.mpf(1) / 3) * mpmath.power(j2, mpmath.mpf(1) / 3)) / c.A_J_ROOT_DIVISOR
         b = -(mpmath.sqrt(j1 - 1728) * mpmath.sqrt(j2 - 1728)) / c.B_J_ROOT_DIVISOR

@@ -135,19 +135,16 @@ def edge_reports(p: LatticePolytope) -> list[EdgeReport]:
     return out
 
 
-def facet_genus(p: LatticePolytope, facet_vertices) -> int:
-    """Number of lattice points in the relative interior of a facet: on its
-    plane and strictly inside every other facet.  The facet is the one
-    opposite the vertex missing from `facet_vertices`."""
-    want = set(facet_vertices)
-    omitted = [k for k, v in enumerate(p.vertices) if v not in want]
-    if len(want) != 3 or len(omitted) != 1:
-        raise ValueError(f"{facet_vertices} is not a facet")
-    match = p.facets[omitted[0]]
-    others = [f for f in p.facets if f is not match]
-    return sum(1 for q in lattice_points(p)
-               if _dot(match.normal, q) == match.offset
-               and all(_dot(f.normal, q) < f.offset for f in others))
+def facet_genera(p: LatticePolytope) -> tuple[int, ...]:
+    """Lattice points in the relative interior of each facet, facet k
+    opposite vertex k, from one enumeration: a point counts for facet k when
+    facet k is the only facet it is tight on (points on two lie on an edge)."""
+    counts = [0] * len(p.facets)
+    for q in lattice_points(p):
+        tight = [k for k, f in enumerate(p.facets) if _dot(f.normal, q) == f.offset]
+        if len(tight) == 1:
+            counts[tight[0]] += 1
+    return tuple(counts)
 
 
 def support_shift():

@@ -67,29 +67,30 @@ class KodairaType:
         return table[self.symbol]
 
 
+def coefficients(a, b, t):
+    """(A, B) = (a t^4, -(t^5 + b t^6 + t^7)), for numbers or polynomials."""
+    return a * t**4, -(t**5 + b * t**6 + t**7)
+
+
 def to_weierstrass(m: FamilyMember) -> WeierstrassModel:
-    t = _T
-    a, b = Fraction(m.a), Fraction(m.b)
-    return WeierstrassModel(a * t**4, -(t**5 + b * t**6 + t**7))
-
-
-def palindromic_transform(model: WeierstrassModel) -> WeierstrassModel:
-    """The model in the chart at infinity: A(1/t) t^8 and B(1/t) t^12."""
-    return WeierstrassModel(
-        _reverse(model.A, 8), _reverse(model.B, 12)
-    )
-
-
-def _reverse(p: MultiPolynomial, degree: int) -> MultiPolynomial:
-    if p.total_degree() > degree:
-        raise ValueError("polynomial degree exceeds the homogenization degree")
-    return MultiPolynomial(p.vars, {(degree - e[0],): c for e, c in p.terms.items()})
+    return WeierstrassModel(*coefficients(Fraction(m.a), Fraction(m.b), _T))
 
 
 def _order_at_zero(p: MultiPolynomial):
     if p.is_zero():
         return inf
     return min(e[0] for e in p.terms)
+
+
+def _order_at_infinity(p: MultiPolynomial, weight: int):
+    """Order at t = infinity of a coefficient of the given weight (8 for A,
+    12 for B, 24 for the discriminant): in the chart s = 1/t it becomes
+    s^weight p(1/s), of order weight - deg p."""
+    if p.is_zero():
+        return inf
+    if p.total_degree() > weight:
+        raise ValueError("polynomial degree exceeds the homogenization degree")
+    return weight - p.total_degree()
 
 
 def kodaira_type(ord_a, ord_b, ord_delta) -> KodairaType:
@@ -136,16 +137,11 @@ def fiber_analysis(m: FamilyMember) -> FiberAnalysis:
     delta = model.discriminant()
     if delta.is_zero():
         raise ValueError("degenerate family: the discriminant vanishes identically")
-    far = palindromic_transform(model)
-    delta_far = far.discriminant()
-
-    def classify(mod, disc):
-        return kodaira_type(
-            _order_at_zero(mod.A), _order_at_zero(mod.B), _order_at_zero(disc)
-        )
-
-    at_zero = classify(model, delta)
-    at_infinity = classify(far, delta_far)
+    at_zero = kodaira_type(
+        _order_at_zero(model.A), _order_at_zero(model.B), _order_at_zero(delta))
+    at_infinity = kodaira_type(
+        _order_at_infinity(model.A, 8), _order_at_infinity(model.B, 12),
+        _order_at_infinity(delta, 24))
     ord0 = _order_at_zero(delta)
     extra = delta.total_degree() - ord0
     euler = at_zero.euler_contribution + at_infinity.euler_contribution + extra

@@ -187,6 +187,12 @@ class TestFamilyCommand:
         assert code == 3
         assert "domain error" in err
 
+    def test_tau_zero_domain_error(self, capsys):
+        code, out, err = run_main(["family", "--tau=0", "--n=2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: tau must lie in the upper half plane\n"
+
 
 class TestVerifyCommand:
     def test_toric_suite_passes(self, capsys):

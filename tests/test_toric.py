@@ -1,17 +1,18 @@
 """Polytope duality, point counts, singularity profile, monomial support."""
 
+import collections
 import math
 
 import pytest
 
 from k3lab import constants as c
-from k3lab import toric
+from k3lab import suites, toric
 from k3lab.toric import (
     LatticePolytope,
     delta,
     dual_polytope,
     edge_reports,
-    facet_genus,
+    facet_genera,
     interior_lattice_points,
     lattice_points,
     shifted_support_points,
@@ -127,31 +128,20 @@ class TestEdgeReports:
 
 class TestFacetGenus:
     def test_all_four(self):
-        v1, v2, v3, v4 = c.DELTA_VERTICES
-        p = delta()
-        assert facet_genus(p, (v1, v2, v3)) == 2  # the genus-two curve
-        assert facet_genus(p, (v1, v2, v4)) == 1  # the genus-one curve
-        assert facet_genus(p, (v2, v3, v4)) == 0
-        assert facet_genus(p, (v1, v3, v4)) == 0
+        # facet k lies opposite vertex k of DELTA_VERTICES = (v1, v2, v3, v4)
+        g_v2v3v4, g_v1v3v4, g_v1v2v4, g_v1v2v3 = facet_genera(delta())
+        assert g_v1v2v3 == 2  # the genus-two curve
+        assert g_v1v2v4 == 1  # the genus-one curve
+        assert g_v2v3v4 == 0
+        assert g_v1v3v4 == 0
 
     def test_dual_facets(self):
         # every facet of the dual has lattice points inside its edges (the A11
         # edge holds eleven); they are not interior to the facet
-        p = dual_polytope(delta())
-        genera = sorted(facet_genus(p, p.vertices[:k] + p.vertices[k + 1:])
-                        for k in range(4))
-        assert genera == [1, 1, 5, 10]
-
-    def test_not_a_facet(self):
-        with pytest.raises(ValueError):
-            facet_genus(delta(), ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+        assert facet_genera(dual_polytope(delta())) == (1, 1, 5, 10)
 
     def test_genus_sum_and_curve_count(self):
-        v1, v2, v3, v4 = c.DELTA_VERTICES
-        p = delta()
-        genera = [facet_genus(p, f) for f in
-                  ((v1, v2, v3), (v1, v2, v4), (v2, v3, v4), (v1, v3, v4))]
-        assert sum(genera) == 3
+        assert sum(facet_genera(delta())) == 3
         # exceptional curves 11 + 2 + 2 + 1 + 1 plus the two genus-zero
         # curves give the 19 tree nodes
         lengths = [r.lattice_length - 1 for r in edge_reports(dual_polytope(delta()))]
@@ -194,3 +184,16 @@ class TestTreeShape:
         lat = toric.x_tree_lattice()
         trivalent = [lab for lab, row in zip(lat.labels, lat.gram) if row.count(1) == 3]
         assert sorted(trivalent) == ["z0_6", "zi_6"]
+
+
+class TestToricSuite:
+    def test_one_simplex_pair_per_run(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("lattice_points", "dual_polytope", "facet_genera"):
+            def counted(*args, _fn=getattr(toric, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(toric, name, counted)
+        assert suites.run_suite("toric").status == "pass"
+        # one Delta and one dual per run; Delta** is built once, in toric.dual
+        assert calls == {"facet_genera": 1, "lattice_points": 5, "dual_polytope": 2}

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from k3lab import shioda_inose as si
 from k3lab import weierstrass as w
-from k3lab.exact import variables
+from k3lab import suites
+from k3lab.exact import MultiPolynomial, variables
 
 
 class TestToWeierstrass:
@@ -43,10 +44,25 @@ class TestToWeierstrass:
             a = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
             b = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
             model = w.to_weierstrass(w.FamilyMember(a, b))
-            far = w.palindromic_transform(model)
+            # the chart at infinity: A(1/t) t^8 and B(1/t) t^12
+            far = w.WeierstrassModel(_reverse(model.A, 8), _reverse(model.B, 12))
             assert far.A == model.A
             assert far.B == model.B
-            assert w.palindromic_transform(model).discriminant() == model.discriminant()
+            assert far.discriminant() == model.discriminant()
+
+
+def _reverse(p, degree):
+    return MultiPolynomial(p.vars, {(degree - e[0],): c for e, c in p.terms.items()})
+
+
+class TestSuiteCheck:
+    def test_substitution_check_reads_the_library_model(self, monkeypatch):
+        # B with its t^6 term doubled; only the substitution identity sees it
+        monkeypatch.setattr(w, "coefficients",
+                            lambda a, b, t: (a * t**4, -(t**5 + 2 * b * t**6 + t**7)))
+        failing = [c.id for c in suites.run_suite("weierstrass").checks
+                   if c.status == "fail"]
+        assert failing == ["weierstrass.substitution"]
 
 
 class TestKodairaTable:
@@ -90,6 +106,13 @@ class TestFiberAnalysis:
         assert str(fa.at_infinity) == "II*"
         assert fa.extra_zero_multiplicity == 4
         assert fa.euler_total == 24
+
+    def test_order_at_infinity_from_degree(self):
+        (t,) = variables("t")
+        assert w._order_at_infinity(-(t**5 + t**6 + t**7), 12) == 5
+        assert w._order_at_infinity(t - t, 8) == inf
+        with pytest.raises(ValueError):
+            w._order_at_infinity(t**9, 8)
 
     def test_euler_budget_random(self):
         rng = random.Random(6)
