@@ -9,6 +9,7 @@ the reach of the working precision).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -62,8 +63,7 @@ def parse_complex(text: str):
 
 def _fmt(value) -> str:
     """Deterministic decimal rendering of an mpmath number."""
-    value = mpmath.chop(value, tol=mpmath.mpf(10) ** -40)
-    return mpmath.nstr(value, 17)
+    return mpmath.nstr(md.chop(value), 17)
 
 
 # Options whose value may start with '-'.  argparse reads a separate token
@@ -84,7 +84,11 @@ def _attach_dash_values(argv) -> list:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between
+    parses, as each makes a new Namespace and looks up sys.stdout and
+    sys.stderr only when it prints."""
     parser = argparse.ArgumentParser(
         prog="k3lab",
         description="verification workbench for the mirror family of "
@@ -178,7 +182,8 @@ def cmd_family(args) -> int:
         if args.n < 1:
             print("--n must be a positive integer", file=sys.stderr)
             return EXIT_USAGE
-        j1, j2 = md.fricke_pair(args.tau, args.n)
+        # chopped once, so a and b follow the printed j1 and j2
+        j1, j2 = map(md.chop, md.fricke_pair(args.tau, args.n))
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
         # disc(a, b - 2) disc(a, b + 2) = (j1 - j2)^2 / 256 exactly, so the

@@ -9,9 +9,14 @@ q * prod (1 - q^n)^24,
 truncated at order SERIES_ORDER = 64 after reducing the argument into the
 standard fundamental domain, where |q| <= exp(-pi sqrt(3)) makes the tail
 negligible at PREC_BITS = 256.  The truncation error is bounded
-empirically by doubling the order (see the test suite).  This module alone
-fixes the working precision, the series order and the tolerance `same_j`
-with which two numeric j-values count as equal.
+empirically by doubling the order (see the test suite).  The truncated
+series is summed by Horner's rule over Python integers scaled by 2^W,
+W = PREC_BITS + GUARD_BITS (QSeries.evaluate); at a reduced q the sum is
+within 2^(14 - W) of its exact value, far below the rounding that q itself
+carries.  This module alone fixes the working precision, the series order
+and the tolerances: `same_j`, with which two numeric j-values count as
+equal, and `CHOP_TOL`, below which a part of a numeric value is rounding
+noise.
 
 Modular polynomials are derived, not transcribed: Phi_n is the exact
 integer kernel of the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts
@@ -32,12 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PrecisionError
 from .lattice import _nullspace
 
 PREC_BITS = 256
 SERIES_ORDER = 64
+# Fractional bits of the fixed-point q-series sum beyond PREC_BITS.
+GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,21 @@ class QSeries:
         return QSeries(tuple(out))
 
     def evaluate(self, q):
-        total = mpmath.mpf(0)
+        """The sum at q, by Horner's rule over Python integers scaled by
+        2^W, W = PREC_BITS + GUARD_BITS, rounded to the working precision
+        once at the end.
+
+        Made for a reduced q, |q| <= exp(-pi sqrt(3)) < 1/200, where j_series
+        has |S'(q)| < 2^12.  Truncating q to W fractional bits moves the sum
+        by less than 2^(13 - W).  Each step truncates by less than 2^-W per
+        part, and the later steps multiply that by q, so the rounding totals
+        less than 2^(1 - W).  The sum is thus within 2^(14 - W) of S(q)."""
+        w = PREC_BITS + GUARD_BITS
+        qr, qi = to_fixed(q.real._mpf_, w), to_fixed(q.imag._mpf_, w)
+        re = im = 0
         for c in reversed(self.coefficients):
-            total = total * q + c
-        return total
+            re, im = ((re * qr - im * qi) >> w) + (c << w), (re * qi + im * qr) >> w
+        return mpmath.mpc(mpmath.mpf((re, -w)), mpmath.mpf((im, -w)))
 
 
 def _sigma3(n: int) -> int:
@@ -141,6 +160,17 @@ def same_j(j1, j2) -> bool:
         return abs(j1 - j2) <= mpmath.mpf(2) ** (-PREC_BITS // 2) * (abs(j1) + abs(j2))
 
 
+# A numeric value below CHOP_TOL in absolute value, or a real or imaginary
+# part below CHOP_TOL max(1, |value|), is rounding noise: `chop` sets it to
+# zero before the value is printed or a and b are built from it.
+CHOP_TOL = mpmath.mpf(10) ** -40
+
+
+def chop(value):
+    """`value` with parts below CHOP_TOL set to zero."""
+    return mpmath.chop(value, tol=CHOP_TOL)
+
+
 def j_numeric(tau):
     """j(tau) at PREC_BITS.
 
@@ -148,7 +178,9 @@ def j_numeric(tau):
     2 pi Im(t) 2^-PREC_BITS, and so does j.  Beyond Im(t) = 2^(PREC_BITS/2 - 16)
     after reduction that error would exceed 2^(-PREC_BITS/2 - 13), leaving
     less than 13 bits of margin under the relative tolerance 2^(-PREC_BITS/2)
-    of `same_j`; such a tau raises PrecisionError.
+    of `same_j`; such a tau raises PrecisionError.  The fixed-point sum of
+    the series (QSeries.evaluate) adds less than 2^(14 - PREC_BITS -
+    GUARD_BITS) = 2^-274 to S = q j, well below the error that q carries.
     """
     with mpmath.workprec(PREC_BITS):
         t = reduce_to_fundamental_domain(tau)

@@ -68,8 +68,10 @@ class KodairaType:
 
 
 def coefficients(a, b, t):
-    """(A, B) = (a t^4, -(t^5 + b t^6 + t^7)), for numbers or polynomials."""
-    return a * t**4, -(t**5 + b * t**6 + t**7)
+    """(A, B) = (a t^4, -(t^5 + b t^6 + t^7)), for numbers or polynomials;
+    t^4 is the one power taken."""
+    t4 = t**4
+    return a * t4, -(t4 * t) * (1 + b * t + t * t)
 
 
 def to_weierstrass(m: FamilyMember) -> WeierstrassModel:

@@ -168,6 +168,30 @@ class TestFamilyCommand:
         assert out == ""
         assert "--tau" in err
 
+    def test_rho_prints_the_chopped_member(self, capsys):
+        # j is below the printing tolerance at this decimal rho, so a and b
+        # are those of j1 = j2 = 0: a = 0 and b = 1728/864
+        code, out, _ = run_main(
+            ["family", "--tau=0.5+0.8660254037844386i", "--n=1"], capsys)
+        assert code == 0
+        assert out == "j1 = 0.0\nj2 = 0.0\ndegenerate = true\na = 0.0\nb = 2.0\n"
+
+    @pytest.mark.parametrize("tau, lines", [
+        ("0.5+1.32i", ("j1 = -3302.9224611803779", "j2 = -3302.9224611803779",
+                       "a = (2.3102608535239578 - 4.0014891770409349j)",
+                       "b = 5.8228269226624744")),
+        ("0.5+1.46i", ("j1 = -8914.0209889367888", "j2 = -8914.0209889367888",
+                       "a = (4.4782795662086678 - 7.7566077391709246j)",
+                       "b = 12.317153922380543")),
+    ])
+    def test_real_j_below_1728_on_re_tau_one_half(self, capsys, tau, lines):
+        # q < 0, so j is real; rounding noise in Im j must not pick the
+        # branch: j1 = j2 = x < 1728 gives b = (1728 - x)/864 > 0 and
+        # a = -x^(2/3)/48 with the principal cube root
+        code, out, _ = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
+        assert code == 0
+        assert out.splitlines() == [*lines[:2], "degenerate = true", *lines[2:]]
+
     def test_tau_parsed_past_double_precision(self):
         assert cli.parse_complex("0.1+1.00000000000000000001i").imag != 1
 
@@ -192,6 +216,33 @@ class TestFamilyCommand:
         assert code == 3
         assert out == ""
         assert err == "domain error: tau must lie in the upper half plane\n"
+
+
+class TestParserReuse:
+    SEQUENCE = (
+        ["family", "--j1", "1"],
+        ["--help"],
+        ["verify", "--suite", "toric"],
+        ["family", "--j1", "1728", "--j2", "1728"],
+        ["family", "--tau=i", "--n=2"],
+        ["family", "--tau=1+nani", "--n=1"],
+    )
+
+    def run_sequence(self, capsys, fresh):
+        results = []
+        cli.build_parser.cache_clear()
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code, out, err = run_main(argv, capsys)
+            results.append((code, re.sub(r"\d+ ms\)", "ms)", out), err))
+        return results
+
+    def test_reuse_is_stateless(self, capsys):
+        reused = self.run_sequence(capsys, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == self.run_sequence(capsys, fresh=True)
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 2]
 
 
 class TestVerifyCommand:

@@ -77,7 +77,49 @@ class TestJNumeric:
                 assert abs(md.j_numeric(-1 / tau) - j) / scale < tol(-30)
 
 
+def horner_reference(series, q):
+    """Horner's rule in mpmath numbers, rounding at the working precision:
+    the reference for the fixed-point sum of QSeries.evaluate."""
+    total = mpmath.mpf(0)
+    for c in reversed(series.coefficients):
+        total = total * q + c
+    return total
+
+
+# (Re tau, Im tau, n) of the CM table in the family_sweep query stream;
+# j_numeric is called at tau and at -1/(n tau)
+CM_TABLE = ((0, "1", 1), (0, "1", 2), (0, "2", 1), (0, "0.5", 2),
+            (0, "1.4142135623730951", 1), (0, "0.7071067811865476", 2),
+            (0, "1.7320508075688772", 1), (0, "0.5773502691896258", 3),
+            ("0.5", "0.8660254037844386", 1))
+
+
+def reduced_q_values():
+    """q at the reduced CM points, at 100 seeded random reduced tau and at
+    Im tau = 2^111, where q is below the last fixed-point bit."""
+    taus = []
+    for re, im, n in CM_TABLE:
+        tau = mpmath.mpc(re, im)
+        taus += [tau, -1 / (n * tau)]
+    rng = random.Random(13)
+    taus += [mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.05, 3)) for _ in range(100)]
+    taus.append(mpmath.mpc(0, 2**111))
+    return [mpmath.exp(2j * mpmath.pi * md.reduce_to_fundamental_domain(tau))
+            for tau in taus]
+
+
 class TestQSeries:
+    @pytest.mark.parametrize("order", [64, 128])
+    def test_fixed_point_sum_matches_horner(self, order):
+        series = md.j_series(order)
+        with mpmath.workprec(md.PREC_BITS):
+            qs = reduced_q_values()
+            assert qs[-1] != 0 and abs(qs[-1]) < mpmath.mpf(2) ** -(md.PREC_BITS + 64)
+            for q in qs:
+                got, want = series.evaluate(q), horner_reference(series, q)
+                bound = mpmath.mpf(2) ** (8 - md.PREC_BITS) * max(abs(want), 1)
+                assert abs(got - want) <= bound, q
+
     def test_multiplication_truncates_consistently(self):
         a = md.QSeries(tuple(range(1, 22)))
         b = md.QSeries(tuple(range(2, 19)))

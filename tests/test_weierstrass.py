@@ -1,5 +1,6 @@
 """Weierstrass models, Kodaira classification, degeneration detection."""
 
+import collections
 import random
 from fractions import Fraction
 from math import inf
@@ -63,6 +64,24 @@ class TestSuiteCheck:
         failing = [c.id for c in suites.run_suite("weierstrass").checks
                    if c.status == "fail"]
         assert failing == ["weierstrass.substitution"]
+
+    def test_one_power_per_model(self, monkeypatch):
+        calls = collections.Counter()
+
+        def power(p, n, _pow=MultiPolynomial.__pow__):
+            calls["__pow__"] += 1
+            return _pow(p, n)
+
+        def fiber_analysis(member, _fn=w.fiber_analysis):
+            calls["fiber_analysis"] += 1
+            return _fn(member)
+
+        monkeypatch.setattr(MultiPolynomial, "__pow__", power)
+        monkeypatch.setattr(w, "fiber_analysis", fiber_analysis)
+        assert suites.run_suite("weierstrass").status == "pass"
+        # per member t^4 in to_weierstrass, A^3 and B^2 in the discriminant;
+        # 11 more in the substitution check
+        assert calls == {"fiber_analysis": 50, "__pow__": 50 * 3 + 11}
 
 
 class TestKodairaTable:
