@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--n", type=int)
 
     p_modpoly = sub.add_parser("modpoly", help="build a modular polynomial")
-    p_modpoly.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
+    p_modpoly.add_argument("--n", type=int, required=True, choices=md.LEVELS)
 
     return parser
 

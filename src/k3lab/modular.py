@@ -18,12 +18,14 @@ and the tolerances: `same_j`, with which two numeric j-values count as
 equal, and `CHOP_TOL`, below which a part of a numeric value is rounding
 noise.
 
-Modular polynomials are derived, not transcribed: Phi_n is the exact
-integer kernel of the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts
-on the q-expansion, computed over the same integer series (the classical
-q-expansion method; Elkies, "Elliptic and modular curves over finite fields
-and related computational issues", 1998).  Level 1 is X - Y; levels 2 and 3
-are supported.
+Modular polynomials are derived, not transcribed: Phi_n is solved from
+the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts on the q-expansion,
+computed over the same integer series (the classical q-expansion method;
+Elkies, "Elliptic and modular curves over finite fields and related
+computational issues", 1998).  The conditions are triangular in pole order,
+so the integer coefficients follow by back-substitution, without division.
+Level 1 is X - Y; the other LEVELS are the primes up to 13, the levels at
+which Phi_n has degree n+1.
 
 The one-parameter family members here have Picard rank 19 for very general
 tau; that rank statement itself is out of computational reach and is not
@@ -34,18 +36,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PrecisionError
-from .lattice import _nullspace
 
 PREC_BITS = 256
 SERIES_ORDER = 64
 # Fractional bits of the fixed-point q-series sum beyond PREC_BITS.
 GUARD_BITS = 32
+# Levels of build_modular_polynomial: 1 and the primes up to 13.
+LEVELS = (1, 2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -250,35 +252,37 @@ def q_expansion(phi: ModularPolynomial, top: int) -> dict:
 
 
 def build_modular_polynomial(n: int) -> ModularPolynomial:
-    """Phi_1 = X - Y; Phi_2, Phi_3 solved exactly from the q-expansions.
+    """Phi_1 = X - Y; Phi_n for the other LEVELS solved exactly from the
+    q-expansions.
 
     The unknowns are the coefficients of a symmetric polynomial of degree
     n+1 in each variable.  Phi_n(j(q), j(q^n)) has poles only at the two
     cusps, which the Fricke involution swaps, so it is zero once its
     expansion at infinity vanishes from q^-(n+1)^2 through q^0: one
-    equation per exponent.  The kernel must be a line; normalised so that
-    X^(n+1) has coefficient 1, its coefficients must be integers.
+    equation per exponent.  Since q j(q) starts with 1, X^i Y^j + X^j Y^i
+    (i <= j) starts with 1 * q^-(i + n j).  Only (0, n+1) and (n, n) share
+    a pole order, so once X^(n+1) has coefficient 1, each equation brings
+    in at most one new unknown, with coefficient 1: it is minus the known
+    part.  An equation that brings in none must already vanish.
     """
     if n == 1:
         return ModularPolynomial(1, {(1, 0): 1, (0, 1): -1})
-    if n not in (2, 3):
-        raise ValueError("only levels 1, 2 and 3 are supported")
+    if n not in LEVELS:
+        raise ValueError(f"supported levels are {', '.join(map(str, LEVELS))}")
+    low = (n + 1) ** 2
     unknowns = [(i, j) for j in range(n + 2) for i in range(j + 1)]
     series = _monomial_series(n, [(i, j) for i in range(n + 2) for j in range(n + 2)], 0)
-    rows = [[series[(i, j)][k] + (series[(j, i)][k] if i != j else 0)
-             for i, j in unknowns]
-            for k in range((n + 1) ** 2 + 1)]
-    kernel = _nullspace(rows)
-    if len(kernel) != 1:
-        raise ArithmeticError(f"level {n}: the ansatz has a kernel of dimension {len(kernel)}")
-    lead = kernel[0][unknowns.index((0, n + 1))]
-    if lead == 0:
-        raise ArithmeticError(f"level {n}: the solution has no X^{n + 1} term")
+    entering = {i + n * j: (i, j) for i, j in unknowns if (i, j) != (0, n + 1)}
+    solved = {(0, n + 1): 1}
+    for e in range(-low, 1):
+        known = sum(c * (series[(i, j)][e + low] + (series[(j, i)][e + low] if i != j else 0))
+                    for (i, j), c in solved.items())
+        if -e in entering:
+            solved[entering[-e]] = -known
+        elif known:
+            raise ArithmeticError(f"level {n}: inconsistent at q^{e}")
     coefficients = {}
-    for (i, j), value in zip(unknowns, kernel[0]):
-        if value % lead:
-            raise ArithmeticError(
-                f"level {n}: non-integer coefficient {Fraction(value, lead)} of X^{i} Y^{j}")
-        if value:
-            coefficients[(i, j)] = coefficients[(j, i)] = value // lead
+    for (i, j), c in solved.items():
+        if c:
+            coefficients[(i, j)] = coefficients[(j, i)] = c
     return ModularPolynomial(n, coefficients)

@@ -368,8 +368,7 @@ def _modular_checks(checks):
             p = md.build_modular_polynomial(n)
             ok = p.is_symmetric() and p.degree() == n + 1
             ok = ok and all(isinstance(v, int) for v in p.coefficients.values())
-            if n == 2:
-                ok = ok and p.coefficients.get((2, 2)) == -1
+            ok = ok and p.coefficients.get((n, n)) == -1
             if not ok:
                 return False, f"Phi_{n} is not an integer symmetric polynomial of degree {n + 1}"
             expansion = md.q_expansion(p, PHI_CHECK_TOP)

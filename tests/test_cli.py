@@ -371,6 +371,19 @@ class TestModpolyCommand:
         assert code == 0
         assert out.splitlines() == ["n=1", "0 1 -1", "1 0 1"]  # lexicographic (i, j)
 
+    def test_level_five(self, capsys):
+        code, out, _ = run_main(["modpoly", "--n", "5"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 39 and lines[0] == "n=5"
+        assert {"5 4 3720", "5 5 -1", "6 0 1"} <= set(lines)
+
+    def test_unsupported_level_is_usage_error(self, capsys):
+        code, _, err = run_main(["modpoly", "--n", "4"], capsys)
+        assert code == 2
+        assert "invalid choice: 4" in err
+        assert "1, 2, 3, 5, 7, 11, 13" in err
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):

@@ -1,7 +1,9 @@
 """Numeric j, Fricke pairs, modular polynomials solved from q-expansions."""
 
 import random
-from fractions import Fraction
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,6 +12,10 @@ from k3lab import modular as md
 from k3lab import shioda_inose as si
 from k3lab import suites
 from k3lab.errors import DomainError, PrecisionError
+
+
+# The levels solved from the q-series; Phi_1 = X - Y is set, not solved.
+SOLVED_LEVELS = [n for n in md.LEVELS if n > 1]
 
 
 def tol(e):
@@ -190,21 +196,27 @@ class TestModularPolynomials:
         phi = md.build_modular_polynomial(1)
         assert phi.coefficients == {(1, 0): 1, (0, 1): -1}
 
-    def test_level_two_properties(self):
-        phi = md.build_modular_polynomial(2)
-        assert phi.degree() == 3
+    @pytest.mark.parametrize("n", SOLVED_LEVELS)
+    def test_integer_symmetric_of_degree_n_plus_one(self, n):
+        phi = md.build_modular_polynomial(n)
+        assert phi.degree() == n + 1
         assert phi.is_symmetric()
-        assert phi.coefficients[(2, 2)] == -1
         assert all(isinstance(v, int) for v in phi.coefficients.values())
 
-    def test_level_three_properties(self):
-        phi = md.build_modular_polynomial(3)
-        assert phi.degree() == 4
-        assert phi.is_symmetric()
+    @pytest.mark.parametrize("p", SOLVED_LEVELS)
+    def test_kronecker_congruence(self, p):
+        # Phi_p = (X^p - Y)(X - Y^p) mod p: a certificate that does not
+        # read the q-series
+        phi = md.build_modular_polynomial(p)
+        residues = {m: c % p for m, c in phi.coefficients.items() if c % p}
+        assert residues == {(p + 1, 0): 1, (0, p + 1): 1, (p, p): p - 1, (1, 1): p - 1}
+        assert phi.coefficients[(p, p)] == -1
+        assert phi.coefficients[(p, p - 1)] == 744 * p
 
-    def test_unsupported_level(self):
+    @pytest.mark.parametrize("n", [0, 4, 17])
+    def test_unsupported_level(self, n):
         with pytest.raises(ValueError):
-            md.build_modular_polynomial(4)
+            md.build_modular_polynomial(n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_vanishing_on_fricke_pairs(self, n):
@@ -251,29 +263,22 @@ class TestModularPolynomials:
             (1, 0): 1855425871872000000000,
         })
 
-    def test_non_integer_kernel_raises(self, monkeypatch):
-        # twice the Phi_3 kernel line, with the XY entry moved off it: the
-        # lead is even and that entry odd, so normalising leaves a fraction
-        unknowns = [(i, j) for j in range(5) for i in range(j + 1)]
-        nullspace = md._nullspace
-        kernel = {}
+    def test_inconsistent_row_raises(self, monkeypatch):
+        # no unknown of Phi_3 has pole order 5, so the q^-5 equation must
+        # already vanish; put a stray 1 into the X^4 series there
+        monomial_series = md._monomial_series
 
-        def perturbed(rows):
-            (v,) = nullspace(rows)
-            w = [2 * x for x in v]
-            w[unknowns.index((1, 1))] += 1
-            kernel["w"] = w
-            return [w]
+        def perturbed(n, monomials, top):
+            series = monomial_series(n, monomials, top)
+            series[(4, 0)][-5 + (n + 1) ** 2] += 1
+            return series
 
-        monkeypatch.setattr(md, "_nullspace", perturbed)
-        with pytest.raises(ArithmeticError, match="non-integer coefficient") as info:
+        monkeypatch.setattr(md, "_monomial_series", perturbed)
+        with pytest.raises(ArithmeticError) as info:
             md.build_modular_polynomial(3)
-        w = kernel["w"]
-        quotient = Fraction(w[unknowns.index((1, 1))], w[unknowns.index((0, 4))])
-        assert quotient.denominator == 2
-        assert str(info.value) == f"level 3: non-integer coefficient {quotient} of X^1 Y^1"
+        assert str(info.value) == "level 3: inconsistent at q^-5"
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", md.LEVELS)
     def test_q_expansion_vanishes(self, n):
         phi = md.build_modular_polynomial(n)
         expansion = md.q_expansion(phi, 16)
@@ -287,6 +292,16 @@ class TestModularPolynomials:
         expansion = md.q_expansion(md.ModularPolynomial(2, coefficients), 16)
         # the constant term moves by one, every other coefficient stays zero
         assert {e: c for e, c in expansion.items() if c} == {0: 1}
+
+
+def test_imports_only_errors():
+    # modular sits below every other layer of k3lab
+    code = ("import sys, k3lab.modular; "
+            "print(sorted(m for m in sys.modules if m.startswith('k3lab')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, cwd=Path(md.__file__).resolve().parents[1])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['k3lab', 'k3lab.errors', 'k3lab.modular']\n"
 
 
 def _symmetric(half):
