@@ -167,7 +167,7 @@ C4_MATRIX = (
     (0, 0, -1, 0),
 )
 
-# C2 as displayed (it is also recomputed as D - 2F2_1 - G3_1 - G4_1 - C1):
+# C2 as displayed:
 # 2F1 + 2F2 - G12 - G13 - G21 - G22 - G43 - 2G34
 C2_F1, C2_F2 = 2, 2
 C2_MATRIX = (

@@ -89,7 +89,7 @@ def _identity_terms(kappa, at, ratio) -> list:
     ]
 
 
-def identity_residual_at(point, kappa: "Fraction | None" = None) -> Fraction:
+def identity_residual_at(point) -> Fraction:
     """Exact value of the cubic relation's left side at a rational point.
 
     Zero for every point (off the denominators) when the constants are
@@ -98,9 +98,7 @@ def identity_residual_at(point, kappa: "Fraction | None" = None) -> Fraction:
     are combined there; raises ZeroDivisionError where X1_DEN, Y1_DEN or
     H_INF vanishes.
     """
-    if kappa is None:
-        kappa = c.KAPPA
-    return sum(_identity_terms(kappa, lambda p: p.evaluate(point), Fraction))
+    return sum(_identity_terms(c.KAPPA, lambda p: p.evaluate(point), Fraction))
 
 
 def verify_master_identity(kappa: Fraction) -> bool:
@@ -131,12 +129,12 @@ def fit_kappa() -> Fraction:
     """
     values = []
     for pt in _FIT_POINTS:
-        base = identity_residual_at(pt, kappa=Fraction(0))
-        with_one = identity_residual_at(pt, kappa=Fraction(1))
-        y_part = with_one - base
+        # kappa multiplies only the fifth term, y1^2: one evaluation at kappa = 1
+        terms = _identity_terms(1, lambda p: p.evaluate(pt), Fraction)
+        y_part = terms.pop(4)
         if y_part == 0:
             raise ValueError("degenerate fit point: y1^2 vanishes")
-        values.append(-base / y_part)
+        values.append(-sum(terms) / y_part)
     if values[0] != values[1]:
         raise ValueError(f"no single constant fits: {values}")
     if values[0] == 0:
@@ -182,12 +180,12 @@ def ab_powers_from_lambda(l1: Fraction, l2: Fraction) -> AbPowers:
     return AbPowers(a3, b2)
 
 
-def ab_powers_from_j(j1: Fraction, j2: Fraction) -> AbPowers:
-    """a^3 = -j1 j2 / 48^3 and b^2 = (j1-1728)(j2-1728) / 864^2."""
-    j1, j2 = Fraction(j1), Fraction(j2)
+def ab_powers_from_j(j1, j2) -> AbPowers:
+    """a^3 = -j1 j2 / 48^3 and b^2 = (j1-1728)(j2-1728) / 864^2, for numbers
+    or polynomials."""
     return AbPowers(
-        -j1 * j2 / c.A_CUBED_J_DIVISOR,
-        (j1 - 1728) * (j2 - 1728) / c.B_SQUARED_J_DIVISOR,
+        -j1 * j2 * Fraction(1, c.A_CUBED_J_DIVISOR),
+        (j1 - 1728) * (j2 - 1728) * Fraction(1, c.B_SQUARED_J_DIVISOR),
     )
 
 

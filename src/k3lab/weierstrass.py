@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .exact import MultiPolynomial, cubic_discriminant, variables
+from .exact import MultiPolynomial, variables
 
 (_T,) = variables("t")
 
@@ -152,12 +152,12 @@ def fiber_analysis(m: FamilyMember) -> FiberAnalysis:
 
 def is_degenerate(m: FamilyMember) -> bool:
     """True iff x^3 + a x + (b -+ 2) has a repeated root (exact rationals)."""
-    a, b = Fraction(m.a), Fraction(m.b)
-    return cubic_discriminant(a, b - 2) == 0 or cubic_discriminant(a, b + 2) == 0
+    return is_degenerate_powers(m.a**3, m.b**2)
 
 
-def degeneracy_indicator(a_cubed, b_squared) -> Fraction:
-    """disc(a, b-2) * disc(a, b+2) as a polynomial in a^3 and b^2.
+def degeneracy_indicator(a_cubed, b_squared):
+    """disc(a, b-2) * disc(a, b+2) as a polynomial in a^3 and b^2, for
+    numbers or polynomials.
 
     Expanding (-4p - 27(b-2)^2)(-4p - 27(b+2)^2) with p = a^3 and q = b^2:
 
@@ -165,7 +165,7 @@ def degeneracy_indicator(a_cubed, b_squared) -> Fraction:
 
     Zero iff the member is degenerate; branch-free in a and b.
     """
-    p, q = Fraction(a_cubed), Fraction(b_squared)
+    p, q = a_cubed, b_squared
     return (16 * p**2 + 216 * p * q + 864 * p
             + 729 * q**2 - 5832 * q + 11664)
 

@@ -36,10 +36,10 @@ KUMMER_MUTATIONS = [
     ("C4_F1", lambda v: v + 1, "branch_octet labeled_tree star_fibers"),
     ("C4_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:],
      "branch_octet labeled_tree star_fibers"),
-    ("C2_F2", lambda v: v + 1, "star_fibers"),
-    ("C2_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:], "star_fibers"),
-    ("D_F1", lambda v: v + 1,
-     "branch_octet d_class e8_fiber labeled_tree star_fibers"),
+    ("C2_F2", lambda v: v + 1, "branch_octet labeled_tree star_fibers"),
+    ("C2_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:],
+     "branch_octet labeled_tree star_fibers"),
+    ("D_F1", lambda v: v + 1, "d_class e8_fiber star_fibers"),
     ("TWENTY_EDGES", lambda v: (("C1", "F2_2"),) + v[1:], "labeled_tree"),
     ("TWENTY_LABELS", lambda v: ("G1_1",) + v[1:], "labeled_tree"),
     ("BRANCH_OCTET", lambda v: v[:-1] + ("F2_1",), "branch_octet"),
@@ -50,7 +50,8 @@ KUMMER_MUTATIONS = [
 # moved from z0_6 to z0_5, the first tree node renamed, and the toric rows:
 # the A11 dual vertex moved to (12, -1, -1), the support shift changed, the
 # y^2 vertex correspondence given to y, the xy exponent moved off its point,
-# and the Newton vertices v3 and v4 swapped (the weight relation breaks)
+# and the Newton vertices v3 and v4 swapped (the weight relation breaks);
+# last, each j-route divisor of a^3 and b^2 raised by one
 CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_MUTATIONS] + [
     pytest.param("lattice", "X_TREE_EDGES",
                  lambda v: tuple(e for e in v if e != ("z0_6", "z0_b")),
@@ -75,6 +76,10 @@ CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_
                  "points support_shift", id="SUPPORT_MONOMIALS"),
     pytest.param("toric", "DELTA_VERTICES", lambda v: (v[0], v[1], v[3], v[2]),
                  "dual edges genera points support_shift", id="DELTA_VERTICES"),
+    pytest.param("weierstrass", "A_CUBED_J_DIVISOR", lambda v: v + 1,
+                 "degeneracy_equivalence", id="A_CUBED_J_DIVISOR"),
+    pytest.param("weierstrass", "B_SQUARED_J_DIVISOR", lambda v: v + 1,
+                 "degeneracy_equivalence", id="B_SQUARED_J_DIVISOR"),
 ]
 
 

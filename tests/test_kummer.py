@@ -107,9 +107,6 @@ class TestStarFibers:
     def test_sums(self, gens):
         assert km.verify_star_fibers(gens)
 
-    def test_c2_matches_displayed_expansion(self, gens):
-        assert km.c2_matches_transcription(gens)
-
     def test_c2_numbers(self, gens):
         assert pair(gens["C2"], gens["C2"]) == -2
         assert pair(gens["C2"], gens["F2_1"]) == 1

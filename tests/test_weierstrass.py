@@ -80,8 +80,8 @@ class TestSuiteCheck:
         monkeypatch.setattr(w, "fiber_analysis", fiber_analysis)
         assert suites.run_suite("weierstrass").status == "pass"
         # per member t^4 in to_weierstrass, A^3 and B^2 in the discriminant;
-        # 11 more in the substitution check
-        assert calls == {"fiber_analysis": 50, "__pow__": 50 * 3 + 11}
+        # 11 more in the substitution check and 3 in the degeneracy identity
+        assert calls == {"fiber_analysis": 50, "__pow__": 50 * 3 + 14}
 
 
 class TestKodairaTable:
@@ -164,6 +164,11 @@ class TestDegeneration:
             from k3lab.exact import cubic_discriminant
             prod = cubic_discriminant(a, b - 2) * cubic_discriminant(a, b + 2)
             assert w.degeneracy_indicator(a**3, b**2) == prod
+
+    def test_indicator_from_j_is_identity_in_j(self):
+        j1, j2 = variables("j1", "j2")
+        p = si.ab_powers_from_j(j1, j2)
+        assert w.degeneracy_indicator(p.a_cubed, p.b_squared) == Fraction(1, 256) * (j1 - j2) ** 2
 
     @settings(deadline=None)
     @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
