@@ -3,7 +3,8 @@ modular polynomials.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
 3 domain or precision error (forbidden parameter values, or a tau beyond
-the reach of the working precision).
+the reach of the working precision); 1 also when stdout is a pipe that the
+reader closed early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -227,7 +229,18 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:
+        # the reader has gone (as in `k3lab report ... | head`): send the
+        # rest of stdout to devnull, so that the flush at exit does not fail
+        # again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ class MultiPolynomial:
     def __init__(self, vars: tuple[str, ...], terms: Mapping[Exponents, Coeff]):
         self.vars = vars
         # Fraction * int is a Fraction even when integral: store those as int
-        self.terms = {e: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+        self.terms = {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
                       for e, c in terms.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -134,15 +134,12 @@ class MultiPolynomial:
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPolynomial(self.vars, out)
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPolynomial(self.vars, out)  # drops the cancelled terms
 
     __rmul__ = __mul__
 

@@ -4,7 +4,8 @@ A class a*F1 + b*F2 + sum_ij A[i][j]*G_ij is its coordinate vector
 (a, b, A[1][1], A[1][2], ..., A[4][4]) in `KUMMER_LATTICE`, whose Gram is
 U(2) + <-2>^16: F1, F2 pull back the two rulings of P^1 x P^1
 (F1.F2 = 2) and the G_ij are the sixteen exceptional curves.  Every
-pairing is `KUMMER_LATTICE.pairing`.
+pairing comes from `KUMMER_LATTICE.pairings`: in a batch, or one pair at a
+time through `pair`.
 
 The eight half-fiber curves need half-integer entries:
 
@@ -177,7 +178,8 @@ def integrality_report(gens: dict) -> bool:
     also forces every coordinate into (1/2)Z.
     """
     probes = [v for k, v in gens.items() if k.startswith(("G", "F1_", "F2_"))]
-    return all(pair(cls, p).denominator == 1 for cls in gens.values() for p in probes)
+    return all(p.denominator == 1
+               for row in KUMMER_LATTICE.pairings(list(gens.values()), probes) for p in row)
 
 
 def fiber_relations_hold() -> bool:

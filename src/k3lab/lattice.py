@@ -3,10 +3,12 @@
 A lattice is a labeled symmetric integer Gram matrix.  A configuration of
 (-2)-curves is stored only as its Gram (`curve_gram`): an induced Gram equal
 to a reference Gram read in the same order fixes both which curves meet and
-how.  Everything is exact: rank and kernels by one fraction-free row
-reduction that stays in Z; the quotient by the kernel by integer congruence,
-so its Gram stays integral; its signature and determinant by congruence
-diagonalization over Q (never floating eigenvalues).
+how.  Everything is exact and stays in Z: rank and kernels by one
+fraction-free row reduction; the quotient by the kernel by integer
+congruence, so its Gram stays integral; its signature and determinant by
+integer congruence diagonalization (never floating eigenvalues); pairings
+as integer dot products, divided once by the denominators of the
+coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
+
+from .exact import _exact_ratio
 
 
 @dataclass(frozen=True)
@@ -40,18 +45,46 @@ class GramLattice:
     def _nonzero_rows(self) -> list:
         return [tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram]
 
-    def pairing(self, v: Sequence, w: Sequence) -> Fraction:
-        """sum_ij v_i g_ij w_j over the nonzero Gram entries, in int
-        arithmetic as long as the coordinates are integers."""
-        if len(v) != self.dim or len(w) != self.dim:
+    def _scaled(self, v: Sequence) -> tuple[int, Sequence[int]]:
+        """(s, s v) for s the lcm of the denominators of v's coordinates."""
+        if len(v) != self.dim:
             raise ValueError("vector length does not match lattice dimension")
-        total = 0
-        for vi, row in zip(v, self._nonzero_rows):
-            if vi:
-                for j, g in row:
-                    if w[j]:
-                        total += vi * g * w[j]
-        return Fraction(total)
+        if all(type(x) is int for x in v):
+            return 1, v
+        s = lcm(*[x.denominator for x in v])
+        return s, [x.numerator * (s // x.denominator) for x in v]
+
+    def pairings(self, vectors: Sequence[Sequence], others: Sequence[Sequence]) -> list:
+        """The matrix of exact pairings v.w, v in `vectors`, w in `others`:
+        an ``int`` where the pairing is integral, a ``Fraction`` elsewhere.
+
+        Each vector is scaled into Z once; G w is formed once per w over the
+        nonzero Gram entries, so each pairing is one integer dot product,
+        divided by the two scales at the end.
+        """
+        rows = self._nonzero_rows
+        images, scales = [], []
+        for w in others:
+            t, w = self._scaled(w)
+            gw = [0] * self.dim
+            for wj, row in zip(w, rows):  # G w = sum_j w_j G_j, as G is symmetric
+                if wj:
+                    for i, g in row:
+                        gw[i] += g * wj
+            images.append(gw)
+            scales.append(t)
+        scaled_others = max(scales, default=1) > 1
+        out = []
+        for s, v in map(self._scaled, vectors):
+            row = [sum(map(mul, v, gw)) for gw in images]
+            if s > 1 or scaled_others:
+                row = [_exact_ratio(x, s * t) for x, t in zip(row, scales)]
+            out.append(row)
+        return out
+
+    def pairing(self, v: Sequence, w: Sequence) -> Fraction:
+        """sum_ij v_i g_ij w_j, exactly."""
+        return Fraction(self.pairings([v], [w])[0][0])
 
 
 def curve_gram(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> GramLattice:
@@ -218,7 +251,7 @@ def _quotient_gram(gram) -> list[list[int]]:
 class LatticeInvariants:
     rank: int
     signature: tuple[int, int]
-    determinant: Fraction
+    determinant: int
     is_even: bool
 
 
@@ -230,74 +263,68 @@ def lattice_invariants(L: GramLattice) -> LatticeInvariants:
     return LatticeInvariants(len(q), (pos, neg), det, is_even)
 
 
-def _signature(gram) -> tuple[int, int, Fraction]:
-    """Counts of positive and negative squares, and the determinant, via
-    congruence diagonalization.  Every move has determinant 1, so the
-    determinant is the product of the pivots, or 0 if a zero block is left.
+def _signature(gram) -> tuple[int, int, int]:
+    """Counts of positive and negative squares, and the determinant, of an
+    integer Gram by congruence diagonalization in Z.
+
+    A nonzero diagonal pivot d is split off by the integer Schur complement:
+    the remaining block M becomes |d| M_rs - sgn(d) M_ri M_is, which is |d|
+    times the rational Schur complement and so has its signature.  The block
+    is then divided by the gcd g of its entries.  With k rows left, the
+    determinant gains the factor d g^k / |d|^k; the factors are carried as
+    one numerator and one denominator, divided at the end.  A
+    remaining block with zero diagonal first takes row/col a += row/col b,
+    which turns m[a][a] into 2 m[a][b] != 0 and has determinant 1; a zero
+    block gives determinant 0.
     """
-    m = [[Fraction(x) for x in row] for row in gram]
-    n = len(m)
+    m = [list(row) for row in gram]
     pos = neg = 0
-    det = Fraction(1)
-    idx = list(range(n))
-    while idx:
-        i = next((k for k in idx if m[k][k] != 0), None)
+    num = den = 1
+    while m:
+        i = next((k for k, row in enumerate(m) if row[k]), None)
         if i is None:
-            # all remaining diagonal zero; find a nonzero off-diagonal pair
-            found = None
-            for a in idx:
-                for b in idx:
-                    if a != b and m[a][b] != 0:
-                        found = (a, b)
-                        break
-                if found:
-                    break
+            found = next(((a, b) for a, row in enumerate(m) for b, x in enumerate(row) if x),
+                         None)
             if found is None:
-                return pos, neg, Fraction(0)  # the remaining block is zero
+                return pos, neg, 0  # the remaining block is zero
             a, b = found
-            # row/col a += row/col b turns m[a][a] into 2 m[a][b] != 0
-            for j in range(n):
-                m[a][j] += m[b][j]
-            for j in range(n):
-                m[j][a] += m[j][b]
+            m[a] = [x + y for x, y in zip(m[a], m[b])]
+            for row in m:
+                row[a] += row[b]
             continue
-        d = m[i][i]
-        det *= d
+        pivot = m.pop(i)
+        d = pivot.pop(i)
         if d > 0:
             pos += 1
         else:
             neg += 1
-        idx.remove(i)
-        for r in idx:
-            if m[r][i] != 0:
-                f = m[r][i] / d
-                for j in range(n):
-                    m[r][j] -= f * m[i][j]
-                for j in range(n):
-                    m[j][r] -= f * m[j][i]
-    return pos, neg, det
+        scale, sign = abs(d), (1 if d > 0 else -1)
+        column = [row.pop(i) for row in m]
+        m = [[scale * x - sign * f * y for x, y in zip(row, pivot)] if f
+             else [scale * x for x in row]
+             for row, f in zip(m, column)]
+        g = gcd(*[x for row in m for x in row])
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+        num *= d * g ** len(m)
+        den *= scale ** len(m)
+    return pos, neg, num // den  # exact: the determinant is an integer
 
 
 def induced_gram(ambient: GramLattice, vectors: Sequence[Sequence],
                  labels: "Sequence[str] | None" = None) -> GramLattice:
     """Gram of the pairwise ambient pairings of the given vectors.
 
-    Raises if any pairing is non-integral; use ambient.pairing directly for
+    Raises if any pairing is non-integral; use ambient.pairings directly for
     rational-valued needs.
     """
     vecs = [list(v) for v in vectors]
-    for v in vecs:
-        if len(v) != ambient.dim:
-            raise ValueError("vector length does not match ambient dimension")
     if labels is None:
         labels = tuple(f"v{i}" for i in range(len(vecs)))
     gram = []
-    for v in vecs:
-        row = []
-        for w in vecs:
-            p = ambient.pairing(v, w)
+    for row in ambient.pairings(vecs, vecs):
+        for p in row:
             if p.denominator != 1:
                 raise ValueError(f"non-integer pairing {p} in induced form")
-            row.append(int(p))
-        gram.append(tuple(row))
+        gram.append(tuple(int(p) for p in row))
     return GramLattice(tuple(labels), tuple(gram))

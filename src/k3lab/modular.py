@@ -222,14 +222,19 @@ class ModularPolynomial:
                    for (i, j), c in self.coefficients.items())
 
 
+def _scaled_series(n: int, order: int) -> tuple[QSeries, QSeries]:
+    """x = q j(q) and y = q^n j(q^n), through q^order."""
+    s = j_series(max(order, SERIES_ORDER)).coefficients
+    x = QSeries(s[: order + 1])
+    y = QSeries(tuple(0 if k % n else s[k // n] for k in range(order + 1)))
+    return x, y
+
+
 def _monomial_series(n: int, monomials, top: int) -> dict:
     """Laurent coefficients of j(q)^i j(q^n)^j for each (i, j) in
     `monomials` (i, j <= n + 1), listed for q^e, e = -(n+1)^2 .. top."""
     low = (n + 1) ** 2
-    order = low + top
-    s = j_series(max(order, SERIES_ORDER)).coefficients
-    x = QSeries(s[: order + 1])  # q j(q)
-    y = QSeries(tuple(0 if k % n else s[k // n] for k in range(order + 1)))  # q^n j(q^n)
+    x, y = _scaled_series(n, low + top)
     xs, ys = [x.power(0)], [y.power(0)]
     for _ in range(n + 1):
         xs.append(xs[-1] * x)
@@ -244,11 +249,35 @@ def _monomial_series(n: int, monomials, top: int) -> dict:
 
 def q_expansion(phi: ModularPolynomial, top: int) -> dict:
     """Phi_n(j(q), j(q^n)) as {e: coefficient of q^e}, e = -(n+1)^2 .. top;
-    all zero exactly when Phi_n vanishes on (j(q), j(q^n)) to that order."""
-    low = (phi.n + 1) ** 2
-    series = _monomial_series(phi.n, phi.coefficients, top)
-    return {e: sum(c * series[m][e + low] for m, c in phi.coefficients.items())
-            for e in range(-low, top + 1)}
+    all zero exactly when Phi_n vanishes on (j(q), j(q^n)) to that order.
+
+    With N = n + 1 and x, y as in `_scaled_series`, q^(N^2) Phi_n is the
+    power series sum_i x^i R_i, R_i = sum_j c_ij y^j q^((N - i) + n (N - j)),
+    summed by Horner's rule in x: N products by x after the N powers of y.
+    """
+    n = phi.n
+    deg = n + 1
+    if phi.degree() > deg:
+        raise ValueError(f"the expansion takes degree at most {deg} in X and Y")
+    low = deg**2
+    order = low + top
+    x, y = _scaled_series(n, order)
+    ys = [y.power(0), y]
+    while len(ys) <= deg:
+        ys.append(ys[-1] * y)
+    total = None
+    for i in range(deg, -1, -1):
+        row = [0] * (order + 1)
+        for j in range(deg + 1):
+            c = phi.coefficients.get((i, j))
+            if c:
+                shift = (deg - i) + n * (deg - j)
+                for k, v in enumerate(ys[j].coefficients[: order + 1 - shift]):
+                    row[k + shift] += c * v
+        if total is not None:
+            row = [r + v for r, v in zip(row, (total * x).coefficients)]
+        total = QSeries(tuple(row))
+    return {e: total.coefficients[e + low] for e in range(-low, top + 1)}
 
 
 def build_modular_polynomial(n: int) -> ModularPolynomial:

@@ -8,7 +8,10 @@ over the z-line, becomes y^2 = X^3 + A(t) X + B(t) with
 after x -> -X, X -> xi/t^2, y -> eta/t^3 at t = z.  Both ends of the base
 carry a fiber with valuations (4, 5, 10): the standard residue-
 characteristic-zero table classifies it as II*, and the discriminant
-budget 10 + 10 + 4 = 24 accounts for the Euler number.
+budget 10 + 10 + 4 = 24 accounts for the Euler number.  `fiber_analyses`
+reads these valuations off one generic model over (t, a, b), built once per
+call, by evaluating at each member only the extreme t-coefficients of A, B
+and the discriminant.
 
 Degeneration happens exactly when x^3 + a x + b - 2 or x^3 + a x + b + 2
 has a repeated root; the product of the two cubic discriminants is a
@@ -134,20 +137,59 @@ class FiberAnalysis:
     euler_total: int
 
 
+def _by_power_of_t(p: MultiPolynomial) -> list:
+    """The t-coefficients of p over (t, a, b), as (k, [(i, j, c), ...]) pairs
+    in increasing k, for the coefficient sum c a^i b^j of t^k."""
+    grouped: dict = {}
+    for (k, i, j), c in p.terms.items():
+        grouped.setdefault(k, []).append((i, j, c))
+    return sorted(grouped.items())
+
+
+def _extreme_terms(table, a, b) -> MultiPolynomial:
+    """The lowest and the highest term in t that is nonzero at (a, b), of the
+    polynomial with t-coefficients `table` (`_by_power_of_t`): all that the
+    valuation table and the Euler budget read."""
+    terms = {}
+    for powers in (table, reversed(table)):
+        for k, coefficient in powers:
+            # a constant coefficient takes no powers of a, b
+            value = sum(c * a**i * b**j if i or j else c for i, j, c in coefficient)
+            if value:
+                terms[(k,)] = value
+                break
+    return MultiPolynomial(("t",), terms)
+
+
+def fiber_analyses(members) -> list[FiberAnalysis]:
+    """`FiberAnalysis` of each member, from one generic model.
+
+    A(t), B(t) and the discriminant are built once over (t, a, b) and grouped
+    by the power of t; a member then only evaluates the t-coefficients it
+    needs, from the lowest and the highest ends.
+    """
+    t, a, b = variables("t", "a", "b")
+    model = WeierstrassModel(*coefficients(a, b, t))
+    tables = [_by_power_of_t(p) for p in (model.A, model.B, model.discriminant())]
+    out = []
+    for m in members:
+        A, B, delta = (_extreme_terms(table, m.a, m.b) for table in tables)
+        if delta.is_zero():
+            raise ValueError("degenerate family: the discriminant vanishes identically")
+        at_zero = kodaira_type(
+            _order_at_zero(A), _order_at_zero(B), _order_at_zero(delta))
+        at_infinity = kodaira_type(
+            _order_at_infinity(A, 8), _order_at_infinity(B, 12),
+            _order_at_infinity(delta, 24))
+        ord0 = _order_at_zero(delta)
+        extra = delta.total_degree() - ord0
+        euler = at_zero.euler_contribution + at_infinity.euler_contribution + extra
+        out.append(FiberAnalysis(at_zero, at_infinity, extra, euler))
+    return out
+
+
 def fiber_analysis(m: FamilyMember) -> FiberAnalysis:
-    model = to_weierstrass(m)
-    delta = model.discriminant()
-    if delta.is_zero():
-        raise ValueError("degenerate family: the discriminant vanishes identically")
-    at_zero = kodaira_type(
-        _order_at_zero(model.A), _order_at_zero(model.B), _order_at_zero(delta))
-    at_infinity = kodaira_type(
-        _order_at_infinity(model.A, 8), _order_at_infinity(model.B, 12),
-        _order_at_infinity(delta, 24))
-    ord0 = _order_at_zero(delta)
-    extra = delta.total_degree() - ord0
-    euler = at_zero.euler_contribution + at_infinity.euler_contribution + extra
-    return FiberAnalysis(at_zero, at_infinity, extra, euler)
+    return fiber_analyses([m])[0]
 
 
 def is_degenerate(m: FamilyMember) -> bool:

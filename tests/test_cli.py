@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, determinism, mutation response."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -398,6 +399,23 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert "suite lattice: pass" in result.stdout
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # as `k3lab report ... | head -c 1500`, with the reader gone before
+        # the first write, so that every write meets a closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "k3lab", "report", "--suite", "kummer",
+                 "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                cwd=PACKAGE_PARENT,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
 
     def test_usage_exit_code(self):
         result = subprocess.run(

@@ -13,6 +13,10 @@ from k3lab.kummer import combination, pair
 # (a, b; A) as the 18 coordinates a, b, A_11, A_12, ..., A_44
 half_integral_classes = st.lists(st.integers(-9, 9).map(lambda k: Fraction(k, 2)),
                                  min_size=18, max_size=18)
+# the same with integer coordinates too, so that some vectors need no scaling
+mixed_classes = st.lists(st.one_of(st.integers(-9, 9),
+                                   st.integers(-9, 9).map(lambda k: Fraction(k, 2))),
+                         min_size=18, max_size=18)
 
 
 def polarized_pairing(x, y):
@@ -59,6 +63,19 @@ class TestPairing:
     @given(half_integral_classes, half_integral_classes)
     def test_matches_polarized_formula(self, x, y):
         assert pair(x, y) == polarized_pairing(x, y)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(mixed_classes, min_size=1, max_size=3),
+           st.lists(mixed_classes, min_size=1, max_size=3))
+    def test_batched_pairings_match_fraction_reference(self, xs, ys):
+        entries = [(i, j, g) for i, row in enumerate(km.KUMMER_LATTICE.gram)
+                   for j, g in enumerate(row) if g]
+        got = km.KUMMER_LATTICE.pairings(xs, ys)
+        assert got == [[sum(Fraction(x[i]) * g * y[j] for i, j, g in entries) for y in ys]
+                       for x in xs]
+        # an int exactly where the pairing is integral
+        assert all(type(p) is (int if p.denominator == 1 else Fraction)
+                   for row in got for p in row)
 
 
 class TestGenerators:

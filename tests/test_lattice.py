@@ -12,6 +12,8 @@ from k3lab.lattice import (
     E8_EDGES,
     E8_NODES,
     _nullspace,
+    _quotient_gram,
+    _signature,
     GramLattice,
     curve_gram,
     direct_sum,
@@ -326,3 +328,80 @@ class TestQuotientByKernel:
                                           max_size=12)):
             _congruence_move(moved, a, c, q)
         assert _invariants(moved) == _invariants(gram)
+
+
+def _fraction_signature(gram):
+    """Congruence diagonalization over Q, pivot by pivot: the reference the
+    integer `_signature` must reproduce."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    n = len(m)
+    pos = neg = 0
+    det = Fraction(1)
+    idx = list(range(n))
+    while idx:
+        i = next((k for k in idx if m[k][k] != 0), None)
+        if i is None:
+            found = next(((a, b) for a in idx for b in idx if a != b and m[a][b]), None)
+            if found is None:
+                return pos, neg, Fraction(0)
+            a, b = found
+            for j in range(n):
+                m[a][j] += m[b][j]
+            for j in range(n):
+                m[j][a] += m[j][b]
+            continue
+        d = m[i][i]
+        det *= d
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx.remove(i)
+        for r in idx:
+            if m[r][i] != 0:
+                f = m[r][i] / d
+                for j in range(n):
+                    m[r][j] -= f * m[i][j]
+                for j in range(n):
+                    m[j][r] -= f * m[j][i]
+    return pos, neg, det
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices of size 1-7; some with a zero diagonal,
+    some singular through a repeated row and column."""
+    n = draw(st.integers(1, 7))
+    zero_diagonal = draw(st.booleans())
+    upper = {(i, j): 0 if i == j and zero_diagonal else draw(st.integers(-4, 4))
+             for i in range(n) for j in range(i, n)}
+    m = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        m[b] = m[a][:]
+        for row in m:
+            row[b] = row[a]
+    return m
+
+
+class TestIntegerSignature:
+    @settings(deadline=None, max_examples=150)
+    @given(_symmetric_matrices())
+    def test_matches_fraction_diagonalization(self, m):
+        got = _signature(m)
+        assert got == _fraction_signature(m)
+        assert type(got[2]) is int
+
+    @pytest.mark.parametrize("m", [
+        [[0, 1], [1, 0]],                      # U: zero diagonal
+        [[0, 0, 1], [0, 0, 2], [1, 2, 0]],     # zero diagonal, then a zero block
+        [[0, 0], [0, 0]],
+        [[2, 1, 0], [1, 2, 1], [0, 1, 2]],     # A3, determinant 4
+        [[-2, 4], [4, 6]],                     # pivots scale the block by |d| = 2
+    ])
+    def test_small_cases(self, m):
+        assert _signature(m) == _fraction_signature(m)
+
+    def test_tree_quotient(self):
+        q = _quotient_gram(toric.x_tree_lattice().gram)
+        assert _signature(q) == _fraction_signature(q) == (1, 17, -1)

@@ -293,6 +293,10 @@ class TestModularPolynomials:
         # the constant term moves by one, every other coefficient stays zero
         assert {e: c for e, c in expansion.items() if c} == {0: 1}
 
+    def test_q_expansion_rejects_a_degree_beyond_n_plus_one(self):
+        with pytest.raises(ValueError):
+            md.q_expansion(md.ModularPolynomial(2, {(4, 0): 1, (0, 0): 1}), 16)
+
 
 def test_imports_only_errors():
     # modular sits below every other layer of k3lab

@@ -72,16 +72,18 @@ class TestSuiteCheck:
             calls["__pow__"] += 1
             return _pow(p, n)
 
-        def fiber_analysis(member, _fn=w.fiber_analysis):
-            calls["fiber_analysis"] += 1
-            return _fn(member)
+        def fiber_analyses(members, _fn=w.fiber_analyses):
+            calls["fiber_analyses"] += 1
+            calls["members"] += len(members)
+            return _fn(members)
 
         monkeypatch.setattr(MultiPolynomial, "__pow__", power)
-        monkeypatch.setattr(w, "fiber_analysis", fiber_analysis)
+        monkeypatch.setattr(w, "fiber_analyses", fiber_analyses)
         assert suites.run_suite("weierstrass").status == "pass"
-        # per member t^4 in to_weierstrass, A^3 and B^2 in the discriminant;
-        # 11 more in the substitution check and 3 in the degeneracy identity
-        assert calls == {"fiber_analysis": 50, "__pow__": 50 * 3 + 14}
+        # one generic model for all 50 members: t^4 in `coefficients`, A^3
+        # and B^2 in the discriminant; 11 more in the substitution check and
+        # 3 in the degeneracy identity
+        assert calls == {"fiber_analyses": 1, "members": 50, "__pow__": 3 + 14}
 
 
 class TestKodairaTable:
@@ -146,6 +148,54 @@ class TestFiberAnalysis:
             assert fa.euler_total == 24
             assert str(fa.at_zero) == str(fa.at_infinity) == "II*"
             checked += 1
+
+
+def _member_by_member(m):
+    """The fiber analysis from the member's own model, its discriminant
+    expanded in full: the reference for `fiber_analyses`."""
+    model = w.to_weierstrass(m)
+    delta = model.discriminant()
+    at_zero = w.kodaira_type(w._order_at_zero(model.A), w._order_at_zero(model.B),
+                             w._order_at_zero(delta))
+    at_infinity = w.kodaira_type(w._order_at_infinity(model.A, 8),
+                                 w._order_at_infinity(model.B, 12),
+                                 w._order_at_infinity(delta, 24))
+    extra = delta.total_degree() - w._order_at_zero(delta)
+    return w.FiberAnalysis(at_zero, at_infinity, extra,
+                           at_zero.euler_contribution + at_infinity.euler_contribution + extra)
+
+
+class TestFiberAnalyses:
+    def test_suite_members(self):
+        # the members of the weierstrass.euler_budget check
+        rng = random.Random(99)
+        members = []
+        while len(members) < 50:
+            member = w.FamilyMember(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+            if not w.is_degenerate(member):
+                members.append(member)
+        assert w.fiber_analyses(members) == [_member_by_member(m) for m in members]
+
+    def test_special_members(self):
+        # a = 0 empties A; (-3, 4) is degenerate: x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+        members = [w.FamilyMember(Fraction(0), Fraction(b)) for b in (0, 1, -5)]
+        members.append(w.FamilyMember(Fraction(-3), Fraction(4)))
+        assert w.is_degenerate(members[-1])
+        assert w.fiber_analyses(members) == [_member_by_member(m) for m in members]
+        assert w.fiber_analysis(members[-1]) == _member_by_member(members[-1])
+
+    def test_no_members(self):
+        assert w.fiber_analyses([]) == []
+
+    def test_reads_the_library_model(self, monkeypatch):
+        # A = a t^3: ord(A) = 3 at zero gives III*, and the orders at
+        # infinity move with it
+        monkeypatch.setattr(w, "coefficients",
+                            lambda a, b, t: (a * t**3, -(t**5 + b * t**6 + t**7)))
+        member = w.FamilyMember(Fraction(2), Fraction(1, 3))
+        assert w.fiber_analyses([member]) == [_member_by_member(member)]
+        assert str(w.fiber_analysis(member).at_zero) == "III*"
 
 
 class TestDegeneration:
