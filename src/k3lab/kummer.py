@@ -181,12 +181,3 @@ def integrality_report(gens: dict) -> bool:
     return all(p.denominator == 1
                for row in KUMMER_LATTICE.pairings(list(gens.values()), probes) for p in row)
 
-
-def fiber_relations_hold() -> bool:
-    """F1 = 2 F_1i + sum_j G_ij and F2 = 2 F_2j + sum_i G_ij for all indices."""
-    gens = standard_generators()
-    ks = range(1, 5)
-    return (all(combination(gens, [(f"F1_{i}", 2)] + [(f"G{i}_{j}", 1) for j in ks])
-                == gens["F1"] for i in ks)
-            and all(combination(gens, [(f"F2_{j}", 2)] + [(f"G{i}_{j}", 1) for i in ks])
-                    == gens["F2"] for j in ks))

@@ -8,10 +8,12 @@ over the z-line, becomes y^2 = X^3 + A(t) X + B(t) with
 after x -> -X, X -> xi/t^2, y -> eta/t^3 at t = z.  Both ends of the base
 carry a fiber with valuations (4, 5, 10): the standard residue-
 characteristic-zero table classifies it as II*, and the discriminant
-budget 10 + 10 + 4 = 24 accounts for the Euler number.  `fiber_analyses`
-reads these valuations off one generic model over (t, a, b), built once per
-call, by evaluating at each member only the extreme t-coefficients of A, B
-and the discriminant.
+budget 10 + 10 + 4 = 24 accounts for the Euler number.  Every model lives
+over (t, a, b), so `fiber_analysis` reads the same valuations off a member
+with rational a, b and off the generic member `GENERIC`, whose a and b are
+the variables themselves; where the lowest and the highest t-coefficients
+of B and the discriminant are nonzero constants, the generic valuations
+hold at every member.
 
 Degeneration happens exactly when x^3 + a x + b - 2 or x^3 + a x + b + 2
 has a repeated root; the product of the two cubic discriminants is a
@@ -27,13 +29,19 @@ from math import inf
 
 from .exact import MultiPolynomial, variables
 
-(_T,) = variables("t")
+_T, _A, _B = variables("t", "a", "b")
 
 
 @dataclass(frozen=True)
 class FamilyMember:
-    a: Fraction
-    b: Fraction
+    """y^2 + z + 1/z + x^3 + a x + b = 0, for rational a, b or for the
+    variables a, b of the model ring."""
+
+    a: Fraction | MultiPolynomial
+    b: Fraction | MultiPolynomial
+
+
+GENERIC = FamilyMember(_A, _B)
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ def coefficients(a, b, t):
 
 
 def to_weierstrass(m: FamilyMember) -> WeierstrassModel:
-    return WeierstrassModel(*coefficients(Fraction(m.a), Fraction(m.b), _T))
+    """The model of m over (t, a, b)."""
+    return WeierstrassModel(*coefficients(m.a, m.b, _T))
 
 
 def _order_at_zero(p: MultiPolynomial):
@@ -90,12 +99,21 @@ def _order_at_zero(p: MultiPolynomial):
 def _order_at_infinity(p: MultiPolynomial, weight: int):
     """Order at t = infinity of a coefficient of the given weight (8 for A,
     12 for B, 24 for the discriminant): in the chart s = 1/t it becomes
-    s^weight p(1/s), of order weight - deg p."""
+    s^weight p(1/s), of order weight - deg_t p."""
     if p.is_zero():
         return inf
-    if p.total_degree() > weight:
+    degree = p.degree_in(("t",))
+    if degree > weight:
         raise ValueError("polynomial degree exceeds the homogenization degree")
-    return weight - p.total_degree()
+    return weight - degree
+
+
+def end_coefficients(p: MultiPolynomial) -> tuple:
+    """The coefficients of the lowest and of the highest power of t in p,
+    each a polynomial free of t."""
+    return tuple(
+        MultiPolynomial(p.vars, {(0, *e[1:]): c for e, c in p.terms.items() if e[0] == k})
+        for k in (_order_at_zero(p), p.degree_in(("t",))))
 
 
 def kodaira_type(ord_a, ord_b, ord_delta) -> KodairaType:
@@ -137,59 +155,21 @@ class FiberAnalysis:
     euler_total: int
 
 
-def _by_power_of_t(p: MultiPolynomial) -> list:
-    """The t-coefficients of p over (t, a, b), as (k, [(i, j, c), ...]) pairs
-    in increasing k, for the coefficient sum c a^i b^j of t^k."""
-    grouped: dict = {}
-    for (k, i, j), c in p.terms.items():
-        grouped.setdefault(k, []).append((i, j, c))
-    return sorted(grouped.items())
-
-
-def _extreme_terms(table, a, b) -> MultiPolynomial:
-    """The lowest and the highest term in t that is nonzero at (a, b), of the
-    polynomial with t-coefficients `table` (`_by_power_of_t`): all that the
-    valuation table and the Euler budget read."""
-    terms = {}
-    for powers in (table, reversed(table)):
-        for k, coefficient in powers:
-            # a constant coefficient takes no powers of a, b
-            value = sum(c * a**i * b**j if i or j else c for i, j, c in coefficient)
-            if value:
-                terms[(k,)] = value
-                break
-    return MultiPolynomial(("t",), terms)
-
-
-def fiber_analyses(members) -> list[FiberAnalysis]:
-    """`FiberAnalysis` of each member, from one generic model.
-
-    A(t), B(t) and the discriminant are built once over (t, a, b) and grouped
-    by the power of t; a member then only evaluates the t-coefficients it
-    needs, from the lowest and the highest ends.
-    """
-    t, a, b = variables("t", "a", "b")
-    model = WeierstrassModel(*coefficients(a, b, t))
-    tables = [_by_power_of_t(p) for p in (model.A, model.B, model.discriminant())]
-    out = []
-    for m in members:
-        A, B, delta = (_extreme_terms(table, m.a, m.b) for table in tables)
-        if delta.is_zero():
-            raise ValueError("degenerate family: the discriminant vanishes identically")
-        at_zero = kodaira_type(
-            _order_at_zero(A), _order_at_zero(B), _order_at_zero(delta))
-        at_infinity = kodaira_type(
-            _order_at_infinity(A, 8), _order_at_infinity(B, 12),
-            _order_at_infinity(delta, 24))
-        ord0 = _order_at_zero(delta)
-        extra = delta.total_degree() - ord0
-        euler = at_zero.euler_contribution + at_infinity.euler_contribution + extra
-        out.append(FiberAnalysis(at_zero, at_infinity, extra, euler))
-    return out
-
-
 def fiber_analysis(m: FamilyMember) -> FiberAnalysis:
-    return fiber_analyses([m])[0]
+    """The fibers at t = 0 and t = infinity of m, and its discriminant budget;
+    at `GENERIC` the valuations are those over Q(a, b)."""
+    model = to_weierstrass(m)
+    delta = model.discriminant()
+    if delta.is_zero():
+        raise ValueError("degenerate family: the discriminant vanishes identically")
+    at_zero = kodaira_type(
+        _order_at_zero(model.A), _order_at_zero(model.B), _order_at_zero(delta))
+    at_infinity = kodaira_type(
+        _order_at_infinity(model.A, 8), _order_at_infinity(model.B, 12),
+        _order_at_infinity(delta, 24))
+    extra = delta.degree_in(("t",)) - _order_at_zero(delta)
+    euler = at_zero.euler_contribution + at_infinity.euler_contribution + extra
+    return FiberAnalysis(at_zero, at_infinity, extra, euler)
 
 
 def is_degenerate(m: FamilyMember) -> bool:

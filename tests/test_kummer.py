@@ -80,7 +80,15 @@ class TestPairing:
 
 class TestGenerators:
     def test_fiber_relations(self):
-        assert km.fiber_relations_hold()
+        # F1 = 2 F_1i + sum_j G_ij and F2 = 2 F_2j + sum_i G_ij for all indices
+        gens = km.standard_generators()
+        ks = range(1, 5)
+        for i in ks:
+            relation = [(f"F1_{i}", 2)] + [(f"G{i}_{j}", 1) for j in ks]
+            assert combination(gens, relation) == gens["F1"]
+        for j in ks:
+            relation = [(f"F2_{j}", 2)] + [(f"G{i}_{j}", 1) for i in ks]
+            assert combination(gens, relation) == gens["F2"]
 
     def test_relation_explicit(self, gens):
         residual = combination(gens, [("F1", 1), ("F1_1", -2)]

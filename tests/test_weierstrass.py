@@ -17,7 +17,7 @@ from k3lab.exact import MultiPolynomial, variables
 
 class TestToWeierstrass:
     def test_example(self):
-        (t,) = variables("t")
+        t, _, _ = variables("t", "a", "b")
         model = w.to_weierstrass(w.FamilyMember(Fraction(1), Fraction(0)))
         assert model.A == t**4
         assert model.B == -(t**5 + t**7)
@@ -53,7 +53,7 @@ class TestToWeierstrass:
 
 
 def _reverse(p, degree):
-    return MultiPolynomial(p.vars, {(degree - e[0],): c for e, c in p.terms.items()})
+    return MultiPolynomial(p.vars, {(degree - e[0], *e[1:]): c for e, c in p.terms.items()})
 
 
 class TestSuiteCheck:
@@ -72,18 +72,29 @@ class TestSuiteCheck:
             calls["__pow__"] += 1
             return _pow(p, n)
 
-        def fiber_analyses(members, _fn=w.fiber_analyses):
-            calls["fiber_analyses"] += 1
-            calls["members"] += len(members)
-            return _fn(members)
+        def fiber_analysis(m, _fn=w.fiber_analysis):
+            calls["fiber_analysis"] += 1
+            return _fn(m)
 
         monkeypatch.setattr(MultiPolynomial, "__pow__", power)
-        monkeypatch.setattr(w, "fiber_analyses", fiber_analyses)
+        monkeypatch.setattr(w, "fiber_analysis", fiber_analysis)
         assert suites.run_suite("weierstrass").status == "pass"
-        # one generic model for all 50 members: t^4 in `coefficients`, A^3
-        # and B^2 in the discriminant; 11 more in the substitution check and
-        # 3 in the degeneracy identity
-        assert calls == {"fiber_analyses": 1, "members": 50, "__pow__": 3 + 14}
+        # the generic member and the a = 0 member, then the generic model
+        # once more for its end coefficients: t^4 in `coefficients`, A^3 and
+        # B^2 in the discriminant, three times; 11 more in the substitution
+        # check and 3 in the degeneracy identity
+        assert calls == {"fiber_analysis": 2, "__pow__": 3 * 3 + 14}
+
+    def test_euler_budget_reads_every_member(self, monkeypatch):
+        # the t^7 coefficient of B vanishes at a = -1/1000, where the model
+        # is not minimal; no generic valuation sees it, the end coefficients do
+        monkeypatch.setattr(w, "coefficients",
+                            lambda a, b, t: (a * t**4, -(t**5 + b * t**6 + (1 + 1000 * a) * t**7)))
+        with pytest.raises(ValueError, match="not minimal"):
+            w.fiber_analysis(w.FamilyMember(Fraction(-1, 1000), Fraction(0)))
+        checks = {c.id: c for c in suites.run_suite("weierstrass").checks}
+        assert checks["weierstrass.euler_budget"].status == "fail"
+        assert "end t-coefficients" in checks["weierstrass.euler_budget"].witness
 
 
 class TestKodairaTable:
@@ -150,52 +161,38 @@ class TestFiberAnalysis:
             checked += 1
 
 
-def _member_by_member(m):
-    """The fiber analysis from the member's own model, its discriminant
-    expanded in full: the reference for `fiber_analyses`."""
-    model = w.to_weierstrass(m)
-    delta = model.discriminant()
-    at_zero = w.kodaira_type(w._order_at_zero(model.A), w._order_at_zero(model.B),
-                             w._order_at_zero(delta))
-    at_infinity = w.kodaira_type(w._order_at_infinity(model.A, 8),
-                                 w._order_at_infinity(model.B, 12),
-                                 w._order_at_infinity(delta, 24))
-    extra = delta.total_degree() - w._order_at_zero(delta)
-    return w.FiberAnalysis(at_zero, at_infinity, extra,
-                           at_zero.euler_contribution + at_infinity.euler_contribution + extra)
+II_STAR = w.KodairaType("II*")
+BUDGET = w.FiberAnalysis(II_STAR, II_STAR, 4, 24)
 
 
 class TestFiberAnalyses:
+    """Fiber analyses of particular members against the generic one."""
+
     def test_suite_members(self):
-        # the members of the weierstrass.euler_budget check
+        # the members the weierstrass.euler_budget check once sampled
         rng = random.Random(99)
-        members = []
-        while len(members) < 50:
-            member = w.FamilyMember(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
-                                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
-            if not w.is_degenerate(member):
-                members.append(member)
-        assert w.fiber_analyses(members) == [_member_by_member(m) for m in members]
+        members = [w.FamilyMember(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                                  Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+                   for _ in range(50)]
+        generic = w.fiber_analysis(w.GENERIC)
+        assert generic == BUDGET
+        assert all(w.fiber_analysis(m) == generic for m in members)
 
     def test_special_members(self):
         # a = 0 empties A; (-3, 4) is degenerate: x^3 - 3x + 2 = (x - 1)^2 (x + 2)
         members = [w.FamilyMember(Fraction(0), Fraction(b)) for b in (0, 1, -5)]
         members.append(w.FamilyMember(Fraction(-3), Fraction(4)))
         assert w.is_degenerate(members[-1])
-        assert w.fiber_analyses(members) == [_member_by_member(m) for m in members]
-        assert w.fiber_analysis(members[-1]) == _member_by_member(members[-1])
-
-    def test_no_members(self):
-        assert w.fiber_analyses([]) == []
+        assert [w.fiber_analysis(m) for m in members] == [BUDGET] * 4
 
     def test_reads_the_library_model(self, monkeypatch):
-        # A = a t^3: ord(A) = 3 at zero gives III*, and the orders at
-        # infinity move with it
+        # A = a t^3: ord(A) = 3 at zero gives III* and ord(delta) = 9, and
+        # at infinity ord(A) = 8 - 3 = 5 leaves II*
         monkeypatch.setattr(w, "coefficients",
                             lambda a, b, t: (a * t**3, -(t**5 + b * t**6 + t**7)))
         member = w.FamilyMember(Fraction(2), Fraction(1, 3))
-        assert w.fiber_analyses([member]) == [_member_by_member(member)]
-        assert str(w.fiber_analysis(member).at_zero) == "III*"
+        assert w.fiber_analysis(member) == w.FiberAnalysis(
+            w.KodairaType("III*"), II_STAR, 5, 24)
 
 
 class TestDegeneration:
