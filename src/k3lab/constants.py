@@ -94,8 +94,8 @@ Y1_DEN = (
     u1 * v1 * (u2 - v2) ** 3 * (u1 - v1) ** 3 * v2**3 * (u1 - l1 * v1) ** 3 * u2
 )
 
-# Fitted normalization of y1^2 under the conventions above; recomputed from
-# scratch by shioda_inose.fit_kappa and asserted to equal this.
+# Normalization of y1^2 under the conventions above: the cubic relation
+# below holds with this value and with no other (identities.master_cubic).
 KAPPA = Fraction(1)
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,6 @@ B_SQUARED_SCALE = Fraction(4, 729)  # times prod ((li+1)(li-2)(2li-1))^2 / (..)^
 
 A_CUBED_J_DIVISOR = 110592  # 48^3; a^3 = -j1 j2 / 110592
 B_SQUARED_J_DIVISOR = 746496  # 864^2; b^2 = (j1-1728)(j2-1728) / 746496
-A_J_ROOT_DIVISOR = 48
-B_J_ROOT_DIVISOR = 864
 
 # ---------------------------------------------------------------------------
 # Divisor classes on the Kummer surface of E1 x E2, in the (a, b); A

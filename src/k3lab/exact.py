@@ -8,8 +8,9 @@ zero iff the map is empty.
 Coefficients are ``int`` or ``fractions.Fraction``; the two interoperate, and
 an integral coefficient is always stored as ``int``, so integer-only inputs
 stay integer, which keeps the large expansions fast.
-Rational functions are never reduced; equality is decided by
-cross-multiplication, which avoids multivariate gcd entirely.
+Rational functions are never reduced; equality is decided by comparing
+numerators over a shared denominator, else by cross-multiplication, which
+avoids multivariate gcd entirely.
 
     >>> u, v = variables("u", "v")
     >>> ((u + v) ** 2 - u**2 - 2 * u * v - v**2).is_zero()
@@ -270,8 +271,9 @@ def variables(*names: str) -> tuple[MultiPolynomial, ...]:
 class RationalFunction:
     """Quotient of two polynomials; the denominator must be nonzero.
 
-    No reduction is ever performed. Equality is by cross-multiplication:
-    f == g iff f.num * g.den - g.num * f.den is the zero polynomial.
+    No reduction is ever performed. Equality is by comparing numerators over
+    a shared denominator, else by cross-multiplication: f == g iff
+    f.num * g.den - g.num * f.den is the zero polynomial.
     """
 
     num: MultiPolynomial
@@ -285,16 +287,25 @@ class RationalFunction:
     def from_poly(cls, p: MultiPolynomial) -> "RationalFunction":
         return cls(p, MultiPolynomial.constant(p.vars, 1))
 
-    def __mul__(self, other) -> "RationalFunction":
+    def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
             other = MultiPolynomial.constant(self.num.vars, other)
         if isinstance(other, MultiPolynomial):
             other = RationalFunction.from_poly(other)
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            raise TypeError(f"cannot combine a rational function with {other!r}")
+        return other
+
+    def __mul__(self, other) -> "RationalFunction":
+        other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __sub__(self, other) -> "RationalFunction":
+        other = self._coerce(other)
+        return RationalFunction(self.num * other.den - other.num * self.den,
+                                self.den * other.den)
 
     def __pow__(self, n: int) -> "RationalFunction":
         return RationalFunction(self.num**n, self.den**n)
@@ -306,6 +317,8 @@ class RationalFunction:
         return self.num.evaluate(point) / den
 
     def equals(self, other: "RationalFunction") -> bool:
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
 

@@ -18,7 +18,8 @@ Conventions (pinned by the cubic relation; see constants.py):
   along the section tree;
 * z + 1/z = 2*(H_minus - H_plus)/H_inf, so the z = 1 fiber is the one cut
   by H_minus;
-* y1^2 carries the normalization constant KAPPA (fitted, equal to 1).
+* y1^2 carries the normalization constant KAPPA = 1; the cubic relation
+  holds with it and fails with any other value.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 
 import mpmath
 
 from . import constants as c
 from . import modular as md
 from .errors import DomainError
-from .exact import (
-    MultiPolynomial,
-    RationalFunction,
-    clear_denominators,
-)
+from .exact import MultiPolynomial, RationalFunction, clear_denominators, variables
 
 _ONE = MultiPolynomial.constant(c.FIBRATION_VARS, 1)
 
@@ -114,34 +112,6 @@ def verify_master_identity(kappa: Fraction) -> bool:
     return clear_denominators(terms).is_zero()
 
 
-_FIT_POINTS = (
-    {"u1": 2, "v1": 1, "u2": 3, "v2": 1, "l1": 5, "l2": 7},
-    {"u1": 3, "v1": 2, "u2": 5, "v2": 3, "l1": Fraction(7, 2), "l2": Fraction(11, 3)},
-)
-
-
-def fit_kappa() -> Fraction:
-    """Solve the cubic relation for the y1^2 normalization constant.
-
-    Fits at one generic rational point and confirms at a second; raises if
-    no single nonzero constant fits both.  The symbolic identity itself is
-    `verify_master_identity`'s to decide.
-    """
-    values = []
-    for pt in _FIT_POINTS:
-        # kappa multiplies only the fifth term, y1^2: one evaluation at kappa = 1
-        terms = _identity_terms(1, lambda p: p.evaluate(pt), Fraction)
-        y_part = terms.pop(4)
-        if y_part == 0:
-            raise ValueError("degenerate fit point: y1^2 vanishes")
-        values.append(-sum(terms) / y_part)
-    if values[0] != values[1]:
-        raise ValueError(f"no single constant fits: {values}")
-    if values[0] == 0:
-        raise ValueError("the fitted constant is zero")
-    return values[0]
-
-
 # ---------------------------------------------------------------------------
 # Parameterizations of the family coefficients.
 # ---------------------------------------------------------------------------
@@ -154,10 +124,18 @@ def _check_lambda(l: Fraction) -> Fraction:
     return l
 
 
+def _j_terms(n, d=1) -> tuple:
+    """d^k J_NUM(n/d) and d^k J_DEN(n/d), with k the larger of their degrees:
+    integers for integers n, d, and polynomials for a polynomial n and d = 1."""
+    k = max(c.J_NUM.total_degree(), c.J_DEN.total_degree())
+    return tuple(sum(coeff * n**e * d ** (k - e) for (e,), coeff in p.terms.items())
+                 for p in (c.J_NUM, c.J_DEN))
+
+
 def j_from_lambda(l: Fraction) -> Fraction:
-    """j = 256 (l^2-l+1)^3 / (l^2 (l-1)^2), exact."""
+    """j = J_NUM(l) / J_DEN(l), exact, from integers at l = n/d."""
     l = _check_lambda(l)
-    return 256 * (l**2 - l + 1) ** 3 / (l**2 * (l - 1) ** 2)
+    return Fraction(*_j_terms(l.numerator, l.denominator))
 
 
 @dataclass(frozen=True)
@@ -166,27 +144,40 @@ class AbPowers:
     b_squared: Fraction
 
 
+def _lambda_route(l1, l2, ratio) -> AbPowers:
+    """a^3 and b^2 in (lambda1, lambda2), each a ratio(numerator,
+    denominator): a Fraction at a rational pair with ratio a division, a
+    RationalFunction at the variables l1, l2 with ratio RationalFunction."""
+    denom = (l1 * (l1 - 1) * l2 * (l2 - 1)) ** 2
+    return AbPowers(
+        ratio(c.A_CUBED_SCALE * (l1**2 - l1 + 1) ** 3 * (l2**2 - l2 + 1) ** 3, denom),
+        ratio(c.B_SQUARED_SCALE * ((l1 + 1) * (l1 - 2) * (2 * l1 - 1)) ** 2
+              * ((l2 + 1) * (l2 - 2) * (2 * l2 - 1)) ** 2, denom),
+    )
+
+
 def ab_powers_from_lambda(l1: Fraction, l2: Fraction) -> AbPowers:
     """Branch-free a^3 and b^2 of the family member for (lambda1, lambda2)."""
-    l1, l2 = _check_lambda(l1), _check_lambda(l2)
-    denom = (l1 * (l1 - 1) * l2 * (l2 - 1)) ** 2
-    a3 = c.A_CUBED_SCALE * ((l1**2 - l1 + 1) ** 3 * (l2**2 - l2 + 1) ** 3) / denom
-    b2 = (
-        c.B_SQUARED_SCALE
-        * ((l1 + 1) * (l1 - 2) * (2 * l1 - 1)) ** 2
-        * ((l2 + 1) * (l2 - 2) * (2 * l2 - 1)) ** 2
-        / denom
-    )
-    return AbPowers(a3, b2)
+    return _lambda_route(_check_lambda(l1), _check_lambda(l2), truediv)
 
 
 def ab_powers_from_j(j1, j2) -> AbPowers:
-    """a^3 = -j1 j2 / 48^3 and b^2 = (j1-1728)(j2-1728) / 864^2, for numbers
-    or polynomials."""
+    """a^3 = -j1 j2 / 48^3 and b^2 = (j1-1728)(j2-1728) / 864^2, for numbers,
+    polynomials or rational functions."""
     return AbPowers(
-        -j1 * j2 * Fraction(1, c.A_CUBED_J_DIVISOR),
+        j1 * j2 * Fraction(-1, c.A_CUBED_J_DIVISOR),
         (j1 - 1728) * (j2 - 1728) * Fraction(1, c.B_SQUARED_J_DIVISOR),
     )
+
+
+def route_independence() -> bool:
+    """The lambda route and the j route give the same a^3 and b^2, as
+    rational functions in Q(l1, l2); the j route reads j = J_NUM/J_DEN."""
+    l1, l2 = variables("l1", "l2")
+    via_l = _lambda_route(l1, l2, RationalFunction)
+    via_j = ab_powers_from_j(*(RationalFunction(*_j_terms(l)) for l in (l1, l2)))
+    return (via_l.a_cubed.equals(via_j.a_cubed)
+            and via_l.b_squared.equals(via_j.b_squared))
 
 
 def ab_numeric(j1, j2):
@@ -194,12 +185,14 @@ def ab_numeric(j1, j2):
     the root orbit.
 
     Different root choices give isomorphic surfaces; only a^3 and b^2 are
-    canonical, and those agree with ab_powers_from_j by construction.
+    canonical, and those agree with ab_powers_from_j by construction.  The
+    j-divisors are positive, so they divide under the principal roots.
     """
     with mpmath.workprec(md.PREC_BITS):
         j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
-        a = -(mpmath.power(j1, mpmath.mpf(1) / 3) * mpmath.power(j2, mpmath.mpf(1) / 3)) / c.A_J_ROOT_DIVISOR
-        b = -(mpmath.sqrt(j1 - 1728) * mpmath.sqrt(j2 - 1728)) / c.B_J_ROOT_DIVISOR
+        third = mpmath.mpf(1) / 3
+        a = -mpmath.power(j1 / c.A_CUBED_J_DIVISOR, third) * mpmath.power(j2, third)
+        b = -mpmath.sqrt((j1 - 1728) / c.B_SQUARED_J_DIVISOR) * mpmath.sqrt(j2 - 1728)
         return a, b
 
 

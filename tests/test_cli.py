@@ -13,6 +13,8 @@ import pytest
 
 from k3lab import cli
 from k3lab import constants as cst
+from k3lab import suites
+from k3lab.exact import MultiPolynomial
 
 
 # `python -m k3lab` started here imports the same k3lab as these tests, from a
@@ -52,7 +54,8 @@ KUMMER_MUTATIONS = [
 # the A11 dual vertex moved to (12, -1, -1), the support shift changed, the
 # y^2 vertex correspondence given to y, the xy exponent moved off its point,
 # and the Newton vertices v3 and v4 swapped (the weight relation breaks);
-# last, each j-route divisor of a^3 and b^2 raised by one
+# each j-route divisor of a^3 and b^2 raised by one; last, the numerator and
+# the denominator of j(lambda) raised by one
 CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_MUTATIONS] + [
     pytest.param("lattice", "X_TREE_EDGES",
                  lambda v: tuple(e for e in v if e != ("z0_6", "z0_b")),
@@ -61,7 +64,7 @@ CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_
     pytest.param("lattice", "X_TREE_EDGES",
                  lambda v: tuple(("z0_5", "z0_b") if e == ("z0_6", "z0_b") else e
                                  for e in v),
-                 "e8_sides kernel section_fiber tree_invariants",
+                 "coordinate_curves e8_sides kernel section_fiber tree_invariants",
                  id="X_TREE_EDGES-move"),
     pytest.param("lattice", "X_TREE_NODES", lambda v: ("zz",) + v[1:],
                  "coordinate_curves e8_sides kernel section_fiber tree_invariants",
@@ -81,6 +84,10 @@ CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_
                  "degeneracy_equivalence", id="A_CUBED_J_DIVISOR"),
     pytest.param("weierstrass", "B_SQUARED_J_DIVISOR", lambda v: v + 1,
                  "degeneracy_equivalence", id="B_SQUARED_J_DIVISOR"),
+    pytest.param("identities", "J_NUM", lambda v: v + 1,
+                 "j1728_factorization route_independence", id="J_NUM"),
+    pytest.param("identities", "J_DEN", lambda v: v + 1,
+                 "j1728_factorization route_independence", id="J_DEN"),
 ]
 
 
@@ -291,6 +298,7 @@ class TestVerifyCommand:
         ("STAR_FIBER_2", "kummer.star_fibers"),
         ("GENUS1_CHAIN_WEIGHTS", "lattice.coordinate_curves"),
         ("GENUS1_BRANCH_WEIGHT", "lattice.coordinate_curves"),
+        ("GENUS2_BRANCH_WEIGHT", "lattice.coordinate_curves"),
         ("GENUS2_SECTION_WEIGHT", "lattice.coordinate_curves"),
         ("E8_AFFINE_CHAIN_WEIGHTS", "lattice.kernel lattice.section_fiber"),
         ("E8_AFFINE_BRANCH_WEIGHT", "lattice.kernel lattice.section_fiber"),
@@ -321,6 +329,47 @@ class TestVerifyCommand:
         assert code == 1
         failed = set(re.findall(rf"^FAIL {suite}\.(\w+):", out, re.MULTILINE))
         assert failed == set(failing.split())
+
+
+def _sweep_mutation(value):
+    """A constant raised by one: a number +1, a polynomial plus its first
+    variable, the first entry of a numeric tuple or matrix +1; None for a
+    label table, whose mutations are the hand-picked rows above."""
+    if isinstance(value, (int, Fraction)):
+        return value + 1
+    if isinstance(value, MultiPolynomial):
+        return value + MultiPolynomial.variable(value.vars, value.vars[0])
+    if isinstance(value, tuple) and isinstance(value[0], int):
+        return (value[0] + 1,) + value[1:]
+    if isinstance(value, tuple) and all(isinstance(x, int) for x in value[0]):
+        return ((value[0][0] + 1,) + value[0][1:],) + value[1:]
+    return None
+
+
+SWEPT = [name for name in dir(cst)
+         if name.isupper() and _sweep_mutation(getattr(cst, name)) is not None]
+LABEL_TABLES = {
+    "BRANCH_OCTET", "E8_FIBER_WEIGHTS", "FIBRATION_VARS", "STAR_FIBER_1", "STAR_FIBER_2",
+    "SUPPORT_MONOMIALS", "SUPPORT_VERTEX_MAP", "TWENTY_EDGES", "TWENTY_LABELS",
+    "X_TREE_EDGES", "X_TREE_NODES",
+}
+# warm cost per run: about 2 ms each for weierstrass and toric, 4-5 ms for
+# kummer, lattice and modular, 100 ms for identities
+SWEEP_ORDER = ("weierstrass", "toric", "kummer", "lattice", "modular", "identities")
+
+
+class TestMutationSweep:
+    def test_only_label_tables_are_left_out(self):
+        upper = {name for name in dir(cst) if name.isupper()}
+        assert upper - set(SWEPT) == LABEL_TABLES
+
+    @pytest.mark.parametrize("name", SWEPT)
+    def test_mutation_flips_a_check(self, monkeypatch, name):
+        monkeypatch.setattr(cst, name, _sweep_mutation(getattr(cst, name)))
+        for suite in SWEEP_ORDER:
+            if suites.run_suite(suite).status == "fail":
+                return
+        pytest.fail(f"{name}, mutated, flips no check")
 
 
 class TestReportCommand:

@@ -65,6 +65,23 @@ class TestRatfuncEqual:
     def test_unequal(self):
         assert not rf(u1, v1).equals(rf(v1, u1))
 
+    def test_shared_denominator(self):
+        assert rf(u1 + v1, u2).equals(rf(v1 + u1, u2))
+        assert not rf(u1, u2).equals(rf(v1, u2))
+
+
+class TestRatfuncArithmetic:
+    def test_difference(self):
+        # u1/v1 - u2/v2 = (u1 v2 - u2 v1)/(v1 v2), by hand
+        assert (rf(u1, v1) - rf(u2, v2)).equals(rf(u1 * v2 - u2 * v1, v1 * v2))
+
+    def test_difference_with_constant(self):
+        assert (rf(u1, v1) - 3).equals(rf(u1 - 3 * v1, v1))
+        assert (rf(u1, v1) - Fraction(1, 2)).equals(rf(2 * u1 - v1, 2 * v1))
+
+    def test_product_with_constant(self):
+        assert (rf(u1, v1) * Fraction(1, 3)).equals(rf(u1, 3 * v1))
+
 
 class TestCubicDiscriminant:
     def test_triple_root(self):

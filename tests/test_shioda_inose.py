@@ -131,9 +131,6 @@ class TestMasterIdentity:
         x1 = RationalFunction(c.X1_NUM, c.X1_DEN)
         assert x1.evaluate(pt) == c.X1_NUM.evaluate(pt) / c.X1_DEN.evaluate(pt)
 
-    def test_fitted_kappa_matches_frozen(self):
-        assert si.fit_kappa() == c.KAPPA
-
     def test_spot_checks_before_symbolic(self):
         rng = random.Random(13)
         for _ in range(10):
@@ -181,6 +178,17 @@ class TestJFromLambda:
 
     def test_quarter(self):
         assert si.j_from_lambda(Fraction(1, 4)) == Fraction(35152, 9)
+
+    def test_matches_the_transcribed_quotient(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            l = si.random_lambda(rng)
+            point = {"l": l}
+            assert si.j_from_lambda(l) == c.J_NUM.evaluate(point) / c.J_DEN.evaluate(point)
+
+    def test_reads_j_num(self, monkeypatch):
+        monkeypatch.setattr(c, "J_NUM", c.J_NUM + 1)
+        assert si.j_from_lambda(Fraction(1, 4)) == Fraction(35152, 9) + Fraction(256, 9)
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_forbidden(self, bad):
@@ -260,6 +268,15 @@ class TestAbPowers:
         )
         assert b2.equals(b2_j)
 
+    def test_route_independence_exact(self):
+        assert si.route_independence()
+
+    @pytest.mark.parametrize("name", ["J_NUM", "J_DEN", "A_CUBED_SCALE", "B_SQUARED_SCALE",
+                                      "A_CUBED_J_DIVISOR", "B_SQUARED_J_DIVISOR"])
+    def test_route_independence_fails_on_mutation(self, name, monkeypatch):
+        monkeypatch.setattr(c, name, getattr(c, name) + 1)
+        assert not si.route_independence()
+
     def test_swap_symmetry(self):
         rng = random.Random(19)
         for _ in range(10):
@@ -272,6 +289,21 @@ class TestAbPowers:
 
 
 class TestAbNumeric:
+    @pytest.mark.parametrize("j1,j2", [
+        (-1728, 5), (Fraction(-3, 7), -20000), (mpmath.mpc(-3302.5, 0.25), 10**9),
+        (mpmath.mpc(2, -7), mpmath.mpc(-8914, -1e-30)), (0, 1728),
+    ])
+    def test_divisors_inside_the_roots(self, j1, j2):
+        # the same principal branches as the roots 48 and 864 outside them
+        a, b = si.ab_numeric(j1, j2)
+        with mpmath.workprec(256):
+            j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
+            third = mpmath.mpf(1) / 3
+            a_out = -mpmath.power(j1, third) * mpmath.power(j2, third) / 48
+            b_out = -mpmath.sqrt(j1 - 1728) * mpmath.sqrt(j2 - 1728) / 864
+            assert abs(a - a_out) <= mpmath.mpf(2) ** -240 * max(1, abs(a))
+            assert abs(b - b_out) <= mpmath.mpf(2) ** -240 * max(1, abs(b))
+
     def test_principal_harmonic(self):
         a, b = si.ab_numeric(1728, 1728)
         assert abs(a - (-3)) < mpmath.mpf(10) ** -70
