@@ -1,9 +1,10 @@
 """Every transcribed input constant, collected in one auditable place.
 
 Whatever is checked elsewhere in the package is *built* from the data below:
-the defining polynomials of the double-cover model in Legendre parameters,
-the divisor-class tables on the Kummer surface, the two curve-incidence
-graphs, and the reflexive simplex with its hypersurface monomial support.
+the defining polynomials of the double-cover model in Legendre parameters
+(the Kummer classes are read off them), the labels of the Kummer curves,
+the two curve-incidence graphs, and the reflexive simplex with its
+hypersurface monomial support.
 Mutating any single entry here must flip the verification suite to failure;
 the CLI test suite exercises exactly that.
 
@@ -76,8 +77,8 @@ def h_minus() -> MultiPolynomial:
 # second fibration, normalized by the cubic relation below).
 #
 # Its numerator is the negated C2-curve polynomial.  This is forced: the
-# numerator must be a bidegree-(2,2) form vanishing simply at the four
-# blown-up points indexed (1,3), (4,3), (2,1), (2,2) and doubly at (3,4)
+# numerator must be a bidegree-(2,2) form vanishing simply at the five
+# blown-up points indexed (1,2), (1,3), (4,3), (2,1), (2,2) and doubly at (3,4)
 # (the class of the section-tree divisor), and the cubic relation pins the
 # normalization inside that pencil to exactly -C2_POLY.  A member of any
 # other coefficient choice fails the vanishing profile and makes x1 a
@@ -132,61 +133,9 @@ A_CUBED_J_DIVISOR = 110592  # 48^3; a^3 = -j1 j2 / 110592
 B_SQUARED_J_DIVISOR = 746496  # 864^2; b^2 = (j1-1728)(j2-1728) / 746496
 
 # ---------------------------------------------------------------------------
-# Divisor classes on the Kummer surface of E1 x E2, in the (a, b); A
-# representation: a*F1 + b*F2 + sum_ij A[i][j] * G_ij.
-#
-# The eight half-fiber curves are represented with half-integer entries,
-#   F_1i = (1/2, 0; row i all -1/2),   F_2j = (0, 1/2; column j all -1/2),
-# the unique choice compatible with the Picard relations
-#   F1 = 2*F_1i + sum_j G_ij   and   F2 = 2*F_2j + sum_i G_ij
-# and with integrality of all pairings.
+# Curve labels on the Kummer surface; kummer.named_classes reads the classes
+# of C1..C4, of D and of the E8-type fiber off the polynomials above.
 # ---------------------------------------------------------------------------
-
-# Class of the second elliptic fibration: 3F1 + 4F2 - G11 - G12 - 2G13
-#   - 2G21 - 2G22 - 3G34 - G43.
-D_F1, D_F2 = 3, 4
-D_MATRIX = (
-    (-1, -1, -2, 0),
-    (-2, -2, 0, 0),
-    (0, 0, 0, -3),
-    (0, 0, -1, 0),
-)
-
-# (row, column) index triples of the two (1,1)-curves C1 and C3
-C1_NODES = ((1, 3), (2, 2), (3, 4))
-C3_NODES = ((1, 3), (2, 1), (3, 4))
-
-# C4 transcribed directly: 2F1 + 2F2 - G11 - G13 - G22 - G21 - G43 - 2G34
-C4_F1, C4_F2 = 2, 2
-C4_MATRIX = (
-    (-1, 0, -1, 0),
-    (-1, -1, 0, 0),
-    (0, 0, 0, -2),
-    (0, 0, -1, 0),
-)
-
-# C2 as displayed:
-# 2F1 + 2F2 - G12 - G13 - G21 - G22 - G43 - 2G34
-C2_F1, C2_F2 = 2, 2
-C2_MATRIX = (
-    (0, -1, -1, 0),
-    (-1, -1, 0, 0),
-    (0, 0, 0, -2),
-    (0, 0, -1, 0),
-)
-
-# Multiplicities of the nine-component E8-type fiber of |D|
-E8_FIBER_WEIGHTS = (
-    ("F1_1", 2),
-    ("G1_4", 4),
-    ("G4_4", 3),
-    ("F2_4", 6),
-    ("G2_4", 5),
-    ("F1_2", 4),
-    ("G2_3", 3),
-    ("F2_3", 2),
-    ("G3_3", 1),
-)
 
 # The two star-shaped fibers of |D| (each sums to D; the hub has weight 2)
 STAR_FIBER_1 = (("C1", 1), ("C2", 1), ("G3_1", 1), ("G4_1", 1), ("F2_1", 2))

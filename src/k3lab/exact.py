@@ -238,10 +238,6 @@ class MultiPolynomial:
         idx = [self.vars.index(w) for w in names]
         return all(sum(e[i] for i in idx) == degree for e in self.terms)
 
-    def divisible_by_variable(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return all(e[i] >= 1 for e in self.terms)
-
     def coefficient_items(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in a deterministic (sorted) order."""
         return sorted(self.terms.items())

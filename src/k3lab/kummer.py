@@ -16,32 +16,43 @@ F1 = 2 F_1i + sum_j G_ij and F2 = 2 F_2j + sum_i G_ij and with integral
 pairings (a representation with first slots (1,0)/(0,1) breaks both).
 
 Index dictionary: G_ij meets F_1i and F_2j; on the two projective lines the
-four branch values are ordered (0, infinity, 1, lambda), the second factor
-indexed by i and the first by j.
+four branch values are ordered (0, infinity, 1, lambda) -> 1 ... 4, the
+second factor (u2:v2, lambda = l2) indexed by i and the first (u1:v1,
+lambda = l1) by j.
+
+Every curve class is read off its polynomial P in constants, of degree d1
+in (u1:v1) and d2 in (u2:v2), by one rule,
+class(P) = d2*F1 + d1*F2 - sum_ij mult_ij(P)*G_ij, with mult_ij(P) the order
+of P at the branch point (i, j).  Orders are minima of exponents once branch
+values sit at u = 0 (`_moved`), decided in Q[l1, l2]: along a branch line
+the least u-exponent, at a point the least (u1 + u2)-exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import constants as c
+from .exact import MultiPolynomial
 from .lattice import GramLattice, curve_gram, direct_sum, induced_gram, matrix_rank
+
+# branch values, the G_ij in coordinate order, and the (u, v, lambda) exponent
+# slots of each factor in FIBRATION_VARS
+_BRANCH = range(1, 5)
+_GRID = tuple((i, j) for i in _BRANCH for j in _BRANCH)
+_SLOTS = {1: (0, 1, 4), 2: (2, 3, 5)}
 
 KUMMER_LATTICE = direct_sum(
     GramLattice(("F1", "F2"), ((0, 2), (2, 0))),
-    *(GramLattice((f"G{i}_{j}",), ((-2,),)) for i in range(1, 5) for j in range(1, 5)),
+    *(GramLattice((f"G{i}_{j}",), ((-2,),)) for i, j in _GRID),
 )
 
 
 def pair(x, y) -> Fraction:
     """Symmetric bilinear intersection pairing."""
     return KUMMER_LATTICE.pairing(x, y)
-
-
-def _vector(f1, f2, matrix) -> tuple:
-    """The coordinate vector of f1*F1 + f2*F2 + sum_ij matrix[i][j]*G_ij."""
-    return (f1, f2, *(x for row in matrix for x in row))
 
 
 def combination(gens: dict, weights) -> tuple:
@@ -61,45 +72,107 @@ def standard_generators() -> dict:
     gens = {lab: (0,) * k + (1,) + (0,) * (n - 1 - k)
             for k, lab in enumerate(KUMMER_LATTICE.labels)}
     half = Fraction(1, 2)
-    ks = range(1, 5)
-    for i in ks:
-        gens[f"F1_{i}"] = combination(gens, [("F1", half)] + [(f"G{i}_{j}", -half) for j in ks])
-    for j in ks:
-        gens[f"F2_{j}"] = combination(gens, [("F2", half)] + [(f"G{i}_{j}", -half) for i in ks])
+    for k in _BRANCH:
+        gens[f"F1_{k}"] = (half, 0, *(-half if i == k else 0 for i, _ in _GRID))
+        gens[f"F2_{k}"] = (0, half, *(-half if j == k else 0 for _, j in _GRID))
     return gens
 
 
-def one_one_curve_class(gens: dict, rows, cols) -> tuple:
-    """F1 + F2 - G_{r1,c1} - G_{r2,c2} - G_{r3,c3}, self-intersection -2,
-    over the generator table `gens`."""
-    rows, cols = tuple(rows), tuple(cols)
-    if len(set(rows)) != 3 or len(set(cols)) != 3:
-        raise ValueError("row and column indices must each be distinct triples")
-    return combination(gens,
-                       [("F1", 1), ("F2", 1)] + [(f"G{r}_{s}", -1) for r, s in zip(rows, cols)])
+def _moved(terms: dict, factor: int, k: int) -> dict:
+    """The exponent map `terms` with branch value k of one factor moved to
+    u = 0: u <-> v for infinity, u -> u + v for 1, u -> u + lambda*v for lambda."""
+    u, v, lam = _SLOTS[factor]
+    if k == 1:
+        return terms
+    if k == 2:
+        return {e[:u] + (e[v], e[u]) + e[v + 1:]: x for e, x in terms.items()}
+    out: dict = {}
+    for e, x in terms.items():
+        for m in range(e[u] + 1):
+            f = list(e)
+            f[u] -= m
+            f[v] += m
+            if k == 4:
+                f[lam] += m
+            f = tuple(f)
+            out[f] = out.get(f, 0) + comb(e[u], m) * x
+    return {e: x for e, x in out.items() if x}
+
+
+def _bidegree(p: MultiPolynomial) -> tuple:
+    """(d1, d2), the degrees of p in (u1:v1), (u2:v2); raises unless p is bihomogeneous."""
+    d1, d2 = next(((e[0] + e[1], e[2] + e[3]) for e in p.terms), (0, 0))
+    if not (p.terms and p.vars == c.FIBRATION_VARS and p.is_homogeneous_in(("u1", "v1"), d1)
+            and p.is_homogeneous_in(("u2", "v2"), d2)):
+        raise ValueError("not a nonzero bihomogeneous polynomial over FIBRATION_VARS")
+    return d1, d2
+
+
+def line_orders(p: MultiPolynomial, factor: int) -> list:
+    """The orders of p along the branch lines of factor 1 (u1:v1) or 2 (u2:v2)."""
+    u = _SLOTS[factor][0]
+    return [min(e[u] for e in _moved(p.terms, factor, k)) for k in _BRANCH]
+
+
+def curve_class(p: MultiPolynomial) -> tuple:
+    """The coordinate vector of class(p).  The second move keeps u1-exponents,
+    so it runs on one u1-exponent a at a time while a < the least order yet."""
+    d1, d2 = _bidegree(p)
+    mult = {}
+    for j in _BRANCH:
+        by_u1: dict = {}
+        for e, x in _moved(p.terms, 1, j).items():
+            by_u1.setdefault(e[0], {})[e] = x
+        for i in _BRANCH:
+            order = d1 + d2
+            for a in sorted(by_u1):
+                if a >= order:
+                    break
+                order = min(order, a + min(e[2] for e in _moved(by_u1[a], 2, i)))
+            mult[i, j] = order
+    return (d2, d1, *(-mult[ij] for ij in _GRID))
+
+
+def _h_inf_lines() -> tuple:
+    """The bidegree of H_INF and its line orders on each factor; raises unless
+    H_INF is a product of branch lines, so mult_ij(H_INF) = rows[i] + cols[j]."""
+    d1, d2 = _bidegree(c.H_INF)
+    rows, cols = line_orders(c.H_INF, 2), line_orders(c.H_INF, 1)
+    if (sum(rows), sum(cols)) != (d2, d1):
+        raise ValueError("H_INF is not a product of branch lines")
+    return d1, d2, rows, cols
 
 
 def named_classes() -> dict:
-    """All generators plus C1..C4 and the fibration class D.
-
-    C1 and C3 are the (1,1)-curves through the index triples recorded in
-    constants; C2, C4 and D are their transcribed expansions, so both star
-    fibers are decided from transcriptions.
-    """
+    """All generators plus C1..C4 and the class D of the pencil <H_INF,
+    H_plus, H_minus> (identities.h_sum): base_ij = min(mult_ij(H_INF),
+    mult_ij(H_plus)), the orders of H_plus = u1*C1_POLY*C2_POLY added up."""
     gens = standard_generators()
-    gens["C1"] = one_one_curve_class(gens, *zip(*c.C1_NODES))
-    gens["C2"] = _vector(c.C2_F1, c.C2_F2, c.C2_MATRIX)
-    gens["C3"] = one_one_curve_class(gens, *zip(*c.C3_NODES))
-    gens["C4"] = _vector(c.C4_F1, c.C4_F2, c.C4_MATRIX)
-    gens["D"] = _vector(c.D_F1, c.D_F2, c.D_MATRIX)
+    for k in range(1, 5):
+        gens[f"C{k}"] = curve_class(getattr(c, f"C{k}_POLY"))
+    d1, d2, rows, cols = _h_inf_lines()
+    plus = [-sum(x) for x in zip(curve_class(c.u1), gens["C1"], gens["C2"])]
+    gens["D"] = (d2, d1, *(-min(m, rows[i - 1] + cols[j - 1])
+                           for (i, j), m in zip(_GRID, plus[2:])))
     return gens
 
 
+def e8_fiber_weights(gens: dict) -> list:
+    """The components of the E8-type fiber over H_INF = 0 with their weights,
+    for the `named_classes` table `gens`: F_1i weighs 2*rows[i], F_2j
+    2*cols[j] and G_ij mult_ij(H_INF) - base_ij, so they sum to D."""
+    _, _, rows, cols = _h_inf_lines()
+    weights = ([(f"F1_{i}", 2 * r) for i, r in zip(_BRANCH, rows)]
+               + [(f"F2_{j}", 2 * r) for j, r in zip(_BRANCH, cols)]
+               + [(f"G{i}_{j}", rows[i - 1] + cols[j - 1] + x)
+                  for (i, j), x in zip(_GRID, gens["D"][2:])])
+    return [(label, w) for label, w in weights if w]
+
+
 def verify_e8_fiber(gens: dict) -> bool:
-    """The weighted nine-curve sum equals D and every component is
-    D-orthogonal, over the `named_classes` table `gens`."""
-    return (all(pair(gens["D"], gens[label]) == 0 for label, _ in c.E8_FIBER_WEIGHTS)
-            and combination(gens, c.E8_FIBER_WEIGHTS) == gens["D"])
+    """Every E8-fiber component of the `named_classes` table `gens` is D-orthogonal."""
+    components = [gens[label] for label, _ in e8_fiber_weights(gens)]
+    return not any(KUMMER_LATTICE.pairings([gens["D"]], components)[0])
 
 
 def verify_star_fibers(gens: dict) -> bool:
@@ -168,16 +241,3 @@ def isogeny_fiber_numbers(n: int) -> IsogenyFiberNumbers:
         rx_square=rx_square,
         generator_square=rx_square // 4,
     )
-
-
-def integrality_report(gens: dict) -> bool:
-    """Every class of the `named_classes` table `gens` pairs integrally with
-    the 24 standard generators G_ij, F_1i and F_2j.
-
-    Pairing with G_ij is -2 A_ij and with F_1i is b + sum_j A_ij, so this
-    also forces every coordinate into (1/2)Z.
-    """
-    probes = [v for k, v in gens.items() if k.startswith(("G", "F1_", "F2_"))]
-    return all(p.denominator == 1
-               for row in KUMMER_LATTICE.pairings(list(gens.values()), probes) for p in row)
-

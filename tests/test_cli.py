@@ -28,21 +28,23 @@ def run_main(argv, capsys):
     return code, out.out, out.err
 
 
-# (constant, mutation, the kummer checks it must fail): the last node moved
-# to (4, 4), the first coefficient raised by one, the first label or edge
-# redirected, the last octet curve swapped for a half-fiber
+# (constant, mutation, the kummer checks it must fail): one coefficient of
+# each curve polynomial moved, keeping its bidegree, and one line factor of
+# H_INF traded for another; the first label or edge redirected, the last
+# octet curve swapped for a half-fiber
 KUMMER_MUTATIONS = [
-    ("C1_NODES", lambda v: v[:-1] + ((4, 4),),
+    ("C1_POLY", lambda v: v + cst.v1 * cst.u2,  # (l1 - 1) v1 u2 -> l1 v1 u2
+     "branch_octet d_class e8_fiber labeled_tree star_fibers"),
+    ("C2_POLY", lambda v: v + cst.u1**2 * cst.u2 * cst.v2,  # (l2 - 1) -> l2
+     "branch_octet d_class e8_fiber labeled_tree star_fibers"),
+    ("C3_POLY", lambda v: v + cst.u1 * cst.u2,  # (l1 - 1) u1 u2 -> l1 u1 u2
      "branch_octet labeled_tree star_fibers"),
-    ("C3_NODES", lambda v: v[:-1] + ((4, 4),),
+    ("C4_POLY", lambda v: v + cst.u1**2 * cst.v2**2,  # (l1 - 1) -> l1
      "branch_octet labeled_tree star_fibers"),
-    ("C4_F1", lambda v: v + 1, "branch_octet labeled_tree star_fibers"),
-    ("C4_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:],
-     "branch_octet labeled_tree star_fibers"),
-    ("C2_F2", lambda v: v + 1, "branch_octet labeled_tree star_fibers"),
-    ("C2_MATRIX", lambda v: ((v[0][0] + 1,) + v[0][1:],) + v[1:],
-     "branch_octet labeled_tree star_fibers"),
-    ("D_F1", lambda v: v + 1, "d_class e8_fiber star_fibers"),
+    ("H_INF",  # (u1 - l1 v1)^3 (u1 - v1) -> (u1 - l1 v1)^2 (u1 - v1)^2
+     lambda v: (cst.l2 - 1) * (cst.u1 - cst.l1 * cst.v1) ** 2 * (cst.u1 - cst.v1) ** 2
+     * cst.u2 * cst.v2**2,
+     "d_class e8_fiber star_fibers"),
     ("TWENTY_EDGES", lambda v: (("C1", "F2_2"),) + v[1:], "labeled_tree"),
     ("TWENTY_LABELS", lambda v: ("G1_1",) + v[1:], "labeled_tree"),
     ("BRANCH_OCTET", lambda v: v[:-1] + ("F2_1",), "branch_octet"),
@@ -277,12 +279,29 @@ class TestVerifyCommand:
         assert "FAIL identities.h_sum" in out
 
     def test_mutated_divisor_matrix_flips_kummer(self, capsys, monkeypatch):
-        rows = [list(r) for r in cst.D_MATRIX]
-        rows[0][0] = 0
-        monkeypatch.setattr(cst, "D_MATRIX", tuple(tuple(r) for r in rows))
+        # D's matrix is read off H_INF: a line factor (u1 - v1) traded for
+        # (u1 - l1 v1) moves its base points
+        mutated = cst.H_INF.divide_exact(cst.u1 - cst.v1) * (cst.u1 - cst.l1 * cst.v1)
+        monkeypatch.setattr(cst, "H_INF", mutated)
         code, out, _ = run_main(["verify", "--suite", "kummer"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert "FAIL kummer.d_class" in out
+
+    @pytest.mark.parametrize("name,mutated", [
+        ("C3_POLY", cst.C3_POLY + cst.u1),
+        ("H_INF", cst.H_INF.divide_exact(cst.u1 - cst.v1) * (cst.u1 - 2 * cst.v1)),
+    ])
+    def test_unreadable_polynomial_fails_inside_checks(self, capsys, monkeypatch,
+                                                        name, mutated):
+        # a polynomial that is not bihomogeneous, and an H_INF with a line
+        # factor off the branch values, fail every check that reads a class
+        monkeypatch.setattr(cst, name, mutated)
+        code, out, err = run_main(["verify", "--suite", "kummer"], capsys)
+        assert code == 1
+        assert not err
+        failed = set(re.findall(r"^FAIL kummer\.(\w+):.*raised ValueError", out, re.MULTILINE))
+        assert failed == {"branch_octet", "d_class", "e8_fiber", "labeled_tree", "star_fibers"}
+        assert "PASS kummer.isogeny_numbers" in out
 
     def test_mutated_vertex_flips_toric(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -293,7 +312,6 @@ class TestVerifyCommand:
         assert "FAIL toric.dual" in out
 
     @pytest.mark.parametrize("name,check", [
-        ("E8_FIBER_WEIGHTS", "kummer.e8_fiber"),
         ("STAR_FIBER_1", "kummer.star_fibers"),
         ("STAR_FIBER_2", "kummer.star_fibers"),
         ("GENUS1_CHAIN_WEIGHTS", "lattice.coordinate_curves"),
@@ -349,7 +367,7 @@ def _sweep_mutation(value):
 SWEPT = [name for name in dir(cst)
          if name.isupper() and _sweep_mutation(getattr(cst, name)) is not None]
 LABEL_TABLES = {
-    "BRANCH_OCTET", "E8_FIBER_WEIGHTS", "FIBRATION_VARS", "STAR_FIBER_1", "STAR_FIBER_2",
+    "BRANCH_OCTET", "FIBRATION_VARS", "STAR_FIBER_1", "STAR_FIBER_2",
     "SUPPORT_MONOMIALS", "SUPPORT_VERTEX_MAP", "TWENTY_EDGES", "TWENTY_LABELS",
     "X_TREE_EDGES", "X_TREE_NODES",
 }
@@ -370,6 +388,12 @@ class TestMutationSweep:
             if suites.run_suite(suite).status == "fail":
                 return
         pytest.fail(f"{name}, mutated, flips no check")
+
+    @pytest.mark.parametrize("name", ["C1_POLY", "C2_POLY", "C3_POLY", "C4_POLY", "H_INF"])
+    def test_kummer_polynomial_mutation_flips_kummer(self, monkeypatch, name):
+        # the polynomials are the one transcription of the Kummer classes
+        monkeypatch.setattr(cst, name, _sweep_mutation(getattr(cst, name)))
+        assert suites.run_suite("kummer").status == "fail"
 
 
 class TestReportCommand:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from k3lab import constants as c
 from k3lab import kummer as km
+from k3lab.exact import variables
 from k3lab.kummer import combination, pair
 
 # (a, b; A) as the 18 coordinates a, b, A_11, A_12, ..., A_44
@@ -95,8 +96,45 @@ class TestGenerators:
                                + [(f"G1_{j}", -1) for j in range(1, 5)])
         assert not any(residual)
 
-    def test_integrality(self, gens):
-        assert km.integrality_report(gens)
+
+def _expansion(gens, f1, f2, nodes):
+    """f1*F1 + f2*F2 - sum of mult*G_ij over the ((i, j), mult) in `nodes`."""
+    return combination(gens, [("F1", f1), ("F2", f2)]
+                       + [(f"G{i}_{j}", -mult) for (i, j), mult in nodes])
+
+
+class TestClassesFromPolynomials:
+    # the classes as transcribed by hand from the curves' incidences
+    @pytest.mark.parametrize("name,f1,f2,nodes", [
+        ("C1", 1, 1, {(1, 3): 1, (2, 2): 1, (3, 4): 1}),
+        ("C2", 2, 2, {(1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 2): 1, (4, 3): 1, (3, 4): 2}),
+        ("C3", 1, 1, {(1, 3): 1, (2, 1): 1, (3, 4): 1}),
+        ("C4", 2, 2, {(1, 1): 1, (1, 3): 1, (2, 2): 1, (2, 1): 1, (4, 3): 1, (3, 4): 2}),
+        ("D", 3, 4, {(1, 1): 1, (1, 2): 1, (1, 3): 2, (2, 1): 2, (2, 2): 2,
+                     (3, 4): 3, (4, 3): 1}),
+    ])
+    def test_reference_class(self, gens, name, f1, f2, nodes):
+        assert gens[name] == _expansion(gens, f1, f2, nodes.items())
+
+    def test_reference_e8_weights(self, gens):
+        assert set(km.e8_fiber_weights(gens)) == {
+            ("F1_1", 2), ("G1_4", 4), ("G4_4", 3), ("F2_4", 6), ("G2_4", 5),
+            ("F1_2", 4), ("G2_3", 3), ("F2_3", 2), ("G3_3", 1)}
+
+    def test_h_inf_line_orders(self):
+        # (l2-1)(u1-l1 v1)^3 (u1-v1) u2 v2^2: columns (0, inf, 1, l1), rows (0, inf, 1, l2)
+        assert km.line_orders(c.H_INF, 1) == [0, 0, 1, 3]
+        assert km.line_orders(c.H_INF, 2) == [1, 2, 0, 0]
+
+    def test_orders_add_over_factors(self):
+        # H_plus = u1 * C1_POLY * C2_POLY: the class of a product is the sum
+        factors = [km.curve_class(p) for p in (c.u1, c.C1_POLY, c.C2_POLY)]
+        assert km.curve_class(c.h_plus()) == tuple(map(sum, zip(*factors)))
+
+    def test_h_inf_not_a_product_of_branch_lines(self, monkeypatch):
+        monkeypatch.setattr(c, "H_INF", c.H_INF + c.u1**4 * c.u2**3)
+        with pytest.raises(ValueError, match="branch lines"):
+            km.named_classes()
 
 
 class TestOneOneCurves:
@@ -107,21 +145,28 @@ class TestOneOneCurves:
         assert pair(gens["C3"], gens["C3"]) == -2
 
     def test_f1_pairing(self, gens):
-        cls = km.one_one_curve_class(gens, (1, 2, 4), (2, 3, 1))
+        # the (1,1)-form through G1_2, G2_3 and G4_1
+        cls = km.curve_class(c.u1 * c.u2 - c.v1 * c.u2 + c.l2 * c.v1 * c.v2)
+        assert cls == _expansion(gens, 1, 1, [((1, 2), 1), ((2, 3), 1), ((4, 1), 1)])
         assert pair(cls, gens["F1"]) == 2
+        assert pair(cls, cls) == -2
 
-    def test_index_collision(self, gens):
+    @pytest.mark.parametrize("poly", [c.C1_POLY + c.u1, c.u1 * c.v1 + c.u2, c.u1 - c.u1,
+                                      variables("u1", "v1", "u2", "v2")[0]],
+                             ids=["C1_POLY+u1", "u1*v1+u2", "zero", "other-variables"])
+    def test_not_bihomogeneous(self, poly):
         with pytest.raises(ValueError):
-            km.one_one_curve_class(gens, (1, 1, 3), (1, 2, 3))
+            km.curve_class(poly)
 
 
 class TestE8Fiber:
     def test_decomposition(self, gens):
         assert km.verify_e8_fiber(gens)
+        assert combination(gens, km.e8_fiber_weights(gens)) == gens["D"]
 
     def test_perturbed_weight_fails(self, gens):
         weights = [(label, 5 if label == "F2_4" else mult)
-                   for label, mult in c.E8_FIBER_WEIGHTS]
+                   for label, mult in km.e8_fiber_weights(gens)]
         assert any(combination(gens, weights + [("D", -1)]))
 
     def test_component_orthogonality(self, gens):
