@@ -298,13 +298,15 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
+    def __add__(self, other) -> "RationalFunction":
+        other = self._coerce(other)
+        return RationalFunction(self.num * other.den + other.num * self.den,
+                                self.den * other.den)
+
     def __sub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        return RationalFunction(self.num**n, self.den**n)
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
         den = self.den.evaluate(point)
@@ -322,29 +324,37 @@ def clear_denominators(terms: Sequence[RationalFunction]) -> MultiPolynomial:
     """Numerator of a sum of rational terms over a common multiple of the
     denominators.
 
-    For f = sum(terms), returns N with f = N / M, where M is built greedily:
-    the denominators are taken by decreasing total degree, and one is
-    multiplied into M only if it does not already divide it.  Each numerator
-    is scaled by its cofactor M / d_i, found by exact division.  M is a
+    For f = sum(terms), returns N with f = N / M, where M is a product of
+    factors F_k built greedily: the denominators are taken by decreasing
+    total degree, and one that divides a factor adds num * (F_k / den) to
+    that factor's numerator sum S_k, the quotient coming from the one
+    divisibility test; any other denominator becomes a new factor with its
+    numerator as the sum.  N = sum_i S_i * prod_{k != i} F_k.  M is a
     nonzero common multiple (not necessarily the least one), so f == 0 iff
     N == 0.
     """
-    terms = list(terms)
+    terms = sorted(terms, key=lambda t: t.den.total_degree(), reverse=True)
     if not terms:
         raise ValueError("empty sum")
+    factors: list[MultiPolynomial] = []
+    sums: list[MultiPolynomial] = []
     for t in terms:
-        if t.den.is_zero():
-            raise ZeroDivisionError("zero denominator among the terms")
-    common = MultiPolynomial.constant(terms[0].num.vars, 1)
-    for den in sorted((t.den for t in terms), key=MultiPolynomial.total_degree,
-                      reverse=True):
-        try:
-            common.divide_exact(den)
-        except ValueError:
-            common = common * den
+        for k, factor in enumerate(factors):
+            try:
+                cofactor = factor.divide_exact(t.den)
+            except ValueError:
+                continue
+            sums[k] = sums[k] + t.num * cofactor
+            break
+        else:
+            factors.append(t.den)
+            sums.append(t.num)
     total = MultiPolynomial.zero(terms[0].num.vars)
-    for t in terms:
-        total = total + t.num * common.divide_exact(t.den)
+    for i, s in enumerate(sums):
+        for k, factor in enumerate(factors):
+            if k != i:
+                s = s * factor
+        total = total + s
     return total
 
 

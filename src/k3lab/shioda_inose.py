@@ -69,18 +69,18 @@ def z_invariant() -> RationalFunction:
 
 
 def _identity_terms(kappa, at, ratio) -> list:
-    """The six terms of the cubic relation's left side, each a
-    ratio(at(numerator), at(denominator)) of constants: symbolic with at the
-    identity and ratio RationalFunction, values at a point with
-    at = p.evaluate(point) and ratio Fraction."""
+    """The three terms of the cubic relation's left side: the cubic in x1
+    by Horner's rule, one ratio over X1_DEN^3, then y1^2 and the z + 1/z
+    term.  Each is built from ratio(at(numerator), at(denominator)) of
+    constants: symbolic with at the identity and ratio RationalFunction,
+    values at a point with at = p.evaluate(point) and ratio Fraction."""
     h = build_h_polys()
     h_plus, h_minus, one = at(h.h_plus), at(h.h_minus), at(_ONE)
     x1 = ratio(at(c.X1_NUM), at(c.X1_DEN))
+    x2_coeff, x1_coeff, x0_coeff = (ratio(at(p), one)
+                                    for p in (c.MASTER_X2, c.MASTER_X1, c.MASTER_X0))
     return [
-        x1**3,
-        ratio(at(c.MASTER_X2), one) * x1**2,
-        ratio(at(c.MASTER_X1), one) * x1,
-        ratio(at(c.MASTER_X0), one),
+        ((x1 + x2_coeff) * x1 + x1_coeff) * x1 + x0_coeff,
         ratio(kappa * at(c.Y1_NUM_FACTOR) * h_plus * h_minus, at(c.Y1_DEN)),
         # z + 1/z, as in z_invariant
         ratio(at(c.MASTER_Z), one) * ratio(2 * (h_minus - h_plus), at(h.h_inf)),
@@ -102,10 +102,11 @@ def identity_residual_at(point) -> Fraction:
 def verify_master_identity(kappa: Fraction) -> bool:
     """Clear denominators and test the cubic relation as a polynomial.
 
-    The common denominator is a common multiple of the six term
+    The common denominator is a common multiple of the three term
     denominators, built by `clear_denominators` from exact divisibility
-    (Y1_DEN * H_INF for the true constants); the sum is scaled by 4 first
-    so that all coefficients stay integral, which is exactness-neutral.
+    (Y1_DEN * H_INF for the true constants, with X1_DEN^3 dividing Y1_DEN);
+    the sum is scaled by 4 first so that all coefficients stay integral,
+    which is exactness-neutral.
     """
     terms = [RationalFunction(t.num * 4, t.den)
              for t in _identity_terms(kappa, lambda p: p, RationalFunction)]

@@ -1,6 +1,7 @@
 """Exact arithmetic core: canonical form, evaluation, cross-multiplied equality."""
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,20 @@ class TestClearDenominators:
         got = clear_denominators([rf(one, u1 * v1), rf(one, u1)])
         assert got == 1 + v1
 
+    def test_joins_a_later_factor(self):
+        # u1 v1 and u2 v2 become the factors; u2 divides the second only:
+        # 1/(u1 v1) + 1/(u2 v2) + 1/u2 = (u2 v2 + (1 + v2) u1 v1)/(u1 v1 u2 v2)
+        one = MultiPolynomial.constant(VARS, 1)
+        got = clear_denominators([rf(one, u1 * v1), rf(one, u2 * v2), rf(one, u2)])
+        assert got == u2 * v2 + u1 * v1 + u1 * v1 * v2
+
+    def test_divides_only_the_product(self):
+        # u1 v1 divides u1^2 v1^2 but neither factor, so it becomes a third:
+        # 1/u1^2 + 1/v1^2 + 1/(u1 v1) = (v1^2 u1 v1 + u1^2 u1 v1 + u1^2 v1^2)/(u1^3 v1^3)
+        one = MultiPolynomial.constant(VARS, 1)
+        got = clear_denominators([rf(one, u1**2), rf(one, v1**2), rf(one, u1 * v1)])
+        assert got == u1 * v1**3 + u1**3 * v1 + u1**2 * v1**2
+
     def test_zero_denominator_rejected(self):
         one = MultiPolynomial.constant(VARS, 1)
         with pytest.raises(ZeroDivisionError):
@@ -189,6 +204,11 @@ def test_divide_exact_inverts_multiplication(p, d):
 def test_evaluation_homomorphism(p, q, pt):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
     assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
+    assert (p - q).evaluate(pt) == p.evaluate(pt) - q.evaluate(pt)
+    if p.evaluate(pt) and q.evaluate(pt):
+        f, g = rf(p, q), rf(q, p)
+        for op in (add, sub, mul):
+            assert op(f, g).evaluate(pt) == op(f.evaluate(pt), g.evaluate(pt))
 
 
 @settings(deadline=None)

@@ -159,6 +159,24 @@ class TestMasterIdentity:
         monkeypatch.setattr(c, name, MultiPolynomial(original.vars, terms))
         assert not si.verify_master_identity(c.KAPPA)
 
+    def test_multiply_budget(self, monkeypatch):
+        pairs = 0
+
+        def multiply(p, q, _mul=MultiPolynomial.__mul__):
+            nonlocal pairs
+            if isinstance(q, MultiPolynomial):
+                pairs += len(p.terms) * len(q.terms)
+            return _mul(p, q)
+
+        monkeypatch.setattr(MultiPolynomial, "__mul__", multiply)
+        monkeypatch.setattr(MultiPolynomial, "__rmul__", multiply)
+        assert si.verify_master_identity(c.KAPPA)
+        # one Horner fraction for the cubic in x1 and one numerator per
+        # factor of Y1_DEN * H_INF multiply out 19,854 term pairs
+        assert pairs <= 25_000
+        monkeypatch.setattr(c, "X1_DEN", c.X1_DEN + c.u1)
+        assert not si.verify_master_identity(c.KAPPA)
+
     def test_single_coefficient_mutation_detected(self):
         pt = {"u1": 2, "v1": 1, "u2": 3, "v2": 1, "l1": 5, "l2": 7}
         mutated = MultiPolynomial(
