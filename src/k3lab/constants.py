@@ -20,6 +20,7 @@ Variable conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .exact import MultiPolynomial, variables
 
@@ -64,8 +65,15 @@ C4_POLY = (
 )
 
 
+def h_plus_factors() -> tuple:
+    """H_plus = u1 * C1_POLY * C2_POLY: the one statement of its factors,
+    multiplied out by h_plus and read factor by factor by
+    kummer.named_classes."""
+    return u1, C1_POLY, C2_POLY
+
+
 def h_plus() -> MultiPolynomial:
-    return u1 * C1_POLY * C2_POLY
+    return prod(h_plus_factors())
 
 
 def h_minus() -> MultiPolynomial:

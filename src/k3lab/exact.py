@@ -20,7 +20,6 @@ avoids multivariate gcd entirely.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
@@ -263,50 +262,42 @@ def variables(*names: str) -> tuple[MultiPolynomial, ...]:
     return tuple(MultiPolynomial.variable(vars, w) for w in vars)
 
 
-@dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two polynomials; the denominator must be nonzero.
 
     No reduction is ever performed. Equality is by comparing numerators over
     a shared denominator, else by cross-multiplication: f == g iff
-    f.num * g.den - g.num * f.den is the zero polynomial.
+    f.num * g.den - g.num * f.den is the zero polynomial.  A polynomial or a
+    number combines with a rational function over its denominator alone.
     """
 
-    num: MultiPolynomial
-    den: MultiPolynomial
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __init__(self, num: MultiPolynomial, den: MultiPolynomial):
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
+        self.num = num
+        self.den = den
 
     @classmethod
     def from_poly(cls, p: MultiPolynomial) -> "RationalFunction":
         return cls(p, MultiPolynomial.constant(p.vars, 1))
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPolynomial.constant(self.num.vars, other)
-        if isinstance(other, MultiPolynomial):
-            other = RationalFunction.from_poly(other)
-        if not isinstance(other, RationalFunction):
-            raise TypeError(f"cannot combine a rational function with {other!r}")
-        return other
-
     def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if isinstance(other, RationalFunction):
+            return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(self.num * other, self.den)
 
     __rmul__ = __mul__
 
     def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        if isinstance(other, RationalFunction):
+            return RationalFunction(self.num * other.den + other.num * self.den,
+                                    self.den * other.den)
+        return RationalFunction(self.num + other * self.den, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
+        return self + (-1) * other
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Fraction:
         den = self.den.evaluate(point)

@@ -30,9 +30,9 @@ the least u-exponent, at a point the least (u1 + u2)-exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from . import constants as c
 from .exact import MultiPolynomial
@@ -146,12 +146,17 @@ def _h_inf_lines() -> tuple:
 def named_classes() -> dict:
     """All generators plus C1..C4 and the class D of the pencil <H_INF,
     H_plus, H_minus> (identities.h_sum): base_ij = min(mult_ij(H_INF),
-    mult_ij(H_plus)), the orders of H_plus = u1*C1_POLY*C2_POLY added up."""
+    mult_ij(H_plus)), the orders of the factors of H_plus
+    (constants.h_plus_factors) added up; a factor among C1..C4 keeps the
+    class already read."""
     gens = standard_generators()
+    by_poly = {}
     for k in range(1, 5):
-        gens[f"C{k}"] = curve_class(getattr(c, f"C{k}_POLY"))
+        poly = getattr(c, f"C{k}_POLY")
+        gens[f"C{k}"] = by_poly[poly] = curve_class(poly)
     d1, d2, rows, cols = _h_inf_lines()
-    plus = [-sum(x) for x in zip(curve_class(c.u1), gens["C1"], gens["C2"])]
+    plus = [-sum(x) for x in zip(*(by_poly.get(p) or curve_class(p)
+                                   for p in c.h_plus_factors()))]
     gens["D"] = (d2, d1, *(-min(m, rows[i - 1] + cols[j - 1])
                            for (i, j), m in zip(_GRID, plus[2:])))
     return gens
@@ -188,8 +193,7 @@ def branch_octet(gens: dict) -> list:
     return [(label, gens[label]) for label in c.BRANCH_OCTET]
 
 
-@dataclass(frozen=True)
-class TreeReport:
+class TreeReport(NamedTuple):
     matches_expected: bool
     rank: int
 
@@ -207,8 +211,7 @@ def labeled_tree_report(gens: dict) -> TreeReport:
     return TreeReport(induced.gram == expected.gram, matrix_rank(induced.gram))
 
 
-@dataclass(frozen=True)
-class IsogenyFiberNumbers:
+class IsogenyFiberNumbers(NamedTuple):
     """Intersection data of the graph fibration induced by an n-isogeny."""
 
     ry_f1: int

@@ -13,29 +13,28 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import _exact_ratio
 
 
-@dataclass(frozen=True)
 class GramLattice:
-    labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
+    """A symmetric integer Gram matrix with one label per basis vector."""
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+    def __init__(self, labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...]):
+        n = len(labels)
+        if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix size does not match label count")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix is not symmetric")
+        self.labels = labels
+        self.gram = gram
 
     @property
     def dim(self) -> int:
@@ -247,8 +246,7 @@ def _quotient_gram(gram) -> list[list[int]]:
     return g
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
+class LatticeInvariants(NamedTuple):
     rank: int
     signature: tuple[int, int]
     determinant: int

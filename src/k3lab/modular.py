@@ -35,7 +35,7 @@ asserted anywhere, only the coefficients and degeneracy flags are computed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -50,8 +50,7 @@ GUARD_BITS = 32
 LEVELS = (1, 2, 3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(NamedTuple):
     """Truncated integer power series in q, inclusive of its order N."""
 
     coefficients: tuple  # c_0 ... c_N
@@ -62,12 +61,13 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
+        theirs = other.coefficients
         out = [0] * (n + 1)
         for i, a in enumerate(self.coefficients[: n + 1]):
             if a == 0:
                 continue
             for j in range(0, n + 1 - i):
-                b = other.coefficients[j]
+                b = theirs[j]
                 if b:
                     out[i + j] += a * b
         return QSeries(tuple(out))
@@ -87,10 +87,11 @@ class QSeries:
         if self.coefficients[0] != 1:
             raise ValueError("inverse needs constant term 1")
         n = self.order
+        ours = self.coefficients
         out = [0] * (n + 1)
         out[0] = 1
         for m in range(1, n + 1):
-            out[m] = -sum(self.coefficients[k] * out[m - k] for k in range(1, m + 1))
+            out[m] = -sum(ours[k] * out[m - k] for k in range(1, m + 1))
         return QSeries(tuple(out))
 
     def evaluate(self, q):
@@ -209,8 +210,7 @@ def fricke_pair(tau, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModularPolynomial:
+class ModularPolynomial(NamedTuple):
     n: int
     coefficients: dict  # (i, j) -> int, exponents of (X, Y)
 

@@ -25,9 +25,9 @@ Conventions (pinned by the cubic relation; see constants.py):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
+from typing import NamedTuple
 
 import mpmath
 
@@ -36,11 +36,8 @@ from . import modular as md
 from .errors import DomainError
 from .exact import MultiPolynomial, RationalFunction, clear_denominators, variables
 
-_ONE = MultiPolynomial.constant(c.FIBRATION_VARS, 1)
 
-
-@dataclass(frozen=True)
-class HPolys:
+class HPolys(NamedTuple):
     """The three bidegree-(4,3) fiber forms, linearly dependent with sum 0."""
 
     h_inf: MultiPolynomial
@@ -71,19 +68,18 @@ def z_invariant() -> RationalFunction:
 def _identity_terms(kappa, at, ratio) -> list:
     """The three terms of the cubic relation's left side: the cubic in x1
     by Horner's rule, one ratio over X1_DEN^3, then y1^2 and the z + 1/z
-    term.  Each is built from ratio(at(numerator), at(denominator)) of
-    constants: symbolic with at the identity and ratio RationalFunction,
-    values at a point with at = p.evaluate(point) and ratio Fraction."""
+    term.  Each is built from at(constant) and ratio(numerator,
+    denominator): symbolic with at the identity and ratio RationalFunction,
+    values at a point with at = p.evaluate(point) and ratio Fraction.  The
+    polynomial coefficients enter without a denominator."""
     h = build_h_polys()
-    h_plus, h_minus, one = at(h.h_plus), at(h.h_minus), at(_ONE)
+    h_plus, h_minus = at(h.h_plus), at(h.h_minus)
     x1 = ratio(at(c.X1_NUM), at(c.X1_DEN))
-    x2_coeff, x1_coeff, x0_coeff = (ratio(at(p), one)
-                                    for p in (c.MASTER_X2, c.MASTER_X1, c.MASTER_X0))
     return [
-        ((x1 + x2_coeff) * x1 + x1_coeff) * x1 + x0_coeff,
+        ((x1 + at(c.MASTER_X2)) * x1 + at(c.MASTER_X1)) * x1 + at(c.MASTER_X0),
         ratio(kappa * at(c.Y1_NUM_FACTOR) * h_plus * h_minus, at(c.Y1_DEN)),
-        # z + 1/z, as in z_invariant
-        ratio(at(c.MASTER_Z), one) * ratio(2 * (h_minus - h_plus), at(h.h_inf)),
+        # MASTER_Z (z + 1/z), with z + 1/z as in z_invariant
+        ratio(at(c.MASTER_Z) * (2 * (h_minus - h_plus)), at(h.h_inf)),
     ]
 
 
@@ -139,8 +135,7 @@ def j_from_lambda(l: Fraction) -> Fraction:
     return Fraction(*_j_terms(l.numerator, l.denominator))
 
 
-@dataclass(frozen=True)
-class AbPowers:
+class AbPowers(NamedTuple):
     a_cubed: Fraction
     b_squared: Fraction
 

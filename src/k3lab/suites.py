@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -20,23 +20,23 @@ from . import toric
 from . import weierstrass as w
 from .exact import variables
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(NamedTuple):
     id: str
     description: str
     status: str  # "pass" | "fail"
     witness: str
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     status: str
     checks: tuple
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as nested dicts, fields in declaration order."""
+        return {**self._asdict(), "checks": tuple(chk._asdict() for chk in self.checks)}
 
 
 def _check(checks, cid, description, fn):

@@ -12,10 +12,10 @@ structure is fixed, and no triangulation engine is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from . import constants as c
 from .lattice import GramLattice, _nullspace, curve_gram, matrix_rank
@@ -31,27 +31,24 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Supporting inequality dot(normal, x) <= offset, tight on the facet."""
 
     normal: Vec3
     offset: int
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
     """A lattice 3-simplex: four integer vertices that do not lie in a plane."""
 
-    vertices: tuple
-
-    def __post_init__(self):
-        if len(self.vertices) != 4 or any(
-                len(v) != 3 or any(not isinstance(x, int) for x in v) for v in self.vertices):
+    def __init__(self, vertices: tuple):
+        if len(vertices) != 4 or any(
+                len(v) != 3 or any(not isinstance(x, int) for x in v) for v in vertices):
             raise ValueError("a lattice simplex has four integer 3-vectors as vertices")
-        v0 = self.vertices[0]
-        if matrix_rank([_sub(v, v0) for v in self.vertices[1:]]) != 3:
+        v0 = vertices[0]
+        if matrix_rank([_sub(v, v0) for v in vertices[1:]]) != 3:
             raise ValueError("the vertices lie in a plane")
+        self.vertices = vertices
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
@@ -67,11 +64,18 @@ class LatticePolytope:
             out.append(Facet(normal, offset))
         return tuple(out)
 
+    # plain loops: a generator per point costs more than the four tests
     def contains(self, point) -> bool:
-        return all(_dot(f.normal, point) <= f.offset for f in self.facets)
+        for f in self.facets:
+            if _dot(f.normal, point) > f.offset:
+                return False
+        return True
 
     def strictly_contains(self, point) -> bool:
-        return all(_dot(f.normal, point) < f.offset for f in self.facets)
+        for f in self.facets:
+            if _dot(f.normal, point) >= f.offset:
+                return False
+        return True
 
 
 def delta() -> LatticePolytope:
@@ -112,8 +116,7 @@ def interior_lattice_points(p: LatticePolytope) -> list:
     return [q for q in lattice_points(p) if p.strictly_contains(q)]
 
 
-@dataclass(frozen=True)
-class EdgeReport:
+class EdgeReport(NamedTuple):
     endpoints: tuple
     lattice_length: int
     singularity: str  # "A<k>" or "smooth"

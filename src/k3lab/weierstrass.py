@@ -23,17 +23,16 @@ powers are known (no root extraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
+from typing import NamedTuple
 
 from .exact import MultiPolynomial, variables
 
 _T, _A, _B = variables("t", "a", "b")
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """y^2 + z + 1/z + x^3 + a x + b = 0, for rational a, b or for the
     variables a, b of the model ring."""
 
@@ -44,8 +43,7 @@ class FamilyMember:
 GENERIC = FamilyMember(_A, _B)
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(NamedTuple):
     """Coefficients A(t), B(t) of y^2 = X^3 + A X + B over the base line."""
 
     A: MultiPolynomial
@@ -55,8 +53,7 @@ class WeierstrassModel:
         return -16 * (4 * self.A**3 + 27 * self.B**2)
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(NamedTuple):
     symbol: str  # one of I0, In, II, III, IV, I0*, In*, IV*, III*, II*
     n: "int | None" = None
 
@@ -147,8 +144,7 @@ def kodaira_type(ord_a, ord_b, ord_delta) -> KodairaType:
     raise ValueError(f"no table entry for orders ({ord_a}, {ord_b}, {ord_delta})")
 
 
-@dataclass(frozen=True)
-class FiberAnalysis:
+class FiberAnalysis(NamedTuple):
     at_zero: KodairaType
     at_infinity: KodairaType
     extra_zero_multiplicity: int  # discriminant zeros away from 0, infinity

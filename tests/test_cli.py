@@ -395,6 +395,13 @@ class TestMutationSweep:
         monkeypatch.setattr(cst, name, _sweep_mutation(getattr(cst, name)))
         assert suites.run_suite("kummer").status == "fail"
 
+    def test_h_plus_factors_mutation_flips_both_readers(self, monkeypatch):
+        # H_plus = u1 C1 C2 is stated once: identities multiplies it out,
+        # kummer reads the class D off its factors
+        monkeypatch.setattr(cst, "h_plus_factors", lambda: (cst.v1, cst.C1_POLY, cst.C2_POLY))
+        assert suites.run_suite("identities").status == "fail"
+        assert suites.run_suite("kummer").status == "fail"
+
 
 class TestReportCommand:
     def test_json_schema(self, capsys):
@@ -464,6 +471,22 @@ class TestModpolyCommand:
         assert "1, 2, 3, 5, 7, 11, 13" in err
 
 
+def _into_closed_pipe(command):
+    """Run `command report --suite kummer --format json` as in
+    `k3lab report ... | head -c 1500`, with the reader gone before the
+    first write, so that every write meets a closed pipe."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [*command, "report", "--suite", "kummer", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            cwd=PACKAGE_PARENT,
+        )
+    finally:
+        os.close(write_end)
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -474,21 +497,32 @@ class TestSubprocessEntry:
         assert "suite lattice: pass" in result.stdout
 
     def test_closed_pipe_exits_1_without_traceback(self):
-        # as `k3lab report ... | head -c 1500`, with the reader gone before
-        # the first write, so that every write meets a closed pipe
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "k3lab", "report", "--suite", "kummer",
-                 "--format", "json"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-                cwd=PACKAGE_PARENT,
-            )
-        finally:
-            os.close(write_end)
+        result = _into_closed_pipe([sys.executable, "-m", "k3lab"])
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
+
+    def test_console_script_exits_1_without_traceback(self):
+        # the installed `k3lab` command calls its entry point as
+        # sys.exit(entry()), and must end a closed pipe as `python -m k3lab` does
+        tomllib = pytest.importorskip("tomllib")
+        with open(PACKAGE_PARENT.parent / "pyproject.toml", "rb") as f:
+            entry = tomllib.load(f)["project"]["scripts"]["k3lab"]
+        assert entry == "k3lab.cli:console_main"
+        module, name = entry.split(":")
+        result = _into_closed_pipe(
+            [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())"])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # every `k3lab` process imports the CLI first; these two modules
+        # would add about 10 ms to each
+        code = ("import sys, k3lab.cli; "
+                "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=60, cwd=PACKAGE_PARENT)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
     def test_usage_exit_code(self):
         result = subprocess.run(

@@ -84,6 +84,17 @@ class TestDirectSum:
         assert len(set(lat.labels)) == 4
 
 
+class TestGramValidation:
+    @pytest.mark.parametrize("gram, message", [
+        (((0, 1),), "size does not match"),
+        (((0, 1), (1,)), "size does not match"),
+        (((0, 1), (2, 0)), "not symmetric"),
+    ], ids=["rows", "row-length", "asymmetric"])
+    def test_rejected(self, gram, message):
+        with pytest.raises(ValueError, match=message):
+            GramLattice(("e", "f"), gram)
+
+
 class TestGraphToGram:
     def test_a2(self):
         lat = curve_gram(["p", "q"], [("p", "q"), ("q", "p")])
