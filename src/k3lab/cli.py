@@ -21,7 +21,6 @@ import mpmath
 
 from . import modular as md
 from . import shioda_inose as si
-from . import weierstrass as w
 from .errors import DomainError, PrecisionError
 from .suites import SUITE_NAMES, run_suite
 
@@ -143,12 +142,6 @@ def cmd_report(args) -> int:
     return EXIT_PASS if report.status == "pass" else EXIT_FAIL
 
 
-def _family_from_powers(powers, degenerate) -> None:
-    print(f"a_cubed = {powers.a_cubed}")
-    print(f"b_squared = {powers.b_squared}")
-    print(f"degenerate = {'true' if degenerate else 'false'}")
-
-
 def cmd_family(args) -> int:
     groups = {
         "j": (args.j1, args.j2),
@@ -164,23 +157,10 @@ def cmd_family(args) -> int:
               "--tau/--n", file=sys.stderr)
         return EXIT_USAGE
 
+    # every mode is answered from (j1, j2); disc(a, b - 2) disc(a, b + 2) =
+    # (j1 - j2)^2 / 256 exactly, so the degeneracy flag compares j1 with j2
     mode = complete[0]
-    if mode == "j":
-        j1, j2 = args.j1, args.j2
-        powers = si.ab_powers_from_j(j1, j2)
-        a, b = si.ab_numeric(j1, j2)
-        _family_from_powers(powers, w.is_degenerate_powers(powers.a_cubed,
-                                                           powers.b_squared))
-    elif mode == "lambda":
-        l1, l2 = args.lambda1, args.lambda2
-        j1, j2 = si.j_from_lambda(l1), si.j_from_lambda(l2)
-        powers = si.ab_powers_from_lambda(l1, l2)
-        print(f"j1 = {j1}")
-        print(f"j2 = {j2}")
-        _family_from_powers(powers, w.is_degenerate_powers(powers.a_cubed,
-                                                           powers.b_squared))
-        a, b = si.ab_numeric(j1, j2)
-    else:
+    if mode == "tau":
         if args.n < 1:
             print("--n must be a positive integer", file=sys.stderr)
             return EXIT_USAGE
@@ -188,10 +168,20 @@ def cmd_family(args) -> int:
         j1, j2 = map(md.chop, md.fricke_pair(args.tau, args.n))
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
-        # disc(a, b - 2) disc(a, b + 2) = (j1 - j2)^2 / 256 exactly, so the
-        # flag compares j1 with j2
-        print(f"degenerate = {'true' if md.same_j(j1, j2) else 'false'}")
-        a, b = si.ab_numeric(j1, j2)
+        degenerate = md.same_j(j1, j2)
+    else:
+        if mode == "lambda":
+            j1, j2 = si.j_from_lambda(args.lambda1), si.j_from_lambda(args.lambda2)
+            print(f"j1 = {j1}")
+            print(f"j2 = {j2}")
+        else:
+            j1, j2 = args.j1, args.j2
+        powers = si.ab_powers_from_j(j1, j2)
+        print(f"a_cubed = {powers.a_cubed}")
+        print(f"b_squared = {powers.b_squared}")
+        degenerate = j1 == j2
+    print(f"degenerate = {'true' if degenerate else 'false'}")
+    a, b = si.ab_numeric(j1, j2)
     print(f"a = {_fmt(a)}")
     print(f"b = {_fmt(b)}")
     return EXIT_PASS

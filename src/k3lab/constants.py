@@ -111,9 +111,9 @@ KAPPA = Fraction(1)
 # Coefficients of the cubic relation satisfied by x1, y1^2 and z + 1/z:
 #   x1^3 + MASTER_X2*x1^2 + MASTER_X1*x1 + MASTER_X0 + y1^2
 #        + MASTER_Z*(z + 1/z) = 0
-# where z + 1/z = 2*(H_MINUS - H_PLUS)/H_INF.  The fiber order is pinned by
-# this relation: z = 1 is the star fiber cut by H_MINUS, z = -1 the one cut
-# by H_PLUS.
+# where z + 1/z = 2*(H_MINUS - H_PLUS)/H_INF is stated once, in
+# shioda_inose.z_invariant.  The fiber order is pinned by this relation:
+# z = 1 is the star fiber cut by H_MINUS, z = -1 the one cut by H_PLUS.
 # ---------------------------------------------------------------------------
 
 MASTER_X2 = l1 * l2 - 2 * l1 + l2 + 1

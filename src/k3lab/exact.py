@@ -279,10 +279,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: MultiPolynomial) -> "RationalFunction":
-        return cls(p, MultiPolynomial.constant(p.vars, 1))
-
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return RationalFunction(self.num * other.num, self.den * other.den)
@@ -347,10 +343,4 @@ def clear_denominators(terms: Sequence[RationalFunction]) -> MultiPolynomial:
                 s = s * factor
         total = total + s
     return total
-
-
-def cubic_discriminant(p: Coeff, q: Coeff) -> Fraction:
-    """Discriminant -4p^3 - 27q^2 of x^3 + p*x + q; zero iff a repeated root."""
-    p, q = Fraction(p), Fraction(q)
-    return -4 * p**3 - 27 * q**2
 

@@ -142,10 +142,21 @@ REDUCTION_STEPS = 4000
 
 
 def reduce_to_fundamental_domain(tau):
-    """Translate and invert until |Re| <= 1/2 and |tau| >= 1."""
+    """Translate and invert until |Re| <= 1/2 and |tau| >= 1.
+
+    tau carries a rounding error of about |Re(tau)| 2^-PREC_BITS, which the
+    translation keeps and j turns into a relative error of about 2 pi times
+    as much.  Beyond |Re(tau)| = 2^(PREC_BITS/2 - 16) that leaves less than
+    13 bits of margin under the tolerance of `same_j`, as the same bound on
+    Im(tau) does in j_numeric; such a tau raises PrecisionError before any
+    translation."""
     tau = mpmath.mpc(tau)
     if mpmath.im(tau) <= 0:
         raise DomainError("tau must lie in the upper half plane")
+    if abs(mpmath.re(tau)) > mpmath.mpf(2) ** (PREC_BITS // 2 - 16):
+        raise PrecisionError(
+            f"Re(tau) = {mpmath.nstr(mpmath.re(tau), 5)} is beyond "
+            f"2^{PREC_BITS // 2 - 16}, the limit of {PREC_BITS}-bit precision")
     for _ in range(REDUCTION_STEPS):
         tau = tau - mpmath.floor(mpmath.re(tau) + mpmath.mpf(1) / 2)
         if abs(tau) < 1:

@@ -5,10 +5,13 @@ fiber and two star fibers; on the product of the two projective lines below
 it, those three fibers are cut out by bidegree-(4,3) forms H_inf, H_plus,
 H_minus.  This module packages those forms, the fiberwise Weierstrass
 coordinate x1, the square y1^2, and the cubic relation among them, together
-with the closed-form coefficients (a, b) of the mirror-family member in both
-the Legendre-lambda and the j-invariant parameterization.
+with the closed-form coefficients (a, b) of the mirror-family member.
 
-Everything is verified exactly over Q.  Quantities with cube/square-root
+Each formula is stated once.  The cubic relation is built as rational
+functions only.  The closed forms in the Legendre parameters lambda1,
+lambda2 exist only as rational functions, for the route-independence
+identity in Q(l1, l2); every member is computed from (j1, j2), with
+j = J_NUM/J_DEN for a Legendre pair.  Quantities with cube/square-root
 ambiguities are exposed as a^3 and b^2; `ab_numeric` additionally returns a
 principal-branch representative of the root orbit.
 
@@ -16,17 +19,15 @@ Conventions (pinned by the cubic relation; see constants.py):
 
 * x1 = -C2_POLY / X1_DEN, a degree-2 map on each fiber with double pole
   along the section tree;
-* z + 1/z = 2*(H_minus - H_plus)/H_inf, so the z = 1 fiber is the one cut
-  by H_minus;
+* z + 1/z = 2*(H_minus - H_plus)/H_inf (`z_invariant`), so the z = 1 fiber
+  is the one cut by H_minus;
 * y1^2 carries the normalization constant KAPPA = 1; the cubic relation
   holds with it and fails with any other value.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from operator import truediv
 from typing import NamedTuple
 
 import mpmath
@@ -55,44 +56,28 @@ def verify_h_sum() -> bool:
     return (h.h_inf + h.h_plus + h.h_minus).is_zero()
 
 
-def z_invariant() -> RationalFunction:
-    """The function z + 1/z of the covering family, on the Kummer side.
+def z_invariant(h: HPolys) -> RationalFunction:
+    """The function z + 1/z of the covering family, on the Kummer side: the
+    one statement of it, read by the cubic relation.
 
     Takes the value infinity on the E8 fiber, 2 where H_minus vanishes and
     -2 where H_plus vanishes.
     """
-    h = build_h_polys()
     return RationalFunction(2 * (h.h_minus - h.h_plus), h.h_inf)
 
 
-def _identity_terms(kappa, at, ratio) -> list:
-    """The three terms of the cubic relation's left side: the cubic in x1
-    by Horner's rule, one ratio over X1_DEN^3, then y1^2 and the z + 1/z
-    term.  Each is built from at(constant) and ratio(numerator,
-    denominator): symbolic with at the identity and ratio RationalFunction,
-    values at a point with at = p.evaluate(point) and ratio Fraction.  The
-    polynomial coefficients enter without a denominator."""
+def _identity_terms(kappa) -> list:
+    """The three terms of the cubic relation's left side, as rational
+    functions: the cubic in x1 by Horner's rule, one ratio over X1_DEN^3,
+    then y1^2 and the z + 1/z term.  The polynomial coefficients enter
+    without a denominator."""
     h = build_h_polys()
-    h_plus, h_minus = at(h.h_plus), at(h.h_minus)
-    x1 = ratio(at(c.X1_NUM), at(c.X1_DEN))
+    x1 = RationalFunction(c.X1_NUM, c.X1_DEN)
     return [
-        ((x1 + at(c.MASTER_X2)) * x1 + at(c.MASTER_X1)) * x1 + at(c.MASTER_X0),
-        ratio(kappa * at(c.Y1_NUM_FACTOR) * h_plus * h_minus, at(c.Y1_DEN)),
-        # MASTER_Z (z + 1/z), with z + 1/z as in z_invariant
-        ratio(at(c.MASTER_Z) * (2 * (h_minus - h_plus)), at(h.h_inf)),
+        ((x1 + c.MASTER_X2) * x1 + c.MASTER_X1) * x1 + c.MASTER_X0,
+        RationalFunction(kappa * c.Y1_NUM_FACTOR * h.h_plus * h.h_minus, c.Y1_DEN),
+        z_invariant(h) * c.MASTER_Z,
     ]
-
-
-def identity_residual_at(point) -> Fraction:
-    """Exact value of the cubic relation's left side at a rational point.
-
-    Zero for every point (off the denominators) when the constants are
-    correct; any single-coefficient mutation makes this nonzero at a
-    generic point.  Each constant is evaluated at the point and the values
-    are combined there; raises ZeroDivisionError where X1_DEN, Y1_DEN or
-    H_INF vanishes.
-    """
-    return sum(_identity_terms(c.KAPPA, lambda p: p.evaluate(point), Fraction))
 
 
 def verify_master_identity(kappa: Fraction) -> bool:
@@ -104,21 +89,13 @@ def verify_master_identity(kappa: Fraction) -> bool:
     the sum is scaled by 4 first so that all coefficients stay integral,
     which is exactness-neutral.
     """
-    terms = [RationalFunction(t.num * 4, t.den)
-             for t in _identity_terms(kappa, lambda p: p, RationalFunction)]
+    terms = [RationalFunction(t.num * 4, t.den) for t in _identity_terms(kappa)]
     return clear_denominators(terms).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # Parameterizations of the family coefficients.
 # ---------------------------------------------------------------------------
-
-
-def _check_lambda(l: Fraction) -> Fraction:
-    l = Fraction(l)
-    if l in (0, 1):
-        raise DomainError(f"lambda = {l} is outside the Legendre parameter domain")
-    return l
 
 
 def _j_terms(n, d=1) -> tuple:
@@ -131,7 +108,9 @@ def _j_terms(n, d=1) -> tuple:
 
 def j_from_lambda(l: Fraction) -> Fraction:
     """j = J_NUM(l) / J_DEN(l), exact, from integers at l = n/d."""
-    l = _check_lambda(l)
+    l = Fraction(l)
+    if l in (0, 1):
+        raise DomainError(f"lambda = {l} is outside the Legendre parameter domain")
     return Fraction(*_j_terms(l.numerator, l.denominator))
 
 
@@ -140,21 +119,15 @@ class AbPowers(NamedTuple):
     b_squared: Fraction
 
 
-def _lambda_route(l1, l2, ratio) -> AbPowers:
-    """a^3 and b^2 in (lambda1, lambda2), each a ratio(numerator,
-    denominator): a Fraction at a rational pair with ratio a division, a
-    RationalFunction at the variables l1, l2 with ratio RationalFunction."""
+def _lambda_route(l1, l2) -> AbPowers:
+    """a^3 and b^2 in Q(l1, l2), for the variables l1, l2."""
     denom = (l1 * (l1 - 1) * l2 * (l2 - 1)) ** 2
     return AbPowers(
-        ratio(c.A_CUBED_SCALE * (l1**2 - l1 + 1) ** 3 * (l2**2 - l2 + 1) ** 3, denom),
-        ratio(c.B_SQUARED_SCALE * ((l1 + 1) * (l1 - 2) * (2 * l1 - 1)) ** 2
-              * ((l2 + 1) * (l2 - 2) * (2 * l2 - 1)) ** 2, denom),
+        RationalFunction(c.A_CUBED_SCALE * (l1**2 - l1 + 1) ** 3 * (l2**2 - l2 + 1) ** 3,
+                         denom),
+        RationalFunction(c.B_SQUARED_SCALE * ((l1 + 1) * (l1 - 2) * (2 * l1 - 1)) ** 2
+                         * ((l2 + 1) * (l2 - 2) * (2 * l2 - 1)) ** 2, denom),
     )
-
-
-def ab_powers_from_lambda(l1: Fraction, l2: Fraction) -> AbPowers:
-    """Branch-free a^3 and b^2 of the family member for (lambda1, lambda2)."""
-    return _lambda_route(_check_lambda(l1), _check_lambda(l2), truediv)
 
 
 def ab_powers_from_j(j1, j2) -> AbPowers:
@@ -170,7 +143,7 @@ def route_independence() -> bool:
     """The lambda route and the j route give the same a^3 and b^2, as
     rational functions in Q(l1, l2); the j route reads j = J_NUM/J_DEN."""
     l1, l2 = variables("l1", "l2")
-    via_l = _lambda_route(l1, l2, RationalFunction)
+    via_l = _lambda_route(l1, l2)
     via_j = ab_powers_from_j(*(RationalFunction(*_j_terms(l)) for l in (l1, l2)))
     return (via_l.a_cubed.equals(via_j.a_cubed)
             and via_l.b_squared.equals(via_j.b_squared))
@@ -197,10 +170,3 @@ def j_minus_1728_factorization() -> bool:
     lhs = c.J_NUM - 1728 * c.J_DEN
     return (lhs - c.J_MINUS_1728_NUM).is_zero()
 
-
-def random_lambda(rng: random.Random) -> Fraction:
-    """A random Legendre parameter outside {0, 1}."""
-    while True:
-        l = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        if l not in (0, 1):
-            return l

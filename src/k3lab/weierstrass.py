@@ -16,9 +16,13 @@ of B and the discriminant are nonzero constants, the generic valuations
 hold at every member.
 
 Degeneration happens exactly when x^3 + a x + b - 2 or x^3 + a x + b + 2
-has a repeated root; the product of the two cubic discriminants is a
-polynomial in a^3 and b^2, so the test is exact even when only those
-powers are known (no root extraction).
+has a repeated root.  The product of the two cubic discriminants,
+`degeneracy_indicator`, is a polynomial in a^3 and b^2 (no root
+extraction), and at the closed forms in (j1, j2) it is (j1 - j2)^2 / 256
+exactly, an identity in Q[j1, j2] that the check
+weierstrass.degeneracy_equivalence decides.  So the family command, which
+answers every input from (j1, j2), flags a member as degenerate exactly
+when j1 = j2 for rational input.
 """
 
 from __future__ import annotations
@@ -168,11 +172,6 @@ def fiber_analysis(m: FamilyMember) -> FiberAnalysis:
     return FiberAnalysis(at_zero, at_infinity, extra, euler)
 
 
-def is_degenerate(m: FamilyMember) -> bool:
-    """True iff x^3 + a x + (b -+ 2) has a repeated root (exact rationals)."""
-    return is_degenerate_powers(m.a**3, m.b**2)
-
-
 def degeneracy_indicator(a_cubed, b_squared):
     """disc(a, b-2) * disc(a, b+2) as a polynomial in a^3 and b^2, for
     numbers or polynomials.
@@ -187,6 +186,3 @@ def degeneracy_indicator(a_cubed, b_squared):
     return (16 * p**2 + 216 * p * q + 864 * p
             + 729 * q**2 - 5832 * q + 11664)
 
-
-def is_degenerate_powers(a_cubed, b_squared) -> bool:
-    return degeneracy_indicator(a_cubed, b_squared) == 0

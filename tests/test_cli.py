@@ -13,6 +13,7 @@ import pytest
 
 from k3lab import cli
 from k3lab import constants as cst
+from k3lab import modular as md
 from k3lab import suites
 from k3lab.exact import MultiPolynomial
 
@@ -108,16 +109,30 @@ class TestFamilyCommand:
         assert "j1 = 1728" in out
         assert "j2 = 35152/9" in out
 
-    def test_lambda_route_matches_j_route(self, capsys):
-        code1, out1, _ = run_main(
-            ["family", "--lambda1", "-1", "--lambda2", "1/4"], capsys)
-        j2 = Fraction(35152, 9)
-        code2, out2, _ = run_main(
-            ["family", "--j1", "1728", "--j2", str(j2)], capsys)
+    @pytest.mark.parametrize("l1, l2", [
+        ("-1", "1/4"), ("3", "-5/2"), ("2/7", "5/7"), ("-3", "-1/3"), ("1/4", "4"),
+        ("-40/11", "37/12"),
+    ], ids=["harmonic", "separate-token", "one-minus-l", "one-over-l", "one-over-quarter",
+            "generic"])
+    def test_lambda_route_matches_j_route(self, capsys, l1, l2):
+        # the lambda pair prints its j pair, then every line that the j pair
+        # prints, byte for byte; (l, 1 - l) and (l, 1/l) are degenerate
+        code1, out1, _ = run_main(["family", "--lambda1", l1, "--lambda2", l2], capsys)
+        j1, j2 = (256 * (l * l - l + 1) ** 3 / (l * l * (l - 1) ** 2)
+                  for l in map(Fraction, (l1, l2)))
+        code2, out2, _ = run_main(["family", f"--j1={j1}", f"--j2={j2}"], capsys)
         assert code1 == code2 == 0
-        grab = lambda s, key: re.search(rf"{key} = (.+)", s).group(1)
-        assert grab(out1, "a_cubed") == grab(out2, "a_cubed")
-        assert grab(out1, "b_squared") == grab(out2, "b_squared")
+        assert out1.splitlines()[:2] == [f"j1 = {j1}", f"j2 = {j2}"]
+        assert out1.splitlines()[2:] == out2.splitlines()
+        assert ("degenerate = true" in out2) == (j1 == j2)
+
+    @pytest.mark.parametrize("pair", [("0", "3"), ("3", "1"), ("1", "0")])
+    def test_lambda_zero_or_one_exits_3(self, capsys, pair):
+        code, out, err = run_main(
+            ["family", "--lambda1", pair[0], "--lambda2", pair[1]], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error:")
 
     def test_tau_route(self, capsys):
         code, out, _ = run_main(["family", "--tau", "i", "--n", "2"], capsys)
@@ -144,6 +159,20 @@ class TestFamilyCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("precision error:")
+
+    @pytest.mark.parametrize("re_tau", [10**71, 10**81], ids=["1e71", "1e81"])
+    def test_huge_real_part_exits_3(self, capsys, re_tau):
+        # translated at 256 bits, 10^71 + 0.3 + i would give a non-degenerate
+        # n = 1 member, and 10^81 + 0.3 + i would give j(i) = 1728
+        code, out, err = run_main(["family", f"--tau={re_tau}.3+1i", "--n=1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("precision error: Re(tau)")
+
+    def test_large_real_part_keeps_j(self):
+        # 10^21 is within the bound 2^112, and j(10^21 + 0.3 + i) = j(0.3 + i)
+        far = md.j_numeric(cli.parse_complex(f"{10**21}.3+1i"))
+        assert md.same_j(far, md.j_numeric(cli.parse_complex("0.3+1i")))
 
     @pytest.mark.parametrize("tau", ["1e-30i", "1e20i", "1i", "1.3333333333333333i",
                                      "1.6666666666666667i"])

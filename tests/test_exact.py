@@ -7,23 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cubic_discriminant
 from k3lab import constants as cst
-from k3lab.exact import (
-    MultiPolynomial,
-    RationalFunction,
-    clear_denominators,
-    cubic_discriminant,
-    variables,
-)
+from k3lab.exact import MultiPolynomial, RationalFunction, clear_denominators, variables
 
 VARS = ("u1", "v1", "u2", "v2", "l1", "l2")
 u1, v1, u2, v2, l1, l2 = variables(*VARS)
 
 
-def rf(num, den=None):
-    if den is None:
-        return RationalFunction.from_poly(num)
-    return RationalFunction(num, den)
+rf = RationalFunction
 
 
 class TestPolyIsZero:
@@ -61,7 +53,8 @@ class TestRatfuncEqual:
         assert rf(u1, v1).equals(rf(u1 * u2, v1 * u2))
 
     def test_factorization(self):
-        assert rf(u1**2 - v1**2, u1 - v1).equals(rf(u1 + v1))
+        one = MultiPolynomial.constant(VARS, 1)
+        assert rf(u1**2 - v1**2, u1 - v1).equals(rf(u1 + v1, one))
 
     def test_unequal(self):
         assert not rf(u1, v1).equals(rf(v1, u1))

@@ -6,9 +6,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import cubic_relation_terms_at, random_lambda
 from k3lab import constants as c
 from k3lab import kummer as km
 from k3lab import shioda_inose as si
+from k3lab import suites
 from k3lab.errors import DomainError
 from k3lab.exact import MultiPolynomial, RationalFunction, variables
 
@@ -102,21 +104,30 @@ class TestZInvariant:
         rng = random.Random(3)
         pt = self._point_on(c.C3_POLY, rng, Fraction(5), Fraction(7))
         assert si.build_h_polys().h_minus.evaluate(pt) == 0
-        assert si.z_invariant().evaluate(pt) == 2
+        assert si.z_invariant(si.build_h_polys()).evaluate(pt) == 2
 
     def test_value_minus_two_where_h_plus_vanishes(self):
         rng = random.Random(4)
         pt = self._point_on(c.C1_POLY, rng, Fraction(5), Fraction(7))
         assert si.build_h_polys().h_plus.evaluate(pt) == 0
-        assert si.z_invariant().evaluate(pt) == -2
+        assert si.z_invariant(si.build_h_polys()).evaluate(pt) == -2
 
     def test_square_root_relation(self):
         # (z + 1/z - 2)/(z + 1/z + 2) == -H_minus/H_plus
         h = si.build_h_polys()
-        s = si.z_invariant()
+        s = si.z_invariant(h)
         lhs = RationalFunction(s.num - 2 * s.den, s.num + 2 * s.den)
         rhs = RationalFunction(-h.h_minus, h.h_plus)
         assert lhs.equals(rhs)
+
+    def test_feeds_the_cubic_relation(self, monkeypatch):
+        # z + 1/z with its sign swapped, and nothing else changed, must flip
+        # the master_cubic check
+        z_invariant = si.z_invariant
+        monkeypatch.setattr(si, "z_invariant", lambda h: -1 * z_invariant(h))
+        status = {chk.id: chk.status for chk in suites.run_suite("identities").checks}
+        assert status.pop("identities.master_cubic") == "fail"
+        assert set(status.values()) == {"pass"}
 
 
 class TestMasterIdentity:
@@ -137,10 +148,22 @@ class TestMasterIdentity:
     def test_spot_checks_before_symbolic(self):
         rng = random.Random(13)
         for _ in range(10):
-            l1 = si.random_lambda(rng)
-            l2 = si.random_lambda(rng)
+            l1 = random_lambda(rng)
+            l2 = random_lambda(rng)
             pt = _generic_point(rng, l1, l2)
-            assert si.identity_residual_at(pt) == 0
+            assert sum(cubic_relation_terms_at(pt)) == 0
+
+    def test_terms_match_the_reference(self):
+        # the symbolic terms, evaluated at two rational points, against the
+        # reference that evaluates the constants there
+        points = ({"u1": 2, "v1": 1, "u2": 3, "v2": 1, "l1": 5, "l2": 7},
+                  {"u1": 5, "v1": 3, "u2": -2, "v2": 7,
+                   "l1": Fraction(11, 4), "l2": Fraction(-7, 3)})
+        terms = si._identity_terms(c.KAPPA)
+        for pt in points:
+            reference = cubic_relation_terms_at(pt)
+            assert [t.evaluate(pt) for t in terms] == reference
+            assert all(value != 0 for value in reference)
 
     def test_master_identity_symbolic(self):
         assert si.verify_master_identity(c.KAPPA)
@@ -188,7 +211,7 @@ class TestMasterIdentity:
         original = c.C1_POLY
         try:
             c.C1_POLY = mutated  # noqa: the mutation-injection path used by the CLI tests
-            assert si.identity_residual_at(pt) != 0
+            assert sum(cubic_relation_terms_at(pt)) != 0
         finally:
             c.C1_POLY = original
 
@@ -206,7 +229,7 @@ class TestJFromLambda:
     def test_matches_the_transcribed_quotient(self):
         rng = random.Random(7)
         for _ in range(50):
-            l = si.random_lambda(rng)
+            l = random_lambda(rng)
             point = {"l": l}
             assert si.j_from_lambda(l) == c.J_NUM.evaluate(point) / c.J_DEN.evaluate(point)
 
@@ -222,7 +245,7 @@ class TestJFromLambda:
     def test_s3_symmetry_samples(self):
         rng = random.Random(5)
         for _ in range(20):
-            l = si.random_lambda(rng)
+            l = random_lambda(rng)
             j = si.j_from_lambda(l)
             if 1 - l not in (0, 1):
                 assert si.j_from_lambda(1 - l) == j
@@ -244,22 +267,15 @@ class TestJFromLambda:
 
 class TestAbPowers:
     def test_harmonic_pair(self):
-        got = si.ab_powers_from_lambda(Fraction(-1), Fraction(-1))
-        assert got.a_cubed == -27
-        assert got.b_squared == 0
+        l1, l2 = variables("l1", "l2")
+        got = si._lambda_route(l1, l2)
+        assert got.a_cubed.evaluate({"l1": -1, "l2": -1}) == -27
+        assert got.b_squared.evaluate({"l1": -1, "l2": -1}) == 0
 
     def test_from_j_examples(self):
         assert si.ab_powers_from_j(1728, 1728) == si.AbPowers(Fraction(-27), Fraction(0))
         assert si.ab_powers_from_j(0, 555).a_cubed == 0
         assert si.ab_powers_from_j(1728, 999).b_squared == 0
-
-    def test_route_independence_samples(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            l1, l2 = si.random_lambda(rng), si.random_lambda(rng)
-            via_lambda = si.ab_powers_from_lambda(l1, l2)
-            via_j = si.ab_powers_from_j(si.j_from_lambda(l1), si.j_from_lambda(l2))
-            assert via_lambda == via_j
 
     def test_route_independence_symbolic(self):
         # a^3(l1,l2) == -j(l1) j(l2)/110592 and the b^2 analogue, as
@@ -302,14 +318,14 @@ class TestAbPowers:
         assert not si.route_independence()
 
     def test_swap_symmetry(self):
-        rng = random.Random(19)
-        for _ in range(10):
-            l1, l2 = si.random_lambda(rng), si.random_lambda(rng)
-            assert si.ab_powers_from_lambda(l1, l2) == si.ab_powers_from_lambda(l2, l1)
+        l1, l2 = variables("l1", "l2")
+        for got, swapped in zip(si._lambda_route(l1, l2), si._lambda_route(l2, l1)):
+            assert got.equals(swapped)
 
     def test_forbidden_lambda(self):
+        # a member is computed from (j1, j2), so j(0) stops it
         with pytest.raises(DomainError):
-            si.ab_powers_from_lambda(Fraction(0), Fraction(3))
+            si.ab_powers_from_j(si.j_from_lambda(Fraction(0)), si.j_from_lambda(Fraction(3)))
 
 
 class TestAbNumeric:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cubic_discriminant, random_lambda
 from k3lab import shioda_inose as si
 from k3lab import weierstrass as w
 from k3lab import suites
@@ -152,10 +153,9 @@ class TestFiberAnalysis:
         while checked < 50:
             a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             b = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-            member = w.FamilyMember(a, b)
-            if w.is_degenerate(member):
+            if cubic_discriminant(a, b - 2) * cubic_discriminant(a, b + 2) == 0:
                 continue
-            fa = w.fiber_analysis(member)
+            fa = w.fiber_analysis(w.FamilyMember(a, b))
             assert fa.euler_total == 24
             assert str(fa.at_zero) == str(fa.at_infinity) == "II*"
             checked += 1
@@ -182,7 +182,7 @@ class TestFiberAnalyses:
         # a = 0 empties A; (-3, 4) is degenerate: x^3 - 3x + 2 = (x - 1)^2 (x + 2)
         members = [w.FamilyMember(Fraction(0), Fraction(b)) for b in (0, 1, -5)]
         members.append(w.FamilyMember(Fraction(-3), Fraction(4)))
-        assert w.is_degenerate(members[-1])
+        assert w.degeneracy_indicator(Fraction(-27), Fraction(16)) == 0
         assert [w.fiber_analysis(m) for m in members] == [BUDGET] * 4
 
     def test_reads_the_library_model(self, monkeypatch):
@@ -197,18 +197,19 @@ class TestFiberAnalyses:
 
 class TestDegeneration:
     def test_known_degenerate(self):
-        assert w.is_degenerate(w.FamilyMember(Fraction(-3), Fraction(0)))
-        assert w.is_degenerate(w.FamilyMember(Fraction(0), Fraction(2)))
+        # (a, b) = (-3, 0) and (0, 2)
+        assert w.degeneracy_indicator(Fraction(-27), Fraction(0)) == 0
+        assert w.degeneracy_indicator(Fraction(0), Fraction(4)) == 0
 
     def test_known_smooth(self):
-        assert not w.is_degenerate(w.FamilyMember(Fraction(1), Fraction(1)))
+        # (a, b) = (1, 1)
+        assert w.degeneracy_indicator(Fraction(1), Fraction(1)) != 0
 
     def test_indicator_matches_product(self):
         rng = random.Random(8)
         for _ in range(20):
             a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
             b = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-            from k3lab.exact import cubic_discriminant
             prod = cubic_discriminant(a, b - 2) * cubic_discriminant(a, b + 2)
             assert w.degeneracy_indicator(a**3, b**2) == prod
 
@@ -226,7 +227,6 @@ class TestDegeneration:
 
     def test_double_root_example(self):
         # x^3 - 3x + 2 = (x-1)^2 (x+2): the member (-3, 0) hits b - 2 = -2
-        from k3lab.exact import cubic_discriminant
         assert cubic_discriminant(-3, -2) == 0
 
 
@@ -246,22 +246,24 @@ class TestDegenerationMatchesJEquality:
         ]
         count = 0
         while count < 20:
-            l1 = si.random_lambda(rng)
+            l1 = random_lambda(rng)
             l2 = orbit[rng.randrange(6)](l1)
             if l2 in (0, 1):
                 continue
-            assert si.j_from_lambda(l1) == si.j_from_lambda(l2)
-            powers = si.ab_powers_from_lambda(l1, l2)
-            assert w.is_degenerate_powers(powers.a_cubed, powers.b_squared)
+            j1, j2 = si.j_from_lambda(l1), si.j_from_lambda(l2)
+            assert j1 == j2
+            powers = si.ab_powers_from_j(j1, j2)
+            assert w.degeneracy_indicator(powers.a_cubed, powers.b_squared) == 0
             count += 1
 
     def test_unmatched_pairs_smooth(self):
         rng = random.Random(12)
         count = 0
         while count < 20:
-            l1, l2 = si.random_lambda(rng), si.random_lambda(rng)
-            if si.j_from_lambda(l1) == si.j_from_lambda(l2):
+            l1, l2 = random_lambda(rng), random_lambda(rng)
+            j1, j2 = si.j_from_lambda(l1), si.j_from_lambda(l2)
+            if j1 == j2:
                 continue
-            powers = si.ab_powers_from_lambda(l1, l2)
-            assert not w.is_degenerate_powers(powers.a_cubed, powers.b_squared)
+            powers = si.ab_powers_from_j(j1, j2)
+            assert w.degeneracy_indicator(powers.a_cubed, powers.b_squared) != 0
             count += 1
