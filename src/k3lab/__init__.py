@@ -10,8 +10,12 @@ double covers of Kummer surfaces of products of elliptic curves:
 * ``toric``        -- the reflexive simplex, its dual, and the 19-curve tree
 * ``weierstrass``  -- Weierstrass models and Kodaira fiber classification
 * ``shioda_inose`` -- the explicit fibration polynomials and (a, b) formulas
-* ``modular``      -- numeric j-function, Fricke pairs, modular polynomials
+* ``modular``      -- modular polynomials, exact CM values j(i) and j(2i),
+                      and the numeric j-function and Fricke pairs
 * ``cli``          -- the ``k3lab`` command line front end
+
+Every verification check is exact.  mpmath is imported only when a numeric
+function first runs, which among the commands only ``k3lab family`` does.
 """
 
 __version__ = "0.1.0"

@@ -17,8 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import modular as md
 from . import shioda_inose as si
 from .errors import DomainError, PrecisionError
@@ -46,6 +44,8 @@ def parse_complex(text: str):
     """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'; read at
     the working precision of the j-function, so no digit is lost.  Anything
     else, 'inf' and 'nan' included, is not a number."""
+    import mpmath
+
     cleaned = text.strip().replace(" ", "")
     if "/" in cleaned:
         q = parse_rational(cleaned)
@@ -64,6 +64,8 @@ def parse_complex(text: str):
 
 def _fmt(value) -> str:
     """Deterministic decimal rendering of an mpmath number."""
+    import mpmath
+
     return mpmath.nstr(md.chop(value), 17)
 
 

@@ -16,7 +16,9 @@ within 2^(14 - W) of its exact value, far below the rounding that q itself
 carries.  This module alone fixes the working precision, the series order
 and the tolerances: `same_j`, with which two numeric j-values count as
 equal, and `CHOP_TOL`, below which a part of a numeric value is rounding
-noise.
+noise.  mpmath is imported by the numeric functions when they first run,
+so a process that only verifies (`k3lab verify`, `report`, `modpoly`)
+never loads it; of the CLI commands only `family` does.
 
 Modular polynomials are derived, not transcribed: Phi_n is solved from
 the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts on the q-expansion,
@@ -27,6 +29,15 @@ so the integer coefficients follow by back-substitution, without division.
 Level 1 is X - Y; the other LEVELS are the primes up to 13, the levels at
 which Phi_n has degree n+1.
 
+Two CM values are decided exactly, with no floating point, by the check
+`modular.j_values`, on classical facts.  j(i) = 1728: E4^3 - E6^2 and
+1728 Delta (Delta = q prod (1 - q^n)^24, E6 = 1 - 504 sum sigma_5(n) q^n)
+are weight-12 forms on SL_2(Z), so by Sturm's bound they are equal once
+q^0 and q^1 agree; E6(-1/tau) = tau^6 E6(tau) gives E6(i) = 0, so
+j(i) = 1728 + E6(i)^2/Delta(i) = 1728.  j(2i) = 287496: it is a root of
+Phi_2(1728, Y) = (Y - 1728)(Y - 287496)^2, and not 1728, since i and 2i
+are distinct points of the fundamental domain.
+
 The one-parameter family members here have Picard rank 19 for very general
 tau; that rank statement itself is out of computational reach and is not
 asserted anywhere, only the coefficients and degeneracy flags are computed.
@@ -36,9 +47,6 @@ from __future__ import annotations
 
 import functools
 from typing import NamedTuple
-
-import mpmath
-from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PrecisionError
 
@@ -104,7 +112,10 @@ class QSeries(NamedTuple):
         by less than 2^(13 - W).  Each step truncates by less than 2^-W per
         part, and the later steps multiply that by q, so the rounding totals
         less than 2^(1 - W).  The sum is thus within 2^(14 - W) of S(q)."""
+        import mpmath
+
         w = PREC_BITS + GUARD_BITS
+        to_fixed = mpmath.libmp.to_fixed
         qr, qi = to_fixed(q.real._mpf_, w), to_fixed(q.imag._mpf_, w)
         re = im = 0
         for c in reversed(self.coefficients):
@@ -112,12 +123,16 @@ class QSeries(NamedTuple):
         return mpmath.mpc(mpmath.mpf((re, -w)), mpmath.mpf((im, -w)))
 
 
-def _sigma3(n: int) -> int:
-    return sum(d**3 for d in range(1, n + 1) if n % d == 0)
+def _sigma(k: int, n: int) -> int:
+    return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
 
 def eisenstein_e4(order: int) -> QSeries:
-    return QSeries(tuple([1] + [240 * _sigma3(n) for n in range(1, order + 1)]))
+    return QSeries(tuple([1] + [240 * _sigma(3, n) for n in range(1, order + 1)]))
+
+
+def eisenstein_e6(order: int) -> QSeries:
+    return QSeries(tuple([1] + [-504 * _sigma(5, n) for n in range(1, order + 1)]))
 
 
 def eta_product_24(order: int) -> QSeries:
@@ -140,25 +155,43 @@ def j_series(order: int) -> QSeries:
 # Translations and inversions allowed before reduction gives up.
 REDUCTION_STEPS = 4000
 
+# |Re(tau)|, and Im(tau) after reduction, beyond which PREC_BITS no longer
+# holds j well inside the tolerance of `same_j`.
+TAU_PART_LIMIT = 2.0 ** (PREC_BITS // 2 - 16)
+# The relative tolerance of `same_j`.
+SAME_J_TOL = 2.0 ** (-PREC_BITS // 2)
+
+
+@functools.cache
+def _mpf(value: float):
+    """The float `value` as an mpf, exactly, made once: mpmath converts a
+    float operand again at every operation, which costs more than the
+    operation itself."""
+    import mpmath
+
+    return mpmath.mpf(value)
+
 
 def reduce_to_fundamental_domain(tau):
     """Translate and invert until |Re| <= 1/2 and |tau| >= 1.
 
     tau carries a rounding error of about |Re(tau)| 2^-PREC_BITS, which the
     translation keeps and j turns into a relative error of about 2 pi times
-    as much.  Beyond |Re(tau)| = 2^(PREC_BITS/2 - 16) that leaves less than
-    13 bits of margin under the tolerance of `same_j`, as the same bound on
-    Im(tau) does in j_numeric; such a tau raises PrecisionError before any
-    translation."""
+    as much.  Beyond |Re(tau)| = TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) that
+    leaves less than 13 bits of margin under the tolerance of `same_j`, as
+    the same bound on Im(tau) does in j_numeric; such a tau raises
+    PrecisionError before any translation."""
+    import mpmath
+
     tau = mpmath.mpc(tau)
     if mpmath.im(tau) <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    if abs(mpmath.re(tau)) > mpmath.mpf(2) ** (PREC_BITS // 2 - 16):
+    if abs(mpmath.re(tau)) > _mpf(TAU_PART_LIMIT):
         raise PrecisionError(
             f"Re(tau) = {mpmath.nstr(mpmath.re(tau), 5)} is beyond "
             f"2^{PREC_BITS // 2 - 16}, the limit of {PREC_BITS}-bit precision")
     for _ in range(REDUCTION_STEPS):
-        tau = tau - mpmath.floor(mpmath.re(tau) + mpmath.mpf(1) / 2)
+        tau = tau - mpmath.floor(mpmath.re(tau) + _mpf(0.5))
         if abs(tau) < 1:
             tau = -1 / tau
         else:
@@ -167,38 +200,46 @@ def reduce_to_fundamental_domain(tau):
 
 
 def same_j(j1, j2) -> bool:
-    """|j1 - j2| <= 2^-(PREC_BITS/2) (|j1| + |j2|) at PREC_BITS: the one
-    tolerance for comparing numeric j-values.  j_numeric bounds its own
-    error well below it."""
+    """|j1 - j2| <= SAME_J_TOL (|j1| + |j2|) at PREC_BITS, SAME_J_TOL =
+    2^-(PREC_BITS/2): the one tolerance for comparing numeric j-values.
+    j_numeric bounds its own error well below it."""
+    import mpmath
+
     with mpmath.workprec(PREC_BITS):
-        return abs(j1 - j2) <= mpmath.mpf(2) ** (-PREC_BITS // 2) * (abs(j1) + abs(j2))
+        return abs(j1 - j2) <= _mpf(SAME_J_TOL) * (abs(j1) + abs(j2))
 
 
 # A numeric value below CHOP_TOL in absolute value, or a real or imaginary
 # part below CHOP_TOL max(1, |value|), is rounding noise: `chop` sets it to
-# zero before the value is printed or a and b are built from it.
-CHOP_TOL = mpmath.mpf(10) ** -40
+# zero before the value is printed or a and b are built from it.  The
+# double nearest 10^-40.
+CHOP_TOL = 1e-40
 
 
 def chop(value):
     """`value` with parts below CHOP_TOL set to zero."""
-    return mpmath.chop(value, tol=CHOP_TOL)
+    import mpmath
+
+    return mpmath.chop(value, tol=_mpf(CHOP_TOL))
 
 
 def j_numeric(tau):
     """j(tau) at PREC_BITS.
 
     q = exp(2 pi i t) carries a relative rounding error of about
-    2 pi Im(t) 2^-PREC_BITS, and so does j.  Beyond Im(t) = 2^(PREC_BITS/2 - 16)
-    after reduction that error would exceed 2^(-PREC_BITS/2 - 13), leaving
-    less than 13 bits of margin under the relative tolerance 2^(-PREC_BITS/2)
-    of `same_j`; such a tau raises PrecisionError.  The fixed-point sum of
-    the series (QSeries.evaluate) adds less than 2^(14 - PREC_BITS -
-    GUARD_BITS) = 2^-274 to S = q j, well below the error that q carries.
+    2 pi Im(t) 2^-PREC_BITS, and so does j.  Beyond Im(t) = TAU_PART_LIMIT =
+    2^(PREC_BITS/2 - 16) after reduction that error would exceed
+    2^(-PREC_BITS/2 - 13), leaving less than 13 bits of margin under the
+    relative tolerance SAME_J_TOL of `same_j`; such a tau raises
+    PrecisionError.  The fixed-point sum of the series (QSeries.evaluate)
+    adds less than 2^(14 - PREC_BITS - GUARD_BITS) = 2^-274 to S = q j,
+    well below the error that q carries.
     """
+    import mpmath
+
     with mpmath.workprec(PREC_BITS):
         t = reduce_to_fundamental_domain(tau)
-        if mpmath.im(t) > mpmath.mpf(2) ** (PREC_BITS // 2 - 16):
+        if mpmath.im(t) > _mpf(TAU_PART_LIMIT):
             raise PrecisionError(
                 f"Im(tau) = {mpmath.nstr(mpmath.im(t), 5)} after reduction is beyond "
                 f"2^{PREC_BITS // 2 - 16}, the limit of {PREC_BITS}-bit precision")
@@ -209,6 +250,8 @@ def j_numeric(tau):
 def fricke_pair(tau, n: int):
     """(j(tau), j(-1/(n tau))); j_numeric(tau) runs first, so a tau outside
     the upper half plane raises DomainError before it is inverted."""
+    import mpmath
+
     if n < 1:
         raise ValueError("the level must be a positive integer")
     with mpmath.workprec(PREC_BITS):

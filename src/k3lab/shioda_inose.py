@@ -30,8 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-
 from . import constants as c
 from . import modular as md
 from .errors import DomainError
@@ -157,6 +155,8 @@ def ab_numeric(j1, j2):
     canonical, and those agree with ab_powers_from_j by construction.  The
     j-divisors are positive, so they divide under the principal roots.
     """
+    import mpmath
+
     with mpmath.workprec(md.PREC_BITS):
         j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
         third = mpmath.mpf(1) / 3

@@ -9,8 +9,6 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-
 from . import constants as cst
 from . import kummer as km
 from . import lattice as lat
@@ -318,16 +316,41 @@ def _weierstrass_checks(checks):
 
 # The build solves for q^-(n+1)^2 .. q^0; the check goes on past that.
 PHI_CHECK_TOP = 16
+# Sturm's bound for weight 12 on SL_2(Z) (Sturm, "On the congruence of
+# modular forms", 1987): a weight-12 form whose q-expansion vanishes
+# through q^(12/12) = q^1 is zero.
+STURM_TOP_WEIGHT_12 = 1
 
 
 def _modular_checks(checks):
     def j_values():
-        j1, j2 = md.j_numeric(mpmath.mpc(0, 1)), md.j_numeric(mpmath.mpc(0, 2))
-        ok = md.same_j(j1, 1728) and md.same_j(j2, 287496)
-        e1, e2 = abs(j1 - 1728), abs(j2 - 287496)
-        return ok, f"errors {mpmath.nstr(e1, 3)}, {mpmath.nstr(e2, 3)}"
+        # E4^3 - E6^2 and 1728 Delta, Delta = q prod (1 - q^n)^24, are
+        # weight-12 forms, so they are equal once they agree through q^1.
+        # E6(-1/tau) = tau^6 E6(tau) gives E6(i) = -E6(i) = 0, so then
+        # j(i) = E4(i)^3 / Delta(i) = 1728 + E6(i)^2 / Delta(i) = 1728.
+        top = STURM_TOP_WEIGHT_12
+        e4_cubed = md.eisenstein_e4(top).power(3).coefficients
+        e6_squared = md.eisenstein_e6(top).power(2).coefficients
+        lhs = [a - b for a, b in zip(e4_cubed, e6_squared)]
+        rhs = [0] + [1728 * c for c in md.eta_product_24(top - 1).coefficients]
+        if lhs != rhs:
+            return False, f"through q^{top}: E4^3 - E6^2 = {lhs}, 1728 Delta = {rhs}"
+        # Phi_2(j(i), j(2i)) = 0, which modular.phi2 decides, and
+        # j(2i) != j(i), as 2i and i are distinct points of the fundamental
+        # domain: so j(2i) is the other root of Phi_2(1728, Y).  Both sides
+        # are lists of coefficients in Y, constant term first.
+        row = [0] * 4
+        for (i, k), c in md.build_modular_polynomial(2).coefficients.items():
+            row[k] += c * 1728**i
+        expected = [1]
+        for r in (1728, 287496, 287496):  # times (Y - r)
+            expected = [a - r * b for a, b in zip([0] + expected, expected + [0])]
+        if row != expected:
+            return False, f"Phi_2(1728, Y) has coefficients {row}, constant term first"
+        return True, (f"E4^3 - E6^2 = 1728 Delta through q^{top}, the Sturm bound; "
+                      "Phi_2(1728, Y) = (Y - 1728)(Y - 287496)^2")
     _check(checks, "modular.j_values",
-           "j(i) = 1728 and j(2i) = 287496 at stated tolerances", j_values)
+           "j(i) = 1728 and j(2i) = 287496, exactly", j_values)
 
     def phi(n):
         def run():

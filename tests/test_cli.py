@@ -516,6 +516,20 @@ def _into_closed_pipe(command):
         os.close(write_end)
 
 
+# Modules no `k3lab` process should import unless it needs them.
+UNWANTED_MODULES = ("dataclasses", "inspect", "mpmath")
+
+
+def _imports_of(argv):
+    """Exit code, stdout and the set of top-level packages that
+    `python -m k3lab *argv` imports, read from its `-X importtime` lines."""
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "k3lab", *argv],
+                            capture_output=True, text=True, timeout=120, cwd=PACKAGE_PARENT)
+    names = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+             for line in result.stderr.splitlines() if line.startswith("import time:")}
+    return result.returncode, result.stdout, names
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -544,14 +558,32 @@ class TestSubprocessEntry:
         assert "Traceback" not in result.stderr
 
     def test_import_leaves_out_dataclasses_and_inspect(self):
-        # every `k3lab` process imports the CLI first; these two modules
-        # would add about 10 ms to each
+        # every `k3lab` process imports the CLI first; dataclasses and
+        # inspect would add about 10 ms to each, mpmath about 20 ms
         code = ("import sys, k3lab.cli; "
-                "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+                f"print(sorted(m for m in {UNWANTED_MODULES} if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 timeout=60, cwd=PACKAGE_PARENT)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (["verify", "--suite", "all"], "suite all: pass"),
+        (["report", "--suite", "all", "--format", "text"], "overall"),
+        (["modpoly", "--n", "2"], "3 0 1"),
+    ], ids=["verify", "report", "modpoly"])
+    def test_exact_commands_leave_out_mpmath(self, argv, last_line):
+        # every check is exact, so only `family` needs floating point
+        code, stdout, imported = _imports_of(argv)
+        assert code == 0
+        assert stdout.splitlines()[-1].startswith(last_line)
+        assert imported & set(UNWANTED_MODULES) == set()
+
+    def test_family_loads_mpmath_when_it_runs(self):
+        code, stdout, imported = _imports_of(["family", "--tau=i", "--n=2"])
+        assert code == 0
+        assert "j2 = 287496.0" in stdout.splitlines()
+        assert "mpmath" in imported
 
     def test_usage_exit_code(self):
         result = subprocess.run(

@@ -34,14 +34,15 @@ def relative_residual(phi, x, y):
 
 class TestJNumeric:
     def test_j_i(self):
-        assert abs(md.j_numeric(mpmath.mpc(0, 1)) - 1728) < tol(-20)
+        # the numeric side of modular.j_values, which decides j(i) exactly
+        assert md.same_j(md.j_numeric(mpmath.mpc(0, 1)), 1728)
 
     def test_j_rho(self):
         rho = (1 + mpmath.mpc(0, 1) * mpmath.sqrt(3)) / 2
         assert abs(md.j_numeric(rho)) < tol(-20)
 
     def test_j_2i(self):
-        assert abs(md.j_numeric(mpmath.mpc(0, 2)) - 287496) < tol(-15)
+        assert md.same_j(md.j_numeric(mpmath.mpc(0, 2)), 287496)
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
@@ -324,6 +325,44 @@ class TestSuiteChecks:
         checks = {c.id: c.status for c in suites.run_suite("modular").checks}
         assert checks == {"modular.j_values": "pass", "modular.phi2": "pass",
                           "modular.phi3": "fail"}
+
+    @pytest.mark.parametrize("name, scale", [("eisenstein_e4", 240), ("eisenstein_e6", -504)],
+                             ids=["E4", "E6"])
+    def test_j_values_fails_on_changed_eisenstein_constant(self, monkeypatch, name, scale):
+        # the q^1 coefficient of the series is the constant times sigma(1) = 1
+        md.j_series(md.SERIES_ORDER)  # cached from the true E4 before the change
+        series = getattr(md, name)
+
+        def changed(order):
+            c = list(series(order).coefficients)
+            assert c[:2] == [1, scale]
+            c[1] += 1
+            return md.QSeries(tuple(c))
+        monkeypatch.setattr(md, name, changed)
+        checks = {c.id: c.status for c in suites.run_suite("modular").checks}
+        assert checks == {"modular.j_values": "fail", "modular.phi2": "pass",
+                          "modular.phi3": "pass"}
+
+    def test_j_values_fails_on_each_changed_phi2_coefficient(self, monkeypatch):
+        build = md.build_modular_polynomial
+        true = build(2).coefficients
+        for key in true:
+            coefficients = dict(true)
+            coefficients[key] += 1
+            mutated = md.ModularPolynomial(2, coefficients)
+            monkeypatch.setattr(md, "build_modular_polynomial",
+                                lambda n: mutated if n == 2 else build(n))
+            checks = {c.id: c for c in suites.run_suite("modular").checks}
+            assert checks["modular.j_values"].status == "fail", key
+            assert checks["modular.j_values"].witness.startswith("Phi_2(1728, Y) has")
+
+    def test_j_values_is_exact(self, monkeypatch):
+        # no floating point: the numeric j is never called
+        def numeric(tau):
+            raise AssertionError("j_numeric called")
+        monkeypatch.setattr(md, "j_numeric", numeric)
+        checks = {c.id: c.status for c in suites.run_suite("modular").checks}
+        assert checks["modular.j_values"] == "pass"
 
 
 class TestFamilyCoefficients:
