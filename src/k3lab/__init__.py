@@ -11,7 +11,8 @@ double covers of Kummer surfaces of products of elliptic curves:
 * ``weierstrass``  -- Weierstrass models and Kodaira fiber classification
 * ``shioda_inose`` -- the explicit fibration polynomials and (a, b) formulas
 * ``modular``      -- modular polynomials, exact CM values j(i) and j(2i),
-                      and the numeric j-function and Fricke pairs
+                      exact reduction of tau in Q(i), and the numeric
+                      j-function and Fricke pairs
 * ``cli``          -- the ``k3lab`` command line front end
 
 Every verification check is exact.  mpmath is imported only when a numeric

@@ -40,33 +40,31 @@ _DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX = re.compile(rf"(?P<re>[+-]?{_DECIMAL})??(?:(?P<im>[+-]?(?:{_DECIMAL})?)[ij])?")
 
 
-def parse_complex(text: str):
-    """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'; read at
-    the working precision of the j-function, so no digit is lost.  Anything
-    else, 'inf' and 'nan' included, is not a number."""
-    import mpmath
-
+def parse_complex(text: str) -> md.RationalPoint:
+    """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'; read
+    exactly, as a point of Q(i), so no digit is lost.  A decimal part
+    outside the reader's size bound (modular.exact_part) raises
+    PrecisionError.  Anything else, 'inf' and 'nan' included, is not a
+    number."""
     cleaned = text.strip().replace(" ", "")
     if "/" in cleaned:
-        q = parse_rational(cleaned)
-        with mpmath.workprec(md.PREC_BITS):
-            return mpmath.mpf(q.numerator) / q.denominator
+        return md.RationalPoint(parse_rational(cleaned), Fraction(0))
     match = _COMPLEX.fullmatch(cleaned)
     if not cleaned or match is None:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     im = match["im"]
-    with mpmath.workprec(md.PREC_BITS):
-        real = mpmath.mpf(match["re"] or 0)
-        if im is None:
-            return real
-        return mpmath.mpc(real, mpmath.mpf(im + "1" if im in ("", "+", "-") else im))
+    real = md.exact_part(match["re"] or "0", "Re(tau)")
+    if im is None:
+        return md.RationalPoint(real, Fraction(0))
+    return md.RationalPoint(real, md.exact_part(im + "1" if im in ("", "+", "-") else im,
+                                                "Im(tau)"))
 
 
 def _fmt(value) -> str:
     """Deterministic decimal rendering of an mpmath number."""
     import mpmath
 
-    return mpmath.nstr(md.chop(value), 17)
+    return mpmath.nstr(value, 17)
 
 
 # Options whose value may start with '-'.  argparse reads a separate token
@@ -166,8 +164,8 @@ def cmd_family(args) -> int:
         if args.n < 1:
             print("--n must be a positive integer", file=sys.stderr)
             return EXIT_USAGE
-        # chopped once, so a and b follow the printed j1 and j2
-        j1, j2 = map(md.chop, md.fricke_pair(args.tau, args.n))
+        # fricke_pair chops j1 and j2, so a and b follow the printed values
+        j1, j2 = md.fricke_pair(args.tau, args.n)
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
         degenerate = md.same_j(j1, j2)
@@ -183,7 +181,7 @@ def cmd_family(args) -> int:
         print(f"b_squared = {powers.b_squared}")
         degenerate = j1 == j2
     print(f"degenerate = {'true' if degenerate else 'false'}")
-    a, b = si.ab_numeric(j1, j2)
+    a, b = map(md.chop, si.ab_numeric(j1, j2))
     print(f"a = {_fmt(a)}")
     print(f"b = {_fmt(b)}")
     return EXIT_PASS
@@ -199,11 +197,6 @@ def cmd_modpoly(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(_attach_dash_values(
-            sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
     handlers = {
         "verify": cmd_verify,
         "report": cmd_report,
@@ -211,7 +204,12 @@ def main(argv=None) -> int:
         "modpoly": cmd_modpoly,
     }
     try:
+        # a --tau beyond the reader's size bound raises PrecisionError here
+        args = parser.parse_args(_attach_dash_values(
+            sys.argv[1:] if argv is None else argv))
         return handlers[args.command](args)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0,) else 0
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

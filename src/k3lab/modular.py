@@ -8,17 +8,21 @@ q * prod (1 - q^n)^24,
 
 truncated at order SERIES_ORDER = 64 after reducing the argument into the
 standard fundamental domain, where |q| <= exp(-pi sqrt(3)) makes the tail
-negligible at PREC_BITS = 256.  The truncation error is bounded
-empirically by doubling the order (see the test suite).  The truncated
-series is summed by Horner's rule over Python integers scaled by 2^W,
-W = PREC_BITS + GUARD_BITS (QSeries.evaluate); at a reduced q the sum is
-within 2^(14 - W) of its exact value, far below the rounding that q itself
-carries.  This module alone fixes the working precision, the series order
-and the tolerances: `same_j`, with which two numeric j-values count as
-equal, and `CHOP_TOL`, below which a part of a numeric value is rounding
-noise.  mpmath is imported by the numeric functions when they first run,
-so a process that only verifies (`k3lab verify`, `report`, `modpoly`)
-never loads it; of the CLI commands only `family` does.
+negligible at PREC_BITS = 256.  The reduction is exact: a tau read from
+decimal text is a point of Q(i) (RationalPoint), an mpf is dyadic, and
+Gauss's reduction of the binary quadratic form whose root is tau runs in
+integers, so the reduced point is rounded once, when j is evaluated there.
+The truncation error is bounded empirically by doubling the order (see the
+test suite).  The truncated series is summed by Horner's rule over Python
+integers scaled by 2^W, W = PREC_BITS + GUARD_BITS (QSeries.evaluate); at
+a reduced q the sum is within 2^(14 - W) of its exact value, far below the
+rounding that q itself carries.  This module alone fixes the working
+precision, the series order and the tolerances: `same_j`, with which two
+numeric j-values count as equal, and `CHOP_TOL`, below which a part of a
+numeric value is rounding noise.  mpmath is imported by the numeric
+functions when they first run, so a process that only verifies (`k3lab
+verify`, `report`, `modpoly`) never loads it; of the CLI commands only
+`family` does.
 
 Modular polynomials are derived, not transcribed: Phi_n is solved from
 the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts on the q-expansion,
@@ -45,7 +49,11 @@ asserted anywhere, only the coefficients and degeneracy flags are computed.
 
 from __future__ import annotations
 
+import decimal
 import functools
+import math
+from decimal import Decimal
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
@@ -152,12 +160,16 @@ def j_series(order: int) -> QSeries:
     return eisenstein_e4(order).power(3) * eta_product_24(order).inverse()
 
 
-# Translations and inversions allowed before reduction gives up.
-REDUCTION_STEPS = 4000
-
-# |Re(tau)|, and Im(tau) after reduction, beyond which PREC_BITS no longer
-# holds j well inside the tolerance of `same_j`.
-TAU_PART_LIMIT = 2.0 ** (PREC_BITS // 2 - 16)
+# The reader's size bound.  A part of tau, read from decimal text or taken
+# from an mpmath number, is zero or lies between 2^-TAU_FLOOR_BITS and
+# TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) in absolute value, and Im(tau) after
+# reduction is at most TAU_PART_LIMIT (j_numeric).  Reduction is exact, so
+# the bound on the parts costs no precision; it keeps the exact numbers that
+# reach reduction within a few thousand bits.
+TAU_PART_BITS = PREC_BITS // 2 - 16
+TAU_PART_LIMIT = 2**TAU_PART_BITS
+TAU_FLOOR_BITS = 4096
+_LOG2_10 = math.log2(10)
 # The relative tolerance of `same_j`.
 SAME_J_TOL = 2.0 ** (-PREC_BITS // 2)
 
@@ -172,37 +184,127 @@ def _mpf(value: float):
     return mpmath.mpf(value)
 
 
-def reduce_to_fundamental_domain(tau):
-    """Translate and invert until |Re| <= 1/2 and |tau| >= 1.
+class RationalPoint(NamedTuple):
+    """x + iy with x, y rational: a point of Q(i), held exactly.  mpmath
+    reads it as an mpc rounded at its working precision (`_mpmath_`)."""
 
-    tau carries a rounding error of about |Re(tau)| 2^-PREC_BITS, which the
-    translation keeps and j turns into a relative error of about 2 pi times
-    as much.  Beyond |Re(tau)| = TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) that
-    leaves less than 13 bits of margin under the tolerance of `same_j`, as
-    the same bound on Im(tau) does in j_numeric; such a tau raises
-    PrecisionError before any translation."""
-    import mpmath
+    real: Fraction
+    imag: Fraction
 
-    tau = mpmath.mpc(tau)
-    if mpmath.im(tau) <= 0:
+    def _mpmath_(self, prec, rounding):
+        from mpmath import libmp, mp
+
+        return mp.make_mpc(tuple(libmp.from_rational(x.numerator, x.denominator, prec, rounding)
+                                 for x in self))
+
+
+# Five significant digits, at any exponent.
+_SHOWN = decimal.Context(prec=5, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _shown(x) -> str:
+    """A Decimal, an mpf or a Fraction to five significant digits."""
+    if hasattr(x, "_mpf_"):
+        import mpmath
+
+        return mpmath.nstr(x, 5)
+    if isinstance(x, Fraction):
+        x = _SHOWN.divide(Decimal(x.numerator), x.denominator)
+    return f"{_SHOWN.normalize(x):g}"
+
+
+def exact_part(value, name: str) -> Fraction:
+    """The part `name` of tau, exactly: from decimal text, from an mpf (every
+    mpf is dyadic) or from a Python number.  Outside the reader's size bound
+    it raises PrecisionError.  Text and mpf are first held to the bound by
+    their exponent, with a margin, so that no Fraction is built for a part
+    such as 1e-999999999, which would need a 10^9-digit integer."""
+    scale = 0  # about log2 |value|, while value is not yet a Fraction
+    if isinstance(value, str):
+        try:
+            value = Decimal(value)
+        except ArithmeticError:  # an exponent beyond 10^18
+            raise PrecisionError(f"{name} = {value} has an exponent too large to read") from None
+        if value:
+            scale = value.adjusted() * _LOG2_10
+    elif hasattr(value, "_mpf_"):
+        _, man, exp, bc = value._mpf_
+        if not man and exp:
+            raise ValueError(f"{name} is not finite")
+        scale = exp + bc
+    if not -TAU_FLOOR_BITS - 8 < scale < TAU_PART_BITS + 8:
+        _out_of_bound(name, value, scale > 0)
+    if hasattr(value, "_mpf_"):
+        from mpmath import libmp
+
+        value = Fraction(*libmp.to_rational(value._mpf_))
+    value = Fraction(value)
+    if value and not Fraction(1, 1 << TAU_FLOOR_BITS) <= abs(value) <= TAU_PART_LIMIT:
+        _out_of_bound(name, value, abs(value) > 1)
+    return value
+
+
+def _out_of_bound(name: str, value, above: bool):
+    if above:
+        raise PrecisionError(f"{name} = {_shown(value)} is beyond 2^{TAU_PART_BITS}, "
+                             f"the limit of {PREC_BITS}-bit precision")
+    raise PrecisionError(f"{name} = {_shown(value)} is below 2^-{TAU_FLOOR_BITS}, "
+                         "the smallest part read exactly")
+
+
+def _form(tau) -> tuple:
+    """(a, b, c, s) with tau = (-b + i s)/(2a): tau is the root in the upper
+    half plane of the positive definite form a X^2 + b X Y + c Y^2, whose
+    discriminant is -s^2.  tau is a RationalPoint or a number (exact_part)."""
+    if isinstance(tau, RationalPoint):
+        x, y = tau
+    else:
+        x, y = exact_part(tau.real, "Re(tau)"), exact_part(tau.imag, "Im(tau)")
+    if y <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    if abs(mpmath.re(tau)) > _mpf(TAU_PART_LIMIT):
-        raise PrecisionError(
-            f"Re(tau) = {mpmath.nstr(mpmath.re(tau), 5)} is beyond "
-            f"2^{PREC_BITS // 2 - 16}, the limit of {PREC_BITS}-bit precision")
-    for _ in range(REDUCTION_STEPS):
-        tau = tau - mpmath.floor(mpmath.re(tau) + _mpf(0.5))
-        if abs(tau) < 1:
-            tau = -1 / tau
-        else:
-            return tau
-    raise PrecisionError("fundamental domain reduction did not converge")
+    d = math.lcm(x.denominator, y.denominator)
+    u, v = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+    return d * d, -2 * u * d, u * u + v * v, 2 * v * d
+
+
+def _reduced(a: int, b: int, c: int, s: int) -> RationalPoint:
+    """The point (-b + i s)/(2a) of the form (a, b, c), moved into the
+    fundamental domain by Gauss's reduction of the form: translate until
+    -a < b <= a (tau -> tau - k takes b to b + 2ak), and while a > c, swap a
+    and c (tau -> -1/tau takes (a, b, c) to (c, -b, a)); if then a = c, make
+    b >= 0.  Every proper class of positive definite forms holds exactly one
+    form so reduced (Cox, "Primes of the form x^2 + ny^2", Theorem 2.8), and
+    proportional forms have the same point, so tau and g tau end at the same
+    point for every g in SL_2(Z): Re in [-1/2, 1/2), and Re <= 0 on |tau| = 1.
+    All in integers; the Fractions are made once, at the end."""
+    while True:
+        k = (a - b) // (2 * a)
+        if k:
+            c += k * (a * k + b)
+            b += 2 * a * k
+        if a <= c:
+            break
+        a, b, c = c, -b, a
+    if a == c and b < 0:
+        b = -b
+    return RationalPoint(Fraction(-b, 2 * a), Fraction(s, 2 * a))
+
+
+def reduce_to_fundamental_domain(tau) -> RationalPoint:
+    """The canonical representative of the SL_2(Z)-orbit of tau, exactly:
+    Re in [-1/2, 1/2), |tau| >= 1, and Re <= 0 on |tau| = 1.  tau is a
+    RationalPoint, or a number that exact_part converts exactly, within the
+    reader's size bound; nothing is rounded, so the point that j_numeric
+    evaluates is rounded once, at PREC_BITS."""
+    return _reduced(*_form(tau))
 
 
 def same_j(j1, j2) -> bool:
-    """|j1 - j2| <= SAME_J_TOL (|j1| + |j2|) at PREC_BITS, SAME_J_TOL =
-    2^-(PREC_BITS/2): the one tolerance for comparing numeric j-values.
-    j_numeric bounds its own error well below it."""
+    """j1 == j2, or |j1 - j2| <= SAME_J_TOL (|j1| + |j2|) at PREC_BITS,
+    SAME_J_TOL = 2^-(PREC_BITS/2): the one tolerance for comparing numeric
+    j-values.  j_numeric bounds its own error well below it."""
+    if j1 == j2:
+        return True
     import mpmath
 
     with mpmath.workprec(PREC_BITS):
@@ -217,46 +319,67 @@ CHOP_TOL = 1e-40
 
 
 def chop(value):
-    """`value` with parts below CHOP_TOL set to zero."""
+    """The mpf or mpc `value` with its noise set to zero (CHOP_TOL): 0, its
+    real part alone, i times its imaginary part alone, or `value`.  Decided
+    on the exact squares of the parts, and the part kept keeps all its bits."""
     import mpmath
+    from mpmath.libmp import fone, fzero, mpf_add, mpf_lt, mpf_mul
 
-    return mpmath.chop(value, tol=_mpf(CHOP_TOL))
+    is_complex = hasattr(value, "_mpc_")
+    re, im = value._mpc_ if is_complex else (value._mpf_, fzero)
+    tol = _mpf(CHOP_TOL)._mpf_
+    tol2, re2, im2 = mpf_mul(tol, tol), mpf_mul(re, re), mpf_mul(im, im)
+    norm = mpf_add(re2, im2)
+    if mpf_lt(norm, tol2):
+        return mpmath.mp.zero
+    if not is_complex:
+        return value
+    bound = tol2 if mpf_lt(norm, fone) else mpf_mul(tol2, norm)
+    if mpf_lt(im2, bound):
+        return mpmath.mp.make_mpf(re)
+    if mpf_lt(re2, bound):
+        return mpmath.mp.make_mpc((fzero, im))
+    return value
 
 
 def j_numeric(tau):
-    """j(tau) at PREC_BITS.
+    """j(tau) at PREC_BITS, from the exactly reduced point t.
 
     q = exp(2 pi i t) carries a relative rounding error of about
     2 pi Im(t) 2^-PREC_BITS, and so does j.  Beyond Im(t) = TAU_PART_LIMIT =
-    2^(PREC_BITS/2 - 16) after reduction that error would exceed
-    2^(-PREC_BITS/2 - 13), leaving less than 13 bits of margin under the
-    relative tolerance SAME_J_TOL of `same_j`; such a tau raises
-    PrecisionError.  The fixed-point sum of the series (QSeries.evaluate)
-    adds less than 2^(14 - PREC_BITS - GUARD_BITS) = 2^-274 to S = q j,
-    well below the error that q carries.
+    2^(PREC_BITS/2 - 16) that error would exceed 2^(-PREC_BITS/2 - 13),
+    leaving less than 13 bits of margin under the relative tolerance
+    SAME_J_TOL of `same_j`; such a tau raises PrecisionError.  t itself is
+    exact, so its one rounding is the conversion to PREC_BITS.  The
+    fixed-point sum of the series (QSeries.evaluate) adds less than
+    2^(14 - PREC_BITS - GUARD_BITS) = 2^-274 to S = q j, well below the
+    error that q carries.
     """
+    t = reduce_to_fundamental_domain(tau)
+    if t.imag > TAU_PART_LIMIT:
+        raise PrecisionError(
+            f"Im(tau) = {_shown(t.imag)} after reduction is beyond "
+            f"2^{TAU_PART_BITS}, the limit of {PREC_BITS}-bit precision")
     import mpmath
 
     with mpmath.workprec(PREC_BITS):
-        t = reduce_to_fundamental_domain(tau)
-        if mpmath.im(t) > _mpf(TAU_PART_LIMIT):
-            raise PrecisionError(
-                f"Im(tau) = {mpmath.nstr(mpmath.im(t), 5)} after reduction is beyond "
-                f"2^{PREC_BITS // 2 - 16}, the limit of {PREC_BITS}-bit precision")
         q = mpmath.exp(2j * mpmath.pi * t)
         return j_series(SERIES_ORDER).evaluate(q) / q
 
 
 def fricke_pair(tau, n: int):
-    """(j(tau), j(-1/(n tau))); j_numeric(tau) runs first, so a tau outside
-    the upper half plane raises DomainError before it is inverted."""
-    import mpmath
-
+    """(j(tau), j(-1/(n tau))), each chopped.  Both points are reduced
+    exactly, and j_numeric runs once per distinct reduced point: where
+    -1/(n tau) reduces to the point of tau, as every tau does at n = 1, the
+    pair is one value twice, which `same_j` takes as equal without its
+    tolerance.  A tau outside the upper half plane raises DomainError before
+    it is inverted."""
     if n < 1:
         raise ValueError("the level must be a positive integer")
-    with mpmath.workprec(PREC_BITS):
-        tau = mpmath.mpc(tau)
-        return j_numeric(tau), j_numeric(-1 / (n * tau))
+    a, b, c, s = _form(tau)
+    here, there = _reduced(a, b, c, s), _reduced(c * n * n, -b * n, a, s * n)
+    j = chop(j_numeric(here))
+    return j, (j if there == here else chop(j_numeric(there)))
 
 
 # ---------------------------------------------------------------------------

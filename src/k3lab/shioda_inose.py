@@ -159,8 +159,7 @@ def ab_numeric(j1, j2):
 
     with mpmath.workprec(md.PREC_BITS):
         j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
-        third = mpmath.mpf(1) / 3
-        a = -mpmath.power(j1 / c.A_CUBED_J_DIVISOR, third) * mpmath.power(j2, third)
+        a = -mpmath.cbrt(j1 / c.A_CUBED_J_DIVISOR) * mpmath.cbrt(j2)
         b = -mpmath.sqrt((j1 - 1728) / c.B_SQUARED_J_DIVISOR) * mpmath.sqrt(j2 - 1728)
         return a, b
 

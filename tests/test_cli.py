@@ -2,9 +2,11 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,6 +262,42 @@ class TestFamilyCommand:
         assert code == 3
         assert out == ""
         assert err == "domain error: tau must lie in the upper half plane\n"
+
+    def test_tau_read_exactly(self):
+        assert cli.parse_complex("-0.1+1.00000000000000000001i") == md.RationalPoint(
+            Fraction(-1, 10), Fraction(10**20 + 1, 10**20))
+        assert cli.parse_complex("1/2") == md.RationalPoint(Fraction(1, 2), Fraction(0))
+
+    @pytest.mark.parametrize("tau", ["1e-999999999+1i", "1e999999999i", "1+1e-999999999i",
+                                     "1e99999999999999999999i"])
+    def test_extreme_exponent_exits_3_at_once(self, capsys, tau):
+        # Fraction("1e-999999999") would build a 10^9-digit integer: the
+        # reader holds the exponent to its size bound before any Fraction
+        result = subprocess.run([sys.executable, "-m", "k3lab", "family", f"--tau={tau}", "--n=1"],
+                                capture_output=True, text=True, timeout=60, cwd=PACKAGE_PARENT)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("precision error:")
+        start = time.perf_counter()
+        assert run_main(["family", f"--tau={tau}", "--n=1"], capsys)[0] == 3
+        assert time.perf_counter() - start < 1
+
+    def test_purely_imaginary_b_keeps_its_digits(self, capsys):
+        # the 256-bit b is -7.5522721384538315425...i; rounded to 53 bits by
+        # the chop it printed ...318
+        code, out, _ = run_main(["family", "--j1=62813/19", "--j2=-25255"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "b = (0.0 - 7.5522721384538315j)"
+
+    def test_level_one_prints_equal_j(self, capsys):
+        # -1/tau reduces to the point of tau, so j1 and j2 are one value
+        rng = random.Random(17)
+        for _ in range(30):
+            tau = f"{rng.uniform(-3, 3):.6f}{rng.uniform(0.05, 2):+.6f}i"
+            code, out, _ = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
+            lines = out.splitlines()
+            assert code == 0
+            assert lines[0][len("j1"):] == lines[1][len("j2"):], tau
+            assert lines[2] == "degenerate = true"
 
 
 class TestParserReuse:

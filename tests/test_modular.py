@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -146,6 +147,100 @@ class TestQSeries:
         assert md.j_series(16).coefficients[:3] == (1, 744, 196884)
 
 
+def moebius(g, tau):
+    """g tau for g = (a, b, c, d) in SL_2(Z), exactly in Q(i): Im(g tau) =
+    Im(tau) / |c tau + d|^2, as ad - bc = 1."""
+    a, b, c, d = g
+    x, y = tau
+    norm = (c * x + d) ** 2 + (c * y) ** 2
+    return md.RationalPoint((a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / norm,
+                            y / norm)
+
+
+def random_sl2z(rng):
+    """A random word in T^k and S = ((0, -1), (1, 0))."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(rng.randint(1, 8)):
+        k = rng.randint(-6, 6)
+        a, b, c, d = a, a * k + b, c, c * k + d  # times T^k
+        a, b, c, d = b, -a, d, -c  # times S
+    assert a * d - b * c == 1
+    return a, b, c, d
+
+
+def in_domain(t) -> bool:
+    """The canonical fundamental domain: Re in [-1/2, 1/2), |tau| >= 1,
+    and Re <= 0 on |tau| = 1."""
+    norm = t.real**2 + t.imag**2
+    return -Fraction(1, 2) <= t.real < Fraction(1, 2) and norm >= 1 and (norm > 1 or t.real <= 0)
+
+
+class TestExactReduction:
+    def test_orbit_reduces_to_one_point(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            tau = md.RationalPoint(Fraction(rng.randint(-10**6, 10**6), 10**6),
+                                   Fraction(rng.randint(1, 3 * 10**6), 10**6))
+            t = md.reduce_to_fundamental_domain(tau)
+            assert in_domain(t), tau
+            assert md.reduce_to_fundamental_domain(moebius(random_sl2z(rng), tau)) == t, tau
+
+    @pytest.mark.parametrize("x, y, want", [
+        ("1/2", "1", ("-1/2", "1")),
+        ("-1/2", "1", ("-1/2", "1")),
+        ("7/25", "24/25", ("-7/25", "24/25")),
+        ("-7/25", "24/25", ("-7/25", "24/25")),
+        ("0", "1", ("0", "1")),
+        ("0", "1/2", ("0", "2")),
+        ("5/2", "1/2", ("0", "1")),  # 1/2 + i/2, then -1 + i
+    ], ids=["re_half", "re_minus_half", "unit_circle_re_positive", "unit_circle_re_negative",
+            "i", "i_over_2", "half_plus_half_i"])
+    def test_boundary_points(self, x, y, want):
+        tau = md.RationalPoint(Fraction(x), Fraction(y))
+        t = md.reduce_to_fundamental_domain(tau)
+        assert t == md.RationalPoint(*map(Fraction, want))
+        assert in_domain(t)
+        for g in [(1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1)]:
+            assert md.reduce_to_fundamental_domain(moebius(g, tau)) == t
+
+    def test_mpmath_arguments_convert_exactly(self):
+        with mpmath.workprec(md.PREC_BITS):
+            x = mpmath.mpf(3) / 2**300
+            assert md.exact_part(x, "Re(tau)") == Fraction(3, 2**300)
+            tau = mpmath.mpc(0.25, 1.5)
+        assert md.reduce_to_fundamental_domain(tau) == md.RationalPoint(Fraction(1, 4),
+                                                                        Fraction(3, 2))
+
+    @pytest.mark.parametrize("re, im", [(0, "1e999999999"), ("1e-999999999", 1),
+                                        ("1e81", 1)])
+    def test_mpf_beyond_the_size_bound(self, re, im):
+        # no Fraction of 10^9 digits is built: the exponent is tested first
+        with pytest.raises(PrecisionError):
+            md.j_numeric(mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)))
+
+
+class TestChop:
+    def test_kept_part_keeps_every_bit(self):
+        # made at 256 bits, chopped at mpmath's default 53
+        with mpmath.workprec(md.PREC_BITS):
+            x = mpmath.mpf(-7) / 3
+            noise = x * mpmath.mpf(10) ** -45
+            values = mpmath.mpc(noise, x), mpmath.mpc(x, noise)
+        imaginary, real = map(md.chop, values)
+        assert imaginary.real == 0 and imaginary.imag == x
+        assert isinstance(real, mpmath.mpf) and real == x
+
+    def test_tolerance(self):
+        tiny = mpmath.mpf(10) ** -41
+        assert md.chop(mpmath.mpc(tiny, tiny)) == 0
+        assert md.chop(tiny) == 0
+        # a part counts as noise relative to the value once |value| > 1
+        big = mpmath.mpf(10) ** 10
+        assert isinstance(md.chop(mpmath.mpc(big, big * 10**-39)), mpmath.mpc)
+        assert isinstance(md.chop(mpmath.mpc(big, big * 10**-41)), mpmath.mpf)
+        assert isinstance(md.chop(mpmath.mpc(1, mpmath.mpf(10) ** -39)), mpmath.mpc)
+
+
 class TestSameJ:
     def test_boundary(self):
         # the tolerance is 2^-128 (|j1| + |j2|), so about 2^-127 relative
@@ -178,6 +273,18 @@ class TestFrickePair:
     def test_outside_upper_half_plane_rejected(self, tau):
         with pytest.raises(DomainError, match="^tau must lie in the upper half plane$"):
             md.fricke_pair(tau, 2)
+
+    @pytest.mark.parametrize("tau, n, calls", [
+        (("3/10", "7/5"), 1, 1), (("1/2", "1/2"), 2, 1), (("0", "1"), 2, 2),
+        (("-31/100", "137/100"), 3, 2),
+    ], ids=["level_one", "half_plus_half_i_level_two", "i_level_two", "generic_level_three"])
+    def test_one_evaluation_per_reduced_point(self, monkeypatch, tau, n, calls):
+        evaluated = []
+        j_numeric = md.j_numeric
+        monkeypatch.setattr(md, "j_numeric", lambda t: evaluated.append(t) or j_numeric(t))
+        j1, j2 = md.fricke_pair(md.RationalPoint(*map(Fraction, tau)), n)
+        assert len(evaluated) == calls
+        assert (j1 is j2) == (calls == 1)
 
     def test_involution_swaps(self):
         rng = random.Random(7)
