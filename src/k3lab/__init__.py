@@ -13,10 +13,21 @@ double covers of Kummer surfaces of products of elliptic curves:
 * ``modular``      -- modular polynomials, exact CM values j(i) and j(2i),
                       exact reduction of tau in Q(i), and the numeric
                       j-function and Fricke pairs
+* ``suites``       -- the named verification suites, one per entry of
+                      ``SUITE_NAMES``
 * ``cli``          -- the ``k3lab`` command line front end
 
-Every verification check is exact.  mpmath is imported only when a numeric
-function first runs, which among the commands only ``k3lab family`` does.
+Each command of the CLI loads only the layers it runs.  ``k3lab verify``
+and ``k3lab report`` load ``suites`` and with it every layer; ``k3lab
+family`` loads ``modular``, and ``shioda_inose`` with ``constants`` and
+``exact``; ``k3lab modpoly`` loads ``modular`` alone.  Every verification
+check is exact.  mpmath is imported only when a numeric function first
+runs, which among the commands only ``k3lab family`` does.
 """
 
 __version__ = "0.1.0"
+
+# The verification suites, in the order `k3lab verify --suite all` runs
+# them; stated here, apart from every layer, so that the CLI can offer them
+# without importing `suites`.
+SUITE_NAMES = ("identities", "lattice", "kummer", "toric", "weierstrass", "modular")

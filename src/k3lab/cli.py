@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 
+from . import SUITE_NAMES
 from . import modular as md
-from . import shioda_inose as si
 from .errors import DomainError, PrecisionError
-from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -28,11 +26,58 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def parse_rational(text: str) -> Fraction:
+# Size bound of the rational readers: --j1 and --j2 take a numerator and a
+# denominator of at most J_DIGITS decimal digits each, --lambda1 and
+# --lambda2 a sixth of that, as j has degree 6 in lambda.  Then the printed
+# j, a^3 and b^2 have a numerator and a denominator of at most 2 J_DIGITS + 10
+# digits, within the 4300 that str(int) converts by default.
+J_DIGITS = 2000
+LAMBDA_DIGITS = J_DIGITS // 6
+
+# Fraction's grammar: p/q, or a decimal with an optional exponent.  Kept as
+# text, so that only a reader that needs it compiles it (re caches it).
+_RATIONAL = r"""(?x)[+-]?(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:\s*/\s*(?P<den>\d+(?:_\d+)*)
+      |(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[+-]?\d+(?:_\d+)*))?)"""
+
+
+def parse_rational(name: str, digits: int, text: str) -> Fraction:
+    """`text` read exactly, as Fraction reads it, for the option `name`.  A
+    numerator or denominator of more than `digits` digits as written raises
+    PrecisionError (`_hold_to_bound`)."""
+    cleaned = text.strip()
+    # without an exponent, no part as written has more digits than the text
+    if len(cleaned) > digits or "e" in cleaned or "E" in cleaned:
+        _hold_to_bound(name, digits, cleaned)
     try:
-        return Fraction(text.strip())
+        return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _hold_to_bound(name: str, digits: int, text: str) -> None:
+    """Raise PrecisionError if the numerator or the denominator of `text`,
+    as written, has more than `digits` digits; m.f e E is written as the
+    integer mf over 10^(len(f) - E).  The digits are counted on the text, so
+    no large integer is built for a value such as 1e-999999999."""
+    match = re.fullmatch(_RATIONAL, text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    num, den, frac, exp = ((match[k] or "").replace("_", "")
+                           for k in ("num", "den", "frac", "exp"))
+    if den:
+        written = {"numerator": len(num.lstrip("0")), "denominator": len(den.lstrip("0"))}
+    else:
+        if len(exp.lstrip("+-0")) > 9:
+            raise PrecisionError(f"{name} has an exponent of more than 9 digits, "
+                                 f"beyond its reader's bound of {digits} digits")
+        shift = int(exp or 0) - len(frac)
+        written = {"numerator": len((num + frac).lstrip("0")) + max(shift, 0),
+                   "denominator": max(-shift, 0) + 1}
+    for part, count in written.items():
+        if count > digits:
+            raise PrecisionError(f"{name} has a {part} of {count} digits, "
+                                 f"beyond its reader's bound of {digits}")
 
 
 # A real part, an imaginary part ending in i (or j), or both; 'i' alone is 1i
@@ -48,7 +93,7 @@ def parse_complex(text: str) -> md.RationalPoint:
     number."""
     cleaned = text.strip().replace(" ", "")
     if "/" in cleaned:
-        return md.RationalPoint(parse_rational(cleaned), Fraction(0))
+        return md.RationalPoint(parse_rational("--tau", J_DIGITS, cleaned), Fraction(0))
     match = _COMPLEX.fullmatch(cleaned)
     if not cleaned or match is None:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
@@ -107,10 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", default="json", choices=("json", "text"))
 
     p_family = sub.add_parser("family", help="family coefficients for one member")
-    p_family.add_argument("--j1", type=parse_rational)
-    p_family.add_argument("--j2", type=parse_rational)
-    p_family.add_argument("--lambda1", type=parse_rational)
-    p_family.add_argument("--lambda2", type=parse_rational)
+    for option, digits in (("--j1", J_DIGITS), ("--j2", J_DIGITS),
+                           ("--lambda1", LAMBDA_DIGITS), ("--lambda2", LAMBDA_DIGITS)):
+        p_family.add_argument(option, type=functools.partial(parse_rational, option, digits))
     p_family.add_argument("--tau", type=parse_complex)
     p_family.add_argument("--n", type=int)
 
@@ -118,6 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_modpoly.add_argument("--n", type=int, required=True, choices=md.LEVELS)
 
     return parser
+
+
+def run_suite(name: str):
+    """`suites.run_suite`, importing `suites`, and with it every layer, only
+    when a command runs a suite."""
+    from . import suites
+
+    return suites.run_suite(name)
 
 
 def cmd_verify(args) -> int:
@@ -132,6 +184,8 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     report = run_suite(args.suite)
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     else:
         width = max(len(c.id) for c in report.checks)
@@ -156,6 +210,8 @@ def cmd_family(args) -> int:
         print("family needs exactly one of: --j1/--j2, --lambda1/--lambda2, "
               "--tau/--n", file=sys.stderr)
         return EXIT_USAGE
+
+    from . import shioda_inose as si
 
     # every mode is answered from (j1, j2); disc(a, b - 2) disc(a, b + 2) =
     # (j1 - j2)^2 / 256 exactly, so the degeneracy flag compares j1 with j2
@@ -204,7 +260,8 @@ def main(argv=None) -> int:
         "modpoly": cmd_modpoly,
     }
     try:
-        # a --tau beyond the reader's size bound raises PrecisionError here
+        # a --tau or a rational beyond its reader's size bound raises
+        # PrecisionError here
         args = parser.parse_args(_attach_dash_values(
             sys.argv[1:] if argv is None else argv))
         return handlers[args.command](args)

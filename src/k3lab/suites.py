@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import SUITE_NAMES
 from . import constants as cst
 from . import kummer as km
 from . import lattice as lat
@@ -375,15 +376,8 @@ def _modular_checks(checks):
            phi(3))
 
 
-_SUITE_BUILDERS = {
-    "identities": _identities_checks,
-    "lattice": _lattice_checks,
-    "kummer": _kummer_checks,
-    "toric": _toric_checks,
-    "weierstrass": _weierstrass_checks,
-    "modular": _modular_checks,
-}
-SUITE_NAMES = tuple(_SUITE_BUILDERS)
+# suite name -> the function that appends its checks, `_<name>_checks`
+_SUITE_BUILDERS = {name: globals()[f"_{name}_checks"] for name in SUITE_NAMES}
 
 
 def run_suite(name: str) -> SuiteReport:

@@ -281,6 +281,44 @@ class TestFamilyCommand:
         assert run_main(["family", f"--tau={tau}", "--n=1"], capsys)[0] == 3
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--j1=1e-100000", "--j2=1"], ["--lambda1=1e-5000", "--lambda2=3"],
+        ["--j1=1e-999999999", "--j2=1"], ["--j1=1", "--j2=7e99999999999999999999"],
+        ["--lambda1=2", "--lambda2=" + "9" * 5000], ["--j1=1/" + "3" * 2001, "--j2=1"],
+    ], ids=["j-1e-100000", "lambda-1e-5000", "j-1e-999999999", "huge-exponent",
+            "5000-digit-integer", "2001-digit-denominator"])
+    def test_rational_beyond_bound_exits_3_at_once(self, capsys, argv):
+        # the digits are counted on the text, before any Fraction is built
+        result = subprocess.run([sys.executable, "-m", "k3lab", "family", *argv],
+                                capture_output=True, text=True, timeout=60, cwd=PACKAGE_PARENT)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("precision error: --")
+        assert "Traceback" not in result.stderr
+        start = time.perf_counter()
+        assert run_main(["family", *argv], capsys)[0] == 3
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("mode, digits", [("j", cli.J_DIGITS), ("lambda", cli.LAMBDA_DIGITS)])
+    def test_rationals_at_the_bound_print_exactly(self, capsys, mode, digits):
+        # j has degree 6 in lambda, and a^3, b^2 degree 2 in (j1, j2): at the
+        # bound of either reader every exact answer still prints
+        top = 10**digits - 1
+        pairs = [(f"-{top}/{top - 1}", f"{top}/{top - 2}"), (f"1/{top}", f"-{top}/2"),
+                 (f"1e{digits - 1}", f"-1e-{digits - 1}")]
+        for v1, v2 in pairs:
+            code, out, err = run_main(["family", f"--{mode}1={v1}", f"--{mode}2={v2}"], capsys)
+            assert (code, err) == (0, "")
+            j1, j2 = map(Fraction, (v1, v2))
+            if mode == "lambda":
+                j1, j2 = (256 * (l * l - l + 1) ** 3 / (l * l * (l - 1) ** 2) for l in (j1, j2))
+            lines = out.splitlines()
+            assert f"a_cubed = {-j1 * j2 / 48**3}" in lines
+            assert f"b_squared = {(j1 - 1728) * (j2 - 1728) / 864**2}" in lines
+        for beyond in (f"{top + 1}", f"1/{top + 1}", f"1e{digits}", f"3e-{digits}"):
+            code, out, err = run_main(["family", f"--{mode}1={beyond}", f"--{mode}2=3"], capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"precision error: --{mode}1 has a ")
+
     def test_purely_imaginary_b_keeps_its_digits(self, capsys):
         # the 256-bit b is -7.5522721384538315425...i; rounded to 53 bits by
         # the chop it printed ...318
@@ -559,13 +597,19 @@ UNWANTED_MODULES = ("dataclasses", "inspect", "mpmath")
 
 
 def _imports_of(argv):
-    """Exit code, stdout and the set of top-level packages that
+    """Exit code, stdout and the set of full module names that
     `python -m k3lab *argv` imports, read from its `-X importtime` lines."""
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "k3lab", *argv],
                             capture_output=True, text=True, timeout=120, cwd=PACKAGE_PARENT)
-    names = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+    names = {line.rsplit("|", 1)[-1].strip()
              for line in result.stderr.splitlines() if line.startswith("import time:")}
     return result.returncode, result.stdout, names
+
+
+# The layers that only the suites run, and those that only `family` runs
+SUITE_LAYERS = {"k3lab.suites", "k3lab.lattice", "k3lab.kummer", "k3lab.toric",
+                "k3lab.weierstrass"}
+FAMILY_LAYERS = {"k3lab.shioda_inose", "k3lab.constants", "k3lab.exact"}
 
 
 class TestSubprocessEntry:
@@ -617,11 +661,49 @@ class TestSubprocessEntry:
         assert stdout.splitlines()[-1].startswith(last_line)
         assert imported & set(UNWANTED_MODULES) == set()
 
+    @pytest.mark.parametrize("argv, last_line, loaded, left_out", [
+        (["family", "--tau=i", "--n=2"], "b = ", FAMILY_LAYERS, SUITE_LAYERS),
+        (["family", "--lambda1=1/3", "--lambda2=2"], "b = ", FAMILY_LAYERS, SUITE_LAYERS),
+        (["modpoly", "--n", "2"], "3 0 1", {"k3lab.modular"}, SUITE_LAYERS | FAMILY_LAYERS),
+        (["verify", "--suite", "all"], "suite all: pass (26 checks",
+         SUITE_LAYERS | FAMILY_LAYERS | {"k3lab.modular"}, set()),
+    ], ids=["family-tau", "family-lambda", "modpoly", "verify"])
+    def test_each_command_imports_the_layers_it_runs(self, argv, last_line, loaded, left_out):
+        code, stdout, imported = _imports_of(argv)
+        assert code == 0
+        assert stdout.splitlines()[-1].startswith(last_line)
+        assert loaded <= imported
+        assert imported & left_out == set()
+
     def test_family_loads_mpmath_when_it_runs(self):
         code, stdout, imported = _imports_of(["family", "--tau=i", "--n=2"])
         assert code == 0
         assert "j2 = 287496.0" in stdout.splitlines()
         assert "mpmath" in imported
+
+    @pytest.mark.parametrize("command, expected", [
+        ("verify", "usage: k3lab verify [-h]\n"
+                   "                    [--suite {all,identities,lattice,kummer,toric,weierstrass,modular}]\n"
+                   "\n"
+                   "options:\n"
+                   "  -h, --help            show this help message and exit\n"
+                   "  --suite {all,identities,lattice,kummer,toric,weierstrass,modular}\n"),
+        ("report", "usage: k3lab report [-h]\n"
+                   "                    [--suite {all,identities,lattice,kummer,toric,weierstrass,modular}]\n"
+                   "                    [--format {json,text}]\n"
+                   "\n"
+                   "options:\n"
+                   "  -h, --help            show this help message and exit\n"
+                   "  --suite {all,identities,lattice,kummer,toric,weierstrass,modular}\n"
+                   "  --format {json,text}\n"),
+    ])
+    def test_suite_commands_help(self, command, expected):
+        # the suite choices come from k3lab.SUITE_NAMES, which the CLI reads
+        # without importing k3lab.suites
+        result = subprocess.run([sys.executable, "-m", "k3lab", command, "--help"],
+                                capture_output=True, text=True, timeout=60, cwd=PACKAGE_PARENT,
+                                env={**os.environ, "COLUMNS": "80"})
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
     def test_usage_exit_code(self):
         result = subprocess.run(
