@@ -18,11 +18,11 @@ double covers of Kummer surfaces of products of elliptic curves:
 * ``cli``          -- the ``k3lab`` command line front end
 
 Each command of the CLI loads only the layers it runs.  ``k3lab verify``
-and ``k3lab report`` load ``suites`` and with it every layer; ``k3lab
-family`` loads ``modular``, and ``shioda_inose`` with ``constants`` and
-``exact``; ``k3lab modpoly`` loads ``modular`` alone.  Every verification
-check is exact.  mpmath is imported only when a numeric function first
-runs, which among the commands only ``k3lab family`` does.
+and ``k3lab report`` load ``suites``, and each suite only the layers it
+runs; ``k3lab family`` loads ``modular``, and ``shioda_inose`` with
+``constants`` and ``exact``; ``k3lab modpoly`` loads ``modular`` alone.
+Every verification check is exact.  mpmath is imported only when a numeric
+function first runs, which among the commands only ``k3lab family`` does.
 """
 
 __version__ = "0.1.0"
@@ -31,3 +31,7 @@ __version__ = "0.1.0"
 # them; stated here, apart from every layer, so that the CLI can offer them
 # without importing `suites`.
 SUITE_NAMES = ("identities", "lattice", "kummer", "toric", "weierstrass", "modular")
+
+# The levels of modular.build_modular_polynomial, stated here for the same
+# reason: they are the choices of `k3lab modpoly --n`.
+LEVELS = (1, 2, 3, 5, 7, 11, 13)

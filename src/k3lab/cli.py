@@ -16,8 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import SUITE_NAMES
-from . import modular as md
+from . import LEVELS, SUITE_NAMES
 from .errors import DomainError, PrecisionError
 
 EXIT_PASS = 0
@@ -80,9 +79,10 @@ def _hold_to_bound(name: str, digits: int, text: str) -> None:
                                  f"beyond its reader's bound of {digits}")
 
 
-# A real part, an imaginary part ending in i (or j), or both; 'i' alone is 1i
+# A real part, an imaginary part ending in i (or j), or both; 'i' alone is 1i.
+# Kept as text, as _RATIONAL is, so that only a --tau reader compiles it.
 _DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX = re.compile(rf"(?P<re>[+-]?{_DECIMAL})??(?:(?P<im>[+-]?(?:{_DECIMAL})?)[ij])?")
+_COMPLEX = rf"(?P<re>[+-]?{_DECIMAL})??(?:(?P<im>[+-]?(?:{_DECIMAL})?)[ij])?"
 
 
 def parse_complex(text: str) -> md.RationalPoint:
@@ -91,10 +91,12 @@ def parse_complex(text: str) -> md.RationalPoint:
     outside the reader's size bound (modular.exact_part) raises
     PrecisionError.  Anything else, 'inf' and 'nan' included, is not a
     number."""
+    from . import modular as md
+
     cleaned = text.strip().replace(" ", "")
     if "/" in cleaned:
         return md.RationalPoint(parse_rational("--tau", J_DIGITS, cleaned), Fraction(0))
-    match = _COMPLEX.fullmatch(cleaned)
+    match = re.fullmatch(_COMPLEX, cleaned)
     if not cleaned or match is None:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     im = match["im"]
@@ -159,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--n", type=int)
 
     p_modpoly = sub.add_parser("modpoly", help="build a modular polynomial")
-    p_modpoly.add_argument("--n", type=int, required=True, choices=md.LEVELS)
+    p_modpoly.add_argument("--n", type=int, required=True, choices=LEVELS)
 
     return parser
 
 
 def run_suite(name: str):
-    """`suites.run_suite`, importing `suites`, and with it every layer, only
-    when a command runs a suite."""
+    """`suites.run_suite`, importing `suites` only when a command runs a
+    suite; each suite imports its own layers."""
     from . import suites
 
     return suites.run_suite(name)
@@ -211,6 +213,7 @@ def cmd_family(args) -> int:
               "--tau/--n", file=sys.stderr)
         return EXIT_USAGE
 
+    from . import modular as md
     from . import shioda_inose as si
 
     # every mode is answered from (j1, j2); disc(a, b - 2) disc(a, b + 2) =
@@ -244,6 +247,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_modpoly(args) -> int:
+    from . import modular as md
+
     phi = md.build_modular_polynomial(args.n)
     print(f"n={phi.n}")
     for (i, j), coeff in sorted(phi.coefficients.items()):

@@ -2,9 +2,9 @@
 
 Whatever is checked elsewhere in the package is *built* from the data below:
 the defining polynomials of the double-cover model in Legendre parameters
-(the Kummer classes are read off them), the labels of the Kummer curves,
-the two curve-incidence graphs, and the reflexive simplex with its
-hypersurface monomial support.
+(the Kummer classes are read off them), the labels and the incidence graph of
+the Kummer curves, and the reflexive simplex with its hypersurface monomial
+support (the curves of X are read off that simplex, in toric.curve_tree).
 Mutating any single entry here must flip the verification suite to failure;
 the CLI test suite exercises exactly that.
 
@@ -169,41 +169,6 @@ TWENTY_EDGES = (
 
 # Branch locus of the double cover recovering the mirror surface
 BRANCH_OCTET = ("C1", "C2", "C3", "C4", "G3_1", "G3_2", "G4_1", "G4_2")
-
-# ---------------------------------------------------------------------------
-# The 19-curve tree on the mirror surface X: two fibers of E8-affine type
-# (over z = 0 and z = infinity) joined through the section.  Node order:
-# chain of the z=0 fiber, its branch node, the section, chain of the
-# z=infinity fiber, its branch node.
-# ---------------------------------------------------------------------------
-
-X_TREE_NODES = (
-    "z0_1", "z0_2", "z0_3", "z0_4", "z0_5", "z0_6", "z0_7", "z0_8", "z0_b",
-    "sec",
-    "zi_1", "zi_2", "zi_3", "zi_4", "zi_5", "zi_6", "zi_7", "zi_8", "zi_b",
-)
-
-X_TREE_EDGES = (
-    ("z0_1", "z0_2"), ("z0_2", "z0_3"), ("z0_3", "z0_4"), ("z0_4", "z0_5"),
-    ("z0_5", "z0_6"), ("z0_6", "z0_7"), ("z0_7", "z0_8"), ("z0_6", "z0_b"),
-    ("sec", "z0_1"), ("sec", "zi_1"),
-    ("zi_1", "zi_2"), ("zi_2", "zi_3"), ("zi_3", "zi_4"), ("zi_4", "zi_5"),
-    ("zi_5", "zi_6"), ("zi_6", "zi_7"), ("zi_7", "zi_8"), ("zi_6", "zi_b"),
-)
-
-# Fiber multiplicities of an E8-affine configuration along the chain + branch
-E8_AFFINE_CHAIN_WEIGHTS = (1, 2, 3, 4, 5, 6, 4, 2)
-E8_AFFINE_BRANCH_WEIGHT = 3
-
-# Divisor classes of the genus-1 and genus-2 coordinate curves on X,
-# expressed in the 19 tree curves (same on both fiber sides).
-GENUS1_CHAIN_WEIGHTS = (2, 2, 2, 2, 2, 2, 1, 0)
-GENUS1_BRANCH_WEIGHT = 1
-GENUS1_SECTION_WEIGHT = 2
-
-GENUS2_CHAIN_WEIGHTS = (3, 3, 3, 3, 3, 3, 2, 1)
-GENUS2_BRANCH_WEIGHT = 1
-GENUS2_SECTION_WEIGHT = 3
 
 # ---------------------------------------------------------------------------
 # Toric data: the Newton simplex of the family, its expected dual, and the

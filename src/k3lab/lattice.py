@@ -25,7 +25,7 @@ from .exact import _exact_ratio
 class GramLattice:
     """A symmetric integer Gram matrix with one label per basis vector."""
 
-    def __init__(self, labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...]):
+    def __init__(self, labels: tuple, gram: tuple[tuple[int, ...], ...]):
         n = len(labels)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix size does not match label count")
@@ -86,7 +86,7 @@ class GramLattice:
         return Fraction(self.pairings([v], [w])[0][0])
 
 
-def curve_gram(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> GramLattice:
+def curve_gram(nodes: Sequence, edges: Iterable[tuple]) -> GramLattice:
     """Gram of a configuration of (-2)-curves: -2 on the diagonal, 1 for each
     pair of curves that meet (listed in `edges`), 0 elsewhere."""
     nodes = tuple(nodes)

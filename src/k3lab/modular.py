@@ -56,14 +56,13 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import LEVELS
 from .errors import DomainError, PrecisionError
 
 PREC_BITS = 256
 SERIES_ORDER = 64
 # Fractional bits of the fixed-point q-series sum beyond PREC_BITS.
 GUARD_BITS = 32
-# Levels of build_modular_polynomial: 1 and the primes up to 13.
-LEVELS = (1, 2, 3, 5, 7, 11, 13)
 
 
 class QSeries(NamedTuple):

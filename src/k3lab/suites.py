@@ -1,23 +1,17 @@
 """Named verification suites behind the CLI: every check re-derives its
 claim from the constants at call time, so a mutated constant flips the
-owning check to fail."""
+owning check to fail.  Each suite imports its layers when it runs."""
 
 from __future__ import annotations
 
 import functools
 import time
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from . import SUITE_NAMES
-from . import constants as cst
-from . import kummer as km
-from . import lattice as lat
-from . import modular as md
-from . import shioda_inose as si
-from . import toric
-from . import weierstrass as w
-from .exact import variables
 
 
 class CheckResult(NamedTuple):
@@ -52,6 +46,9 @@ def _check(checks, cid, description, fn):
 
 
 def _identities_checks(checks):
+    from . import constants as cst
+    from . import shioda_inose as si
+
     _check(checks, "identities.h_sum",
            "the three fiber forms are linearly dependent with sum zero",
            lambda: (si.verify_h_sum(), "H_inf + H_plus + H_minus == 0"))
@@ -81,20 +78,26 @@ def _identities_checks(checks):
 
 
 def _lattice_checks(checks):
-    def invariants():
-        inv = lat.lattice_invariants(toric.x_tree_lattice())
+    from . import lattice as lat
+    from . import toric
+
+    # One tree, and one set of its invariants, per call, as in _toric_checks.
+    tree = functools.cache(toric.curve_tree)
+    invariants = functools.cache(lambda: lat.lattice_invariants(tree().gram))
+
+    def tree_invariants():
+        inv = invariants()
         ok = (inv.rank == 18 and inv.signature == (1, 17)
               and abs(inv.determinant) == 1 and inv.is_even)
         return ok, f"rank {inv.rank}, signature {inv.signature}, det {inv.determinant}"
     _check(checks, "lattice.tree_invariants",
            "the 19-curve tree spans an even rank-18 lattice of signature (1,17), det ±1",
-           invariants)
+           tree_invariants)
 
     def e8_sides():
-        gram = toric.x_tree_lattice()
+        gram = tree().gram
         std = lat.standard_lattice("E8(-1)")
-        for side in ("z0", "zi"):
-            idx = [gram.labels.index(n) for n in toric.e8_side_nodes(side)]
+        for side, idx in zip(("z0", "zi"), tree().e8_sides):
             vecs = [[1 if j == i else 0 for j in range(gram.dim)] for i in idx]
             if lat.induced_gram(gram, vecs).gram != std.gram:
                 return False, f"{side} side induced Gram differs"
@@ -103,11 +106,9 @@ def _lattice_checks(checks):
            "both eight-node sides are E8 diagrams with the standard Gram", e8_sides)
 
     def section_fiber():
-        gram = toric.x_tree_lattice()
-        s = toric.section_class()
-        f0 = toric.fiber_class_at_zero()
-        fi = toric.fiber_class_at_infinity()
-        (ss, sf0, sfi), (_, ff0, ffi) = gram.pairings([s, f0], [s, f0, fi])
+        t = tree()
+        s, f0, fi = t.section, t.fiber_zero, t.fiber_infinity
+        (ss, sf0, sfi), (_, ff0, ffi) = t.gram.pairings([s, f0], [s, f0, fi])
         values = tuple(int(v) for v in (ss, ff0, sf0, sfi, ffi))
         ok = values == (-2, 0, 1, 1, 0)
         return ok, f"(S^2, F^2, S.F, S.F', F.F') = {values}"
@@ -115,27 +116,28 @@ def _lattice_checks(checks):
            "the section and fiber classes span a hyperbolic pair", section_fiber)
 
     def kernel():
-        gram = toric.x_tree_lattice()
-        basis = lat.kernel_basis(gram)
-        diff = [a - b for a, b in zip(toric.fiber_class_at_zero(),
-                                      toric.fiber_class_at_infinity())]
-        ok = len(basis) == 1 and (basis[0] == diff or basis[0] == [-x for x in diff])
-        return ok, f"kernel dimension {len(basis)}"
+        # rank-nullity; a primitive vector spans a kernel of dimension 1
+        t = tree()
+        dim = t.gram.dim - invariants().rank
+        diff = [a - b for a, b in zip(t.fiber_zero, t.fiber_infinity)]
+        null = all(sum(map(mul, row, diff)) == 0 for row in t.gram.gram)
+        return dim == 1 and null and gcd(*diff) == 1, f"kernel dimension {dim}"
     _check(checks, "lattice.kernel",
            "the kernel is spanned by the difference of the two fiber classes",
            kernel)
 
     def coordinate_curves():
-        gram = toric.x_tree_lattice()
-        g1 = toric.genus1_curve_class()
-        g2 = toric.genus2_curve_class()
+        gram = tree().gram
+        (g1, c1), (g2, c2) = tree().coordinate_classes
+        if c1 is None or c2 is None:
+            return False, "div x and div y do not cut out both coordinate curves"
         # the class of an irreducible curve of positive genus is nef, so it
         # meets every curve of the tree non-negatively
         units = [[int(i == j) for j in range(gram.dim)] for i in range(gram.dim)]
-        rows = gram.pairings([g1, g2], [g1, g2, *units])
+        rows = gram.pairings([c1, c2], [c1, c2, *units])
         v1, v2 = (row[k] for k, row in enumerate(rows))
         m1, m2 = (min(row[2:]) for row in rows)
-        ok = (v1, v2) == (0, 2) and min(m1, m2) >= 0
+        ok = (v1, v2) == (2 * g1 - 2, 2 * g2 - 2) and min(m1, m2) >= 0
         return ok, f"self-pairings {v1}, {v2}; least tree pairings {m1}, {m2}"
     _check(checks, "lattice.coordinate_curves",
            "the genus-1 and genus-2 curve classes match adjunction and are nef on the tree",
@@ -148,6 +150,8 @@ def _lattice_checks(checks):
 
 
 def _kummer_checks(checks):
+    from . import kummer as km
+
     # One class table per call, built by the first check that needs it, so
     # that a constant mutated before the run still reaches every check, and
     # a build that raises fails each of them inside _check.
@@ -207,6 +211,9 @@ def _kummer_checks(checks):
 
 
 def _toric_checks(checks):
+    from . import constants as cst
+    from . import toric
+
     # Each simplex once per call, as in _kummer_checks: a constant mutated
     # before the run still reaches every check, and a build that raises
     # fails each of them inside _check.
@@ -268,6 +275,10 @@ def _toric_checks(checks):
 
 
 def _weierstrass_checks(checks):
+    from . import shioda_inose as si
+    from . import weierstrass as w
+    from .exact import variables
+
     def substitution():
         x, y, t, a, b = variables("x", "y", "t", "a", "b")
         A, B = w.coefficients(a, b, t)
@@ -324,6 +335,8 @@ STURM_TOP_WEIGHT_12 = 1
 
 
 def _modular_checks(checks):
+    from . import modular as md
+
     def j_values():
         # E4^3 - E6^2 and 1728 Delta, Delta = q prod (1 - q^n)^24, are
         # weight-12 forms, so they are equal once they agree through q^1.

@@ -1,13 +1,15 @@
-"""The reflexive Newton simplex of the family and its combinatorics.
+"""The reflexive Newton simplex of the family, its combinatorics, and the
+curves of X read off its dual.
 
 Exact lattice 3-simplex computations: facets, duality, lattice point
 enumeration by bounding box against facet inequalities, edge lattice lengths
 (surface singularity types), and facet interior points (curve genera).  A
 simplex is all the toric data needs: the Newton polytope and its dual both
 have four vertices, every vertex pair spans an edge, and facet k is opposite
-vertex k.  Also exposes the Gram of the 19-curve incidence tree of the
-resolved family member, which this module owns as a constant: the incidence
-structure is fixed, and no triangulation engine is involved.
+vertex k.  `curve_tree` reads the 19-curve tree of the resolved family
+member, its fiber, section and coordinate-curve classes off the dual
+simplex, the facet genera and the exponents of z, x and y; no triangulation
+engine is involved.
 """
 
 from __future__ import annotations
@@ -182,53 +184,64 @@ def shifted_support_points() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def x_tree_lattice() -> GramLattice:
-    """Gram of two chains of eight (-2)-curves with branch nodes (the fibers
-    over z = 0 and z = infinity) joined through the section.
+class CurveTree(NamedTuple):
+    """The curves of `curve_tree`, labeled by their points of the dual
+    simplex; a class is a list of weights in label order."""
 
-    Labels are X_TREE_NODES, in order: z=0 chain, its branch, the section,
-    z=infinity chain, its branch.  The trivalent chain nodes are the genus-0
-    coordinate curves; the others resolve one A11, two A2 and two A1
-    singularities.
+    gram: GramLattice
+    section: list
+    fiber_zero: list
+    fiber_infinity: list
+    coordinate_classes: tuple  # (genus, class) per coordinate curve
+    e8_sides: tuple  # per fiber, eight curve indices in lattice.E8_NODES order
+
+
+def _edge_interior(a, b) -> list:
+    """The lattice points strictly inside the segment from a to b, from a on."""
+    d = _sub(b, a)
+    n = gcd(*d)
+    return [tuple(a[i] + k * d[i] // n for i in range(3)) for k in range(1, n)]
+
+
+def curve_tree() -> CurveTree:
+    """The 19-curve tree of the generic hypersurface X with Newton simplex
+    Delta, read off the dual simplex (Batyrev, "Dual polyhedra and mirror
+    symmetry for Calabi-Yau hypersurfaces in toric varieties", 1994).
+
+    A point inside an edge of Delta* carries a rational curve, vertex k one
+    of the genus of facet k of Delta; genus-0 vertices are the hubs, the
+    others the coordinate curves.  Edge neighbours meet once.  A character m
+    gives sum <m, p> C_p = 0: div z = F0 - F_infinity, its one zero the
+    section; div x and div y each cut out one coordinate curve, its class.
+    An E8 side is a fiber less the curve meeting the section.
     """
-    return curve_gram(c.X_TREE_NODES, c.X_TREE_EDGES)
+    simplex = delta()
+    dual = dual_polytope(simplex)
+    genera = dict(zip(dual.vertices, facet_genera(simplex)))
+    hubs = [v for v in dual.vertices if not genera[v]]
+    curves, meetings = list(hubs), []
+    for a, b in combinations(dual.vertices, 2):
+        inner = _edge_interior(a, b)
+        curves += inner
+        line = [a] * (a in hubs) + inner + [b] * (b in hubs)
+        meetings += zip(line, line[1:])
 
+    z, x, y = (c.SUPPORT_MONOMIALS[m] for m in ("z", "x", "y"))
+    weights = [_dot(z, p) for p in curves]
+    (section,) = [p for p, w in zip(curves, weights) if not w]
 
-def _node_weights(chain, branch, sides, section=0) -> list[int]:
-    """Weights over X_TREE_NODES: `chain` along each side's chain, `branch`
-    on its branch node, `section` on the section, 0 elsewhere."""
-    w = {"sec": section}
-    for side in sides:
-        w.update({f"{side}_{i}": x for i, x in enumerate(chain, 1)})
-        w[f"{side}_b"] = branch
-    return [w.get(node, 0) for node in c.X_TREE_NODES]
+    coordinate, others = [], [v for v in dual.vertices if genera[v]]
+    for v in others:  # no class, None, if neither div x nor div y cuts out v alone
+        cut = [m for m in (x, y) if [_dot(m, u) for u in others] == [u == v for u in others]]
+        coordinate.append((genera[v], [-_dot(cut[0], p) for p in curves] if cut else None))
 
+    sides = []
+    for hub in sorted(hubs, key=lambda h: -_dot(z, h)):  # the side of F0 first
+        arms = [_edge_interior(hub, v) for v in dual.vertices if v != hub]
+        arms = sorted((arm[:arm.index(section)][:-1] if section in arm else arm
+                       for arm in arms), key=len, reverse=True)
+        sides.append(tuple(curves.index(p) for p in arms[0][::-1] + [hub] + arms[1] + arms[2]))
 
-def fiber_class_at_zero() -> list[int]:
-    return _node_weights(c.E8_AFFINE_CHAIN_WEIGHTS, c.E8_AFFINE_BRANCH_WEIGHT, ("z0",))
-
-
-def fiber_class_at_infinity() -> list[int]:
-    return _node_weights(c.E8_AFFINE_CHAIN_WEIGHTS, c.E8_AFFINE_BRANCH_WEIGHT, ("zi",))
-
-
-def section_class() -> list[int]:
-    return [1 if node == "sec" else 0 for node in c.X_TREE_NODES]
-
-
-def e8_side_nodes(side: str) -> tuple:
-    """The eight nodes generating one E8 summand: the chain minus its
-    multiplicity-one end, plus the branch node."""
-    if side not in ("z0", "zi"):
-        raise ValueError("side must be 'z0' or 'zi'")
-    return tuple(f"{side}_{i}" for i in range(2, 9)) + (f"{side}_b",)
-
-
-def genus1_curve_class() -> list[int]:
-    return _node_weights(c.GENUS1_CHAIN_WEIGHTS, c.GENUS1_BRANCH_WEIGHT, ("z0", "zi"),
-                         c.GENUS1_SECTION_WEIGHT)
-
-
-def genus2_curve_class() -> list[int]:
-    return _node_weights(c.GENUS2_CHAIN_WEIGHTS, c.GENUS2_BRANCH_WEIGHT, ("z0", "zi"),
-                         c.GENUS2_SECTION_WEIGHT)
+    return CurveTree(curve_gram(curves, meetings), [int(p == section) for p in curves],
+                     [max(w, 0) for w in weights], [max(-w, 0) for w in weights],
+                     tuple(coordinate), tuple(sides))

@@ -137,7 +137,8 @@ def test_criterion_03_route_independence():
 def test_criterion_04_tree_lattice():
     with _Criterion(4, "19-curve tree: even rank-18 lattice, signature (1,17), "
                        "unimodular basis, E8 sides, hyperbolic S/F, kernel", 5):
-        gram = toric.x_tree_lattice()
+        tree = toric.curve_tree()
+        gram = tree.gram
         inv = lat.lattice_invariants(gram)
         assert inv.rank == 18
         assert inv.signature == (1, 17)
@@ -145,20 +146,17 @@ def test_criterion_04_tree_lattice():
         assert inv.is_even
 
         e8 = lat.standard_lattice("E8(-1)")
-        for side in ("z0", "zi"):
-            idx = [gram.labels.index(n) for n in toric.e8_side_nodes(side)]
+        for idx in tree.e8_sides:
             vecs = [[1 if j == i else 0 for j in range(gram.dim)] for i in idx]
             assert lat.induced_gram(gram, vecs).gram == e8.gram
 
-        s = toric.section_class()
-        f = toric.fiber_class_at_zero()
+        s, f = tree.section, tree.fiber_zero
         assert gram.pairing(s, s) == -2
         assert gram.pairing(f, f) == 0
         assert gram.pairing(s, f) == 1
 
         basis = lat.kernel_basis(gram)
-        diff = [a - b for a, b in zip(toric.fiber_class_at_zero(),
-                                      toric.fiber_class_at_infinity())]
+        diff = [a - b for a, b in zip(tree.fiber_zero, tree.fiber_infinity)]
         assert len(basis) == 1
         assert basis[0] == diff or basis[0] == [-x for x in diff]
 

@@ -54,26 +54,23 @@ KUMMER_MUTATIONS = [
 ]
 
 # (suite, constant, mutation, the checks of that suite it must fail): the
-# Kummer rows above, then the z0 branch edge of the 19-curve tree dropped or
-# moved from z0_6 to z0_5, the first tree node renamed, and the toric rows:
-# the A11 dual vertex moved to (12, -1, -1), the support shift changed, the
-# y^2 vertex correspondence given to y, the xy exponent moved off its point,
-# and the Newton vertices v3 and v4 swapped (the weight relation breaks);
-# each j-route divisor of a^3 and b^2 raised by one; last, the numerator and
-# the denominator of j(lambda) raised by one
+# Kummer rows above; then the lattice rows, which the 19-curve tree reads off
+# the dual simplex: x given the exponent of y (no character then cuts out the
+# genus-1 curve alone), z moved off (-1, -2, -3) (the section moves from the
+# middle of the A11 edge) and the Newton vertices v3 and v4 swapped (the
+# weight relation breaks); then the toric rows: the A11 dual vertex moved to
+# (12, -1, -1), the support shift changed, the y^2 vertex correspondence
+# given to y, the xy exponent moved off its point, and v3 and v4 swapped
+# again; each j-route divisor of a^3 and b^2 raised by one; last, the
+# numerator and the denominator of j(lambda) raised by one
 CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_MUTATIONS] + [
-    pytest.param("lattice", "X_TREE_EDGES",
-                 lambda v: tuple(e for e in v if e != ("z0_6", "z0_b")),
+    pytest.param("lattice", "SUPPORT_MONOMIALS", lambda v: {**v, "x": (0, 1, 2)},
+                 "coordinate_curves", id="lattice-SUPPORT_MONOMIALS-x"),
+    pytest.param("lattice", "SUPPORT_MONOMIALS", lambda v: {**v, "z": (-1, -2, -2)},
+                 "e8_sides kernel section_fiber", id="lattice-SUPPORT_MONOMIALS-z"),
+    pytest.param("lattice", "DELTA_VERTICES", lambda v: (v[0], v[1], v[3], v[2]),
                  "coordinate_curves e8_sides kernel section_fiber tree_invariants",
-                 id="X_TREE_EDGES-drop"),
-    pytest.param("lattice", "X_TREE_EDGES",
-                 lambda v: tuple(("z0_5", "z0_b") if e == ("z0_6", "z0_b") else e
-                                 for e in v),
-                 "coordinate_curves e8_sides kernel section_fiber tree_invariants",
-                 id="X_TREE_EDGES-move"),
-    pytest.param("lattice", "X_TREE_NODES", lambda v: ("zz",) + v[1:],
-                 "coordinate_curves e8_sides kernel section_fiber tree_invariants",
-                 id="X_TREE_NODES"),
+                 id="lattice-DELTA_VERTICES"),
     pytest.param("toric", "DELTA_DUAL_VERTICES",
                  lambda v: tuple((12, -1, -1) if x == (11, -1, -1) else x for x in v),
                  "dual", id="DELTA_DUAL_VERTICES"),
@@ -419,29 +416,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("name,check", [
         ("STAR_FIBER_1", "kummer.star_fibers"),
         ("STAR_FIBER_2", "kummer.star_fibers"),
-        ("GENUS1_CHAIN_WEIGHTS", "lattice.coordinate_curves"),
-        ("GENUS1_BRANCH_WEIGHT", "lattice.coordinate_curves"),
-        ("GENUS2_BRANCH_WEIGHT", "lattice.coordinate_curves"),
-        ("GENUS2_SECTION_WEIGHT", "lattice.coordinate_curves"),
-        ("E8_AFFINE_CHAIN_WEIGHTS", "lattice.kernel lattice.section_fiber"),
-        ("E8_AFFINE_BRANCH_WEIGHT", "lattice.kernel lattice.section_fiber"),
     ])
     def test_mutated_weight_flips_owning_check(self, capsys, monkeypatch, name, check):
-        # raise the first weight of the constant by one
-        value = getattr(cst, name)
-        if isinstance(value, int):
-            value += 1
-        elif isinstance(value[0], int):
-            value = (value[0] + 1,) + value[1:]
-        else:
-            (label, weight), *rest = value
-            value = ((label, weight + 1), *rest)
-        monkeypatch.setattr(cst, name, value)
-        checks = check.split()
-        code, out, _ = run_main(["verify", "--suite", checks[0].split(".")[0]], capsys)
+        # raise the weight of the first curve of the fiber by one
+        (label, weight), *rest = getattr(cst, name)
+        monkeypatch.setattr(cst, name, ((label, weight + 1), *rest))
+        code, out, _ = run_main(["verify", "--suite", check.split(".")[0]], capsys)
         assert code == 1
-        for cid in checks:
-            assert f"FAIL {cid}:" in out
+        assert f"FAIL {check}:" in out
 
 
     @pytest.mark.parametrize("suite,name,mutate,failing", CONSTANT_MUTATIONS)
@@ -474,7 +456,6 @@ SWEPT = [name for name in dir(cst)
 LABEL_TABLES = {
     "BRANCH_OCTET", "FIBRATION_VARS", "STAR_FIBER_1", "STAR_FIBER_2",
     "SUPPORT_MONOMIALS", "SUPPORT_VERTEX_MAP", "TWENTY_EDGES", "TWENTY_LABELS",
-    "X_TREE_EDGES", "X_TREE_NODES",
 }
 # warm cost per run: about 2 ms each for weierstrass and toric, 4-5 ms for
 # kummer, lattice and modular, 100 ms for identities
@@ -667,7 +648,10 @@ class TestSubprocessEntry:
         (["modpoly", "--n", "2"], "3 0 1", {"k3lab.modular"}, SUITE_LAYERS | FAMILY_LAYERS),
         (["verify", "--suite", "all"], "suite all: pass (26 checks",
          SUITE_LAYERS | FAMILY_LAYERS | {"k3lab.modular"}, set()),
-    ], ids=["family-tau", "family-lambda", "modpoly", "verify"])
+        (["verify", "--suite", "lattice"], "suite lattice: pass (5 checks",
+         {"k3lab.suites", "k3lab.lattice", "k3lab.toric", "k3lab.constants", "k3lab.exact"},
+         {"k3lab.shioda_inose", "k3lab.weierstrass", "k3lab.modular", "k3lab.kummer"}),
+    ], ids=["family-tau", "family-lambda", "modpoly", "verify", "verify-lattice"])
     def test_each_command_imports_the_layers_it_runs(self, argv, last_line, loaded, left_out):
         code, stdout, imported = _imports_of(argv)
         assert code == 0

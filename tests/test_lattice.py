@@ -1,5 +1,6 @@
 """Gram lattices: standard forms, curve Grams, invariants, kernels."""
 
+import collections
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lab import toric
+from k3lab import lattice, suites, toric
 from k3lab.lattice import (
     E8_EDGES,
     E8_NODES,
@@ -115,7 +116,7 @@ class TestGraphToGram:
         assert inv.signature == (0, 8)
 
     def test_full_tree_rank_and_kernel(self):
-        lat = toric.x_tree_lattice()
+        lat = toric.curve_tree().gram
         inv = lattice_invariants(lat)
         assert inv.rank == 18
         assert len(kernel_basis(lat)) == 1
@@ -131,14 +132,13 @@ class TestKernel:
         assert basis == [[1, 2, 3, 4, 5, 6, 4, 2, 3]]
 
     def test_tree_kernel_is_fiber_difference(self):
-        lat = toric.x_tree_lattice()
-        (k,) = kernel_basis(lat)
-        diff = [a - b for a, b in zip(toric.fiber_class_at_zero(),
-                                      toric.fiber_class_at_infinity())]
+        tree = toric.curve_tree()
+        (k,) = kernel_basis(tree.gram)
+        diff = [a - b for a, b in zip(tree.fiber_zero, tree.fiber_infinity)]
         assert k == diff or k == [-x for x in diff]
 
     def test_kernel_pairs_to_zero_with_nodes(self):
-        lat = toric.x_tree_lattice()
+        lat = toric.curve_tree().gram
         (k,) = kernel_basis(lat)
         n = lat.dim
         for i in range(n):
@@ -210,10 +210,8 @@ class TestIntegerKernel:
 
 class TestSectionAndFiber:
     def test_u_pairings(self):
-        lat = toric.x_tree_lattice()
-        s = toric.section_class()
-        f = toric.fiber_class_at_zero()
-        f2 = toric.fiber_class_at_infinity()
+        tree = toric.curve_tree()
+        lat, s, f, f2 = tree.gram, tree.section, tree.fiber_zero, tree.fiber_infinity
         assert lat.pairing(s, s) == -2
         assert lat.pairing(f, f) == 0
         assert lat.pairing(s, f) == 1
@@ -256,25 +254,27 @@ class TestInducedGram:
     def test_e8_sides_match_standard(self):
         # both eight-node sides of the tree induce the standard E8(-1) Gram
         # when read off in chain-then-branch order
-        lat = toric.x_tree_lattice()
+        tree = toric.curve_tree()
+        lat = tree.gram
         std = standard_lattice("E8(-1)")
-        for side in ("z0", "zi"):
-            nodes = toric.e8_side_nodes(side)
-            idx = [lat.labels.index(n) for n in nodes]
+        for idx in tree.e8_sides:
             vecs = [[1 if j == i else 0 for j in range(lat.dim)] for i in idx]
-            got = induced_gram(lat, vecs, labels=nodes)
+            got = induced_gram(lat, vecs, labels=[lat.labels[i] for i in idx])
             assert got.gram == std.gram
 
 
 class TestCoordinateCurveClasses:
     def test_genus1_self_pairing(self):
-        lat = toric.x_tree_lattice()
-        w = toric.genus1_curve_class()
-        assert lat.pairing(w, w) == 0  # 2g - 2 with g = 1
+        tree = toric.curve_tree()
+        g, w = tree.coordinate_classes[0]
+        assert g == 1
+        assert tree.gram.pairing(w, w) == 0  # 2g - 2 with g = 1
 
     def test_genus2_self_pairing(self):
-        lat = toric.x_tree_lattice()
-        w = toric.genus2_curve_class()
+        tree = toric.curve_tree()
+        lat = tree.gram
+        g, w = tree.coordinate_classes[1]
+        assert g == 2
         assert lat.pairing(w, w) == 2  # 2g - 2 with g = 2
         doubled = [2 * x for x in w]
         assert lat.pairing(doubled, doubled) == 8
@@ -282,7 +282,7 @@ class TestCoordinateCurveClasses:
 
 class TestInvariantUniquenessCrossCheck:
     def test_tree_matches_mirror_lattice_invariants(self):
-        tree_inv = lattice_invariants(toric.x_tree_lattice())
+        tree_inv = lattice_invariants(toric.curve_tree().gram)
         ref_inv = lattice_invariants(direct_sum(
             standard_lattice("E8(-1)"), standard_lattice("E8(-1)"), standard_lattice("U")))
         assert tree_inv.rank == ref_inv.rank == 18
@@ -414,5 +414,20 @@ class TestIntegerSignature:
         assert _signature(m) == _fraction_signature(m)
 
     def test_tree_quotient(self):
-        q = _quotient_gram(toric.x_tree_lattice().gram)
+        q = _quotient_gram(toric.curve_tree().gram.gram)
         assert _signature(q) == _fraction_signature(q) == (1, 17, -1)
+
+
+class TestLatticeSuite:
+    def test_one_tree_per_run(self, monkeypatch):
+        # the checks share one tree and one set of its invariants, and decide
+        # the kernel by rank-nullity, with no kernel basis
+        calls = collections.Counter()
+        for module, name in ((toric, "curve_tree"), (lattice, "lattice_invariants"),
+                             (lattice, "kernel_basis")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert suites.run_suite("lattice").status == "pass"
+        assert calls == {"curve_tree": 1, "lattice_invariants": 1}

@@ -146,7 +146,7 @@ class TestFacetGenus:
         # curves give the 19 tree nodes
         lengths = [r.lattice_length - 1 for r in edge_reports(dual_polytope(delta()))]
         assert sum(lengths) == 17
-        assert sum(lengths) + 2 == toric.x_tree_lattice().dim == 19
+        assert sum(lengths) + 2 == toric.curve_tree().gram.dim == 19
 
 
 class TestSupportShift:
@@ -174,16 +174,51 @@ class TestSupportShift:
 
 class TestTreeShape:
     def test_node_and_edge_counts(self):
-        lat = toric.x_tree_lattice()
+        lat = toric.curve_tree().gram
         assert lat.dim == 19
         assert all(row[i] == -2 for i, row in enumerate(lat.gram))
         meetings = [x for i, row in enumerate(lat.gram) for x in row[i + 1:] if x]
         assert meetings == [1] * 18  # a tree
 
     def test_trivalent_nodes(self):
-        lat = toric.x_tree_lattice()
+        # the hubs of the tree are the genus-0 vertices of the dual simplex
+        lat = toric.curve_tree().gram
         trivalent = [lab for lab, row in zip(lat.labels, lat.gram) if row.count(1) == 3]
-        assert sorted(trivalent) == ["z0_6", "zi_6"]
+        assert trivalent == [(-1, -1, -1), (11, -1, -1)]
+        genera = dict(zip(dual_polytope(delta()).vertices, facet_genera(delta())))
+        assert [genera[v] for v in trivalent] == [0, 0]
+
+    def test_section_is_the_midpoint_of_the_a11_edge(self):
+        tree = toric.curve_tree()
+        (section,) = [lab for lab, w in zip(tree.gram.labels, tree.section) if w]
+        (ends,) = [r.endpoints for r in edge_reports(dual_polytope(delta()))
+                   if r.singularity == "A11"]
+        assert section == (5, -1, -1)
+        assert [2 * x for x in section] == [a + b for a, b in zip(*ends)]
+
+    def test_fibers_are_affine_e8_null_vectors(self):
+        # each fiber, read in the side's E8_NODES order with its
+        # multiplicity-one curve first, is the affine-E8 null vector
+        tree = toric.curve_tree()
+        for fiber, side in zip((tree.fiber_zero, tree.fiber_infinity), tree.e8_sides):
+            (end,) = [i for i, w in enumerate(fiber) if w == 1]
+            order = [end, *side]
+            assert [fiber[i] for i in order] == [1, 2, 3, 4, 5, 6, 4, 2, 3]
+            assert sorted(i for i, w in enumerate(fiber) if w) == sorted(order)
+
+    def test_coordinate_classes(self):
+        # on each fiber, read from the curve that meets the section in the
+        # side's E8_NODES order, then on the section: chain, branch and
+        # section weights (2,...,2,1,0; 1; 2) of genus 1, (3,...,3,2,1; 1; 3)
+        # of genus 2
+        tree = toric.curve_tree()
+        (sec,) = [i for i, w in enumerate(tree.section) if w]
+        expected = {1: [2, 2, 2, 2, 2, 2, 1, 0, 1], 2: [3, 3, 3, 3, 3, 3, 2, 1, 1]}
+        for genus, cls in tree.coordinate_classes:
+            assert cls[sec] == genus + 1
+            for fiber, side in zip((tree.fiber_zero, tree.fiber_infinity), tree.e8_sides):
+                (end,) = [i for i, w in enumerate(fiber) if w == 1]
+                assert [cls[i] for i in [end, *side]] == expected[genus]
 
 
 class TestToricSuite:
