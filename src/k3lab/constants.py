@@ -2,7 +2,7 @@
 
 Whatever is checked elsewhere in the package is *built* from the data below:
 the defining polynomials of the double-cover model in Legendre parameters
-(the Kummer classes are read off them), the labels and the incidence graph of
+(the Kummer classes and fibers are read off them), the incidence graph of
 the Kummer curves, and the reflexive simplex with its hypersurface monomial
 support (the curves of X are read off that simplex, in toric.curve_tree).
 Mutating any single entry here must flip the verification suite to failure;
@@ -67,9 +67,13 @@ C4_POLY = (
 
 def h_plus_factors() -> tuple:
     """H_plus = u1 * C1_POLY * C2_POLY: the one statement of its factors,
-    multiplied out by h_plus and read factor by factor by
-    kummer.named_classes."""
+    multiplied out by h_plus and read factor by factor by kummer."""
     return u1, C1_POLY, C2_POLY
+
+
+def h_minus_factors() -> tuple:
+    """H_minus = v1 * C3_POLY * C4_POLY, stated and read as h_plus_factors."""
+    return v1, C3_POLY, C4_POLY
 
 
 def h_plus() -> MultiPolynomial:
@@ -77,7 +81,7 @@ def h_plus() -> MultiPolynomial:
 
 
 def h_minus() -> MultiPolynomial:
-    return v1 * C3_POLY * C4_POLY
+    return prod(h_minus_factors())
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +145,10 @@ A_CUBED_J_DIVISOR = 110592  # 48^3; a^3 = -j1 j2 / 110592
 B_SQUARED_J_DIVISOR = 746496  # 864^2; b^2 = (j1-1728)(j2-1728) / 746496
 
 # ---------------------------------------------------------------------------
-# Curve labels on the Kummer surface; kummer.named_classes reads the classes
-# of C1..C4, of D and of the E8-type fiber off the polynomials above.
+# The incidence tree of twenty curves on the Kummer surface, as drawn in the
+# paper.  kummer.fibration reads the curves, their labels, the fibers of |D|,
+# its section and the branch octet off the polynomials above.
 # ---------------------------------------------------------------------------
-
-# The two star-shaped fibers of |D| (each sums to D; the hub has weight 2)
-STAR_FIBER_1 = (("C1", 1), ("C2", 1), ("G3_1", 1), ("G4_1", 1), ("F2_1", 2))
-STAR_FIBER_2 = (("C3", 1), ("C4", 1), ("G3_2", 1), ("G4_2", 1), ("F2_2", 2))
-
-# The 20 labeled curves of the full incidence tree, in display order
-TWENTY_LABELS = (
-    "C1", "C2", "F2_1", "G4_1", "G3_1",
-    "F1_3", "G3_3", "F2_3", "G2_3", "F1_2",
-    "G2_4", "F2_4", "G1_4", "F1_1", "G4_4",
-    "G3_2", "C4", "F2_2", "G4_2", "C3",
-)
 
 TWENTY_EDGES = (
     ("C1", "F2_1"), ("C2", "F2_1"), ("F2_1", "G4_1"), ("F2_1", "G3_1"),
@@ -166,9 +159,6 @@ TWENTY_EDGES = (
     ("F1_3", "G3_2"),
     ("G3_2", "F2_2"), ("F2_2", "C4"), ("F2_2", "G4_2"), ("F2_2", "C3"),
 )
-
-# Branch locus of the double cover recovering the mirror surface
-BRANCH_OCTET = ("C1", "C2", "C3", "C4", "G3_1", "G3_2", "G4_1", "G4_2")
 
 # ---------------------------------------------------------------------------
 # Toric data: the Newton simplex of the family, its expected dual, and the

@@ -26,17 +26,23 @@ class(P) = d2*F1 + d1*F2 - sum_ij mult_ij(P)*G_ij, with mult_ij(P) the order
 of P at the branch point (i, j).  Orders are minima of exponents once branch
 values sit at u = 0 (`_moved`), decided in Q[l1, l2]: along a branch line
 the least u-exponent, at a point the least (u1 + u2)-exponent.
+
+The fibration |D| is read off the pencil <H_INF, H_plus, H_minus>
+(`fibration`), and its section, the branch octet and the twenty labels of
+the incidence tree are read off its three reducible fibers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
 from . import constants as c
 from .exact import MultiPolynomial
-from .lattice import GramLattice, curve_gram, direct_sum, induced_gram, matrix_rank
+from .lattice import (GramLattice, curve_gram, direct_sum, induced_gram, kernel_basis,
+                      matrix_rank)
 
 # branch values, the G_ij in coordinate order, and the (u, v, lambda) exponent
 # slots of each factor in FIBRATION_VARS
@@ -53,16 +59,6 @@ KUMMER_LATTICE = direct_sum(
 def pair(x, y) -> Fraction:
     """Symmetric bilinear intersection pairing."""
     return KUMMER_LATTICE.pairing(x, y)
-
-
-def combination(gens: dict, weights) -> tuple:
-    """The coordinate vector of sum(mult * gens[label] for label, mult in weights)."""
-    total = [0] * KUMMER_LATTICE.dim
-    for label, mult in weights:
-        for k, x in enumerate(gens[label]):
-            if x:
-                total[k] += mult * x
-    return tuple(total)
 
 
 def standard_generators() -> dict:
@@ -133,82 +129,107 @@ def curve_class(p: MultiPolynomial) -> tuple:
     return (d2, d1, *(-mult[ij] for ij in _GRID))
 
 
-def _h_inf_lines() -> tuple:
-    """The bidegree of H_INF and its line orders on each factor; raises unless
-    H_INF is a product of branch lines, so mult_ij(H_INF) = rows[i] + cols[j]."""
-    d1, d2 = _bidegree(c.H_INF)
-    rows, cols = line_orders(c.H_INF, 2), line_orders(c.H_INF, 1)
-    if (sum(rows), sum(cols)) != (d2, d1):
-        raise ValueError("H_INF is not a product of branch lines")
-    return d1, d2, rows, cols
+def _divisor(factors, gens: dict) -> Counter:
+    """div(H), H the product of `factors`, as weighted components: a factor
+    among C1..C4 weighs its exponent and adds its mult_ij to G_ij; any other
+    must be a product of branch lines, and its order r along line i of
+    (u2:v2) gives F_1i 2r and each G_ij r, and likewise on (u1:v1)."""
+    curves = {getattr(c, f"C{k}_POLY"): f"C{k}" for k in _BRANCH}
+    div = Counter()
+    for p in factors:
+        if p in curves:
+            div[curves[p]] += 1
+            div.update({f"G{i}_{j}": -x for (i, j), x in zip(_GRID, gens[curves[p]][2:])})
+            continue
+        d1, d2 = _bidegree(p)
+        rows, cols = line_orders(p, 2), line_orders(p, 1)
+        if (sum(rows), sum(cols)) != (d2, d1):
+            raise ValueError("a factor of the pencil is not a product of branch lines")
+        div.update({f"G{i}_{j}": rows[i - 1] + cols[j - 1] for i, j in _GRID})
+        div.update({f"F1_{k}": 2 * r for k, r in zip(_BRANCH, rows)})
+        div.update({f"F2_{k}": 2 * r for k, r in zip(_BRANCH, cols)})
+    return div
 
 
-def named_classes() -> dict:
-    """All generators plus C1..C4 and the class D of the pencil <H_INF,
-    H_plus, H_minus> (identities.h_sum): base_ij = min(mult_ij(H_INF),
-    mult_ij(H_plus)), the orders of the factors of H_plus
-    (constants.h_plus_factors) added up; a factor among C1..C4 keeps the
-    class already read."""
+class Fibration(NamedTuple):
+    """The named classes (the 26 standard generators, C1..C4, D), the fibers of
+    |D| over H_INF, H_plus and H_minus = 0 as {label: weight}, and D's section."""
+
+    gens: dict
+    fibers: tuple
+    section: str
+
+    @property
+    def octet(self) -> list:
+        """The branch locus of the mirror's double cover: the stars' simple curves."""
+        return [label for star in self.fibers[1:] for label, w in star.items() if w == 1]
+
+
+def fibration() -> Fibration:
+    """C1..C4 by `curve_class`; for each member H of the pencil <H_INF,
+    H_plus, H_minus> (identities.h_sum), the fiber over H = 0, div(H) less the
+    base locus (the least div over the three); D, the bidegree less the base;
+    the section, the one standard generator off the fibers with D.s = 1."""
     gens = standard_generators()
-    by_poly = {}
-    for k in range(1, 5):
-        poly = getattr(c, f"C{k}_POLY")
-        gens[f"C{k}"] = by_poly[poly] = curve_class(poly)
-    d1, d2, rows, cols = _h_inf_lines()
-    plus = [-sum(x) for x in zip(*(by_poly.get(p) or curve_class(p)
-                                   for p in c.h_plus_factors()))]
-    gens["D"] = (d2, d1, *(-min(m, rows[i - 1] + cols[j - 1])
-                           for (i, j), m in zip(_GRID, plus[2:])))
-    return gens
+    standard = tuple(gens)
+    for k in _BRANCH:
+        gens[f"C{k}"] = curve_class(getattr(c, f"C{k}_POLY"))
+    pencil = (c.H_INF,), c.h_plus_factors(), c.h_minus_factors()
+    divisors = [_divisor(member, gens) for member in pencil]
+    base = divisors[0] & divisors[1] & divisors[2]
+    d1, d2 = _bidegree(c.H_INF)
+    gens["D"] = (d2, d1, *(-base[f"G{i}_{j}"] for i, j in _GRID))
+    fibers = tuple(div - base for div in divisors)
+    outside = [label for label in standard if not any(label in fiber for fiber in fibers)]
+    meets = KUMMER_LATTICE.pairings([gens["D"]], [gens[label] for label in outside])[0]
+    sections = [label for label, x in zip(outside, meets) if x == 1]
+    if len(sections) != 1:
+        raise ValueError(f"{len(sections)} standard generators off the fibers meet D once")
+    return Fibration(gens, fibers, sections[0])
 
 
-def e8_fiber_weights(gens: dict) -> list:
-    """The components of the E8-type fiber over H_INF = 0 with their weights,
-    for the `named_classes` table `gens`: F_1i weighs 2*rows[i], F_2j
-    2*cols[j] and G_ij mult_ij(H_INF) - base_ij, so they sum to D."""
-    _, _, rows, cols = _h_inf_lines()
-    weights = ([(f"F1_{i}", 2 * r) for i, r in zip(_BRANCH, rows)]
-               + [(f"F2_{j}", 2 * r) for j, r in zip(_BRANCH, cols)]
-               + [(f"G{i}_{j}", rows[i - 1] + cols[j - 1] + x)
-                  for (i, j), x in zip(_GRID, gens["D"][2:])])
-    return [(label, w) for label, w in weights if w]
+E8_DEGREES, D4_DEGREES = [1, 1, 1, 2, 2, 2, 2, 2, 3], [1, 1, 1, 1, 4]
 
 
-def verify_e8_fiber(gens: dict) -> bool:
-    """Every E8-fiber component of the `named_classes` table `gens` is D-orthogonal."""
-    components = [gens[label] for label, _ in e8_fiber_weights(gens)]
-    return not any(KUMMER_LATTICE.pairings([gens["D"]], components)[0])
+def is_affine(fiber: dict, gram: GramLattice, degrees: list) -> bool:
+    """Whether the weights of `fiber` span the kernel of its block of `gram`,
+    which makes it an affine Dynkin diagram (Kac, "Infinite dimensional Lie
+    algebras", Thm 4.3), and its curves, meeting at most once each, have the
+    sorted `degrees`: E8_DEGREES (arms 1, 2, 5) or D4_DEGREES (a degree-4 hub)."""
+    labels, weights = zip(*fiber.items())
+    own = gram.block(labels, labels)
+    simple = all(row[i] == -2 and {*row[:i], *row[i + 1:]} <= {0, 1} for i, row in enumerate(own))
+    return (simple and sorted(sum(row) + 2 for row in own) == degrees
+            and kernel_basis(GramLattice(labels, own)) == [list(weights)])
 
 
-def verify_star_fibers(gens: dict) -> bool:
-    """The two five-curve star fibers of the `named_classes` table `gens`
-    each sum to D."""
-    return all(combination(gens, fiber) == gens["D"]
-               for fiber in (c.STAR_FIBER_1, c.STAR_FIBER_2))
-
-
-def branch_octet(gens: dict) -> list:
-    """The eight disjoint (-2)-curves over which the double cover recovers
-    the mirror surface, from the `named_classes` table `gens`."""
-    return [(label, gens[label]) for label in c.BRANCH_OCTET]
+def verify_star_fibers(fib: Fibration, gram: GramLattice) -> bool:
+    """Read off `gram`, the twenty curves' Gram: both stars are affine D4, the
+    fibers mutually orthogonal, and the section meets each once, with weight 1."""
+    for k, fiber in enumerate(fib.fibers):
+        later = [label for other in fib.fibers[k + 1:] for label in other]
+        meets = [(x, w) for x, w in zip(gram.block([fib.section], fiber)[0], fiber.values()) if x]
+        if (k and not is_affine(fiber, gram, D4_DEGREES)
+                or any(map(any, gram.block(fiber, later))) or meets != [(1, 1)]):
+            return False
+    return True
 
 
 class TreeReport(NamedTuple):
     matches_expected: bool
     rank: int
+    gram: GramLattice
 
 
-def labeled_tree_report(gens: dict) -> TreeReport:
-    """Pairings of the twenty labeled curves of the `named_classes` table
-    `gens` against the incidence tree.
-
-    Diagonal -2, 1 exactly on tree edges, 0 elsewhere; the pairing matrix
-    has rank 18 (the three fiber decompositions of D give two relations).
-    """
-    labels = c.TWENTY_LABELS
-    induced = induced_gram(KUMMER_LATTICE, [gens[lab] for lab in labels], labels)
-    expected = curve_gram(labels, c.TWENTY_EDGES)
-    return TreeReport(induced.gram == expected.gram, matrix_rank(induced.gram))
+def labeled_tree_report(fib: Fibration) -> TreeReport:
+    """The twenty curves' Gram against TWENTY_EDGES: -2 on the diagonal, 1 on
+    tree edges, 0 elsewhere, of rank 18 (three fibers sum to D: two relations)."""
+    e8, star1, star2 = fib.fibers
+    labels = (*star1, fib.section, *e8, *star2)
+    induced = induced_gram(KUMMER_LATTICE, [fib.gens[lab] for lab in labels], labels)
+    drawn = {label for edge in c.TWENTY_EDGES for label in edge}
+    matches = drawn <= set(labels) and induced.gram == curve_gram(labels, c.TWENTY_EDGES).gram
+    return TreeReport(matches, matrix_rank(induced.gram), induced)
 
 
 class IsogenyFiberNumbers(NamedTuple):
@@ -230,17 +251,6 @@ def isogeny_fiber_numbers(n: int) -> IsogenyFiberNumbers:
     """
     if n < 1:
         raise ValueError("the isogeny degree must be a positive integer")
-    ambient = GramLattice(
-        ("F1", "F2", "RY"),
-        ((0, 2, 2 * n), (2, 0, 2), (2 * n, 2, 0)),
-    )
-    proj = induced_gram(ambient, [(-1, -n, 1)], labels=("RY-nF2-F1",))
-    proj_square = proj.gram[0][0]
-    rx_square = 2 * proj_square
-    return IsogenyFiberNumbers(
-        ry_f1=2 * n,
-        ry_f2=2,
-        proj_square=proj_square,
-        rx_square=rx_square,
-        generator_square=rx_square // 4,
-    )
+    ambient = GramLattice(("F1", "F2", "RY"), ((0, 2, 2 * n), (2, 0, 2), (2 * n, 2, 0)))
+    proj_square = induced_gram(ambient, [(-1, -n, 1)], ("RY-nF2-F1",)).gram[0][0]
+    return IsogenyFiberNumbers(2 * n, 2, proj_square, 2 * proj_square, 2 * proj_square // 4)

@@ -29,10 +29,8 @@ class GramLattice:
         n = len(labels)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix size does not match label count")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix is not symmetric")
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix is not symmetric")
         self.labels = labels
         self.gram = gram
 
@@ -85,6 +83,11 @@ class GramLattice:
         """sum_ij v_i g_ij w_j, exactly."""
         return Fraction(self.pairings([v], [w])[0][0])
 
+    def block(self, rows: Sequence, cols: Sequence) -> list:
+        """The Gram entries between the basis vectors labeled `rows` and `cols`."""
+        at = {label: k for k, label in enumerate(self.labels)}
+        return [[self.gram[at[a]][at[b]] for b in cols] for a in rows]
+
 
 def curve_gram(nodes: Sequence, edges: Iterable[tuple]) -> GramLattice:
     """Gram of a configuration of (-2)-curves: -2 on the diagonal, 1 for each
@@ -134,15 +137,11 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
             seen[lab] = seen.get(lab, 0) + 1
             labels.append(lab if seen[lab] == 1 else f"{lab}#{seen[lab]}")
     n = sum(lat.dim for lat in lattices)
-    gram = [[0] * n for _ in range(n)]
-    offset = 0
+    gram, offset = [], 0
     for lat in lattices:
-        d = lat.dim
-        for i in range(d):
-            for j in range(d):
-                gram[offset + i][offset + j] = lat.gram[i][j]
-        offset += d
-    return GramLattice(tuple(labels), tuple(tuple(row) for row in gram))
+        gram += [(0,) * offset + tuple(row) + (0,) * (n - offset - lat.dim) for row in lat.gram]
+        offset += lat.dim
+    return GramLattice(tuple(labels), tuple(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -221,28 +220,31 @@ def kernel_basis(L: GramLattice) -> list[list[int]]:
 def _quotient_gram(gram) -> list[list[int]]:
     """Integer Gram of the quotient by the kernel.
 
-    Peels one primitive kernel vector v at a time.  Euclid's steps on the
-    entries of v bring it to a unit vector e_k; each step v[b] -= q v[a] is
-    the change of basis e_a -> e_a + q e_b, applied to the Gram as a
-    congruence (row a += q row b, then column a += q column b).  Then e_k
-    spans the kernel vector, so row and column k are zero and are dropped.
+    Peels the kernel basis of one row reduction a vector v at a time.
+    Euclid's steps on the entries of v bring it to a multiple of a unit
+    vector e_k; each step v[b] -= q v[a] is the change of basis
+    e_a -> e_a + q e_b, applied to the Gram as a congruence (row a += q row
+    b, then column a += q column b) and to the vectors left.  Then row and
+    column k are zero and are dropped, as is entry k of the vectors left.
     """
     g = [list(row) for row in gram]
-    while null := _nullspace(g):
-        v = null[0]
+    null = _nullspace(g)
+    while null:
+        v = null.pop()
         while True:
             nz = sorted((i for i, x in enumerate(v) if x), key=lambda i: abs(v[i]))
             if len(nz) == 1:
                 break
             a, b = nz[:2]
             q = v[b] // v[a]
-            v[b] -= q * v[a]
+            for w in (v, *null):
+                w[b] -= q * w[a]
             g[a] = [x + q * y for x, y in zip(g[a], g[b])]
             for row in g:
                 row[a] += q * row[b]
-        del g[nz[0]]
-        for row in g:
+        for row in (*g, *null):
             del row[nz[0]]
+        del g[nz[0]]
     return g
 
 

@@ -152,42 +152,42 @@ def _lattice_checks(checks):
 def _kummer_checks(checks):
     from . import kummer as km
 
-    # One class table per call, built by the first check that needs it, so
-    # that a constant mutated before the run still reaches every check, and
-    # a build that raises fails each of them inside _check.
-    classes = functools.cache(km.named_classes)
+    # One fibration and one Gram of its twenty curves per call, built by the
+    # first check that needs them: a constant mutated before the run reaches
+    # every check, and a build that raises fails each of them inside _check.
+    fibration = functools.cache(km.fibration)
+    tree = functools.cache(lambda: km.labeled_tree_report(fibration()))
 
     def d_class():
-        gens = classes()
-        d2 = km.pair(gens["D"], gens["D"])
-        sec = km.pair(gens["D"], gens["F1_3"])
-        return (d2, sec) == (0, 1), f"D^2 = {d2}, D.F1_3 = {sec}"
+        gens, sec = fibration().gens, fibration().section
+        d2, ds = km.pair(gens["D"], gens["D"]), km.pair(gens["D"], gens[sec])
+        return (d2, ds) == (0, 1), f"D^2 = {d2}, D.{sec} = {ds}"
     _check(checks, "kummer.d_class",
-           "the fibration class is isotropic with section F1_3", d_class)
+           "the fibration class is isotropic with one standard section", d_class)
 
     _check(checks, "kummer.e8_fiber",
-           "every component of the E8-type fiber over H_INF = 0 is orthogonal to D",
-           lambda: (km.verify_e8_fiber(classes()), "each weighted component pairs 0 with D"))
+           "the fiber over H_INF = 0 is affine E8 with its weights as null vector",
+           lambda: (km.is_affine(fibration().fibers[0], tree().gram, km.E8_DEGREES),
+                    "read off the Gram of the twenty curves"))
 
     _check(checks, "kummer.star_fibers",
-           "both five-curve star fibers sum to D",
-           lambda: (km.verify_star_fibers(classes()), "both fibers sum to D"))
+           "the two star fibers are affine D4, the three fibers mutually orthogonal, "
+           "and the section meets each once in a simple component",
+           lambda: (km.verify_star_fibers(fibration(), tree().gram),
+                    "read off the Gram of the twenty curves"))
 
-    def tree():
-        report = km.labeled_tree_report(classes())
+    def labeled_tree():
+        report = tree()
         return (report.matches_expected and report.rank == 18,
                 f"adjacency ok: {report.matches_expected}, rank {report.rank}")
     _check(checks, "kummer.labeled_tree",
-           "the twenty labeled curves realize the incidence tree at rank 18", tree)
+           "the twenty labeled curves realize the incidence tree at rank 18", labeled_tree)
 
     def octet():
-        vectors = [v for _, v in km.branch_octet(classes())]
-        for i, row in enumerate(km.KUMMER_LATTICE.pairings(vectors, vectors)):
-            if row[i] != -2:
-                return False, "self-intersection failure"
-            if any(row[i + 1:]):
-                return False, "pair failure"
-        return True, "eight disjoint (-2)-classes"
+        octet = fibration().octet
+        diagonal = [[-2 * (a == b) for b in octet] for a in octet]
+        ok = len(octet) == 8 and tree().gram.block(octet, octet) == diagonal
+        return ok, f"{len(octet)} simple star components: {', '.join(octet)}"
     _check(checks, "kummer.branch_octet",
            "the branch octet is pairwise orthogonal of square -2", octet)
 
@@ -195,9 +195,7 @@ def _kummer_checks(checks):
         rows = []
         for n in (1, 2, 3, 5):
             got = km.isogeny_fiber_numbers(n)
-            expected = (2 * n, 2, -4 * n, -8 * n, -2 * n)
-            if (got.ry_f1, got.ry_f2, got.proj_square, got.rx_square,
-                    got.generator_square) != expected:
+            if got != (2 * n, 2, -4 * n, -8 * n, -2 * n):
                 return False, f"mismatch at n = {n}"
             rows.append(f"n={n}: {got.proj_square}/{got.rx_square}")
         return True, "; ".join(rows)

@@ -164,17 +164,19 @@ def test_criterion_04_tree_lattice():
 def test_criterion_05_kummer_side():
     with _Criterion(5, "Kummer: D^2 = 0, fiber decompositions, 20-label "
                        "adjacency, branch octet, rank 18, isogeny squares", 5):
-        gens = km.named_classes()
+        fib = km.fibration()
+        gens = fib.gens
         assert km.pair(gens["D"], gens["D"]) == 0
-        assert km.verify_e8_fiber(gens)
-        assert km.verify_star_fibers(gens)
-        report = km.labeled_tree_report(gens)
+        assert km.pair(gens["D"], gens[fib.section]) == 1
+        report = km.labeled_tree_report(fib)
+        assert km.is_affine(fib.fibers[0], report.gram, km.E8_DEGREES)
+        assert km.verify_star_fibers(fib, report.gram)
         assert report.matches_expected
         assert report.rank == 18
-        octet = km.branch_octet(gens)
-        for i, (_, a) in enumerate(octet):
+        octet = [gens[label] for label in fib.octet]
+        for i, a in enumerate(octet):
             assert km.pair(a, a) == -2
-            for _, b in octet[i + 1:]:
+            for b in octet[i + 1:]:
                 assert km.pair(a, b) == 0
         for n in (1, 2, 3, 5):
             numbers = km.isogeny_fiber_numbers(n)

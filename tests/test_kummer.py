@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from k3lab import constants as c
 from k3lab import kummer as km
 from k3lab.exact import variables
-from k3lab.kummer import combination, pair
+from k3lab.kummer import pair
+from k3lab.lattice import GramLattice, curve_gram
 
 # (a, b; A) as the 18 coordinates a, b, A_11, A_12, ..., A_44
 half_integral_classes = st.lists(st.integers(-9, 9).map(lambda k: Fraction(k, 2)),
@@ -20,6 +21,25 @@ mixed_classes = st.lists(st.one_of(st.integers(-9, 9),
                          min_size=18, max_size=18)
 
 
+# The curves and fibers as drawn in the paper: the reference the derived
+# fibration must reproduce
+STAR_1 = {"C1": 1, "C2": 1, "G3_1": 1, "G4_1": 1, "F2_1": 2}
+STAR_2 = {"C3": 1, "C4": 1, "G3_2": 1, "G4_2": 1, "F2_2": 2}
+E8_FIBER = {"F1_1": 2, "G1_4": 4, "G4_4": 3, "F2_4": 6, "G2_4": 5,
+            "F1_2": 4, "G2_3": 3, "F2_3": 2, "G3_3": 1}
+BRANCH_OCTET = {"C1", "C2", "C3", "C4", "G3_1", "G3_2", "G4_1", "G4_2"}
+TWENTY_LABELS = {*STAR_1, "F1_3", *E8_FIBER, *STAR_2}
+
+
+def combination(gens: dict, weights) -> tuple:
+    """The coordinate vector of sum(mult * gens[label] for label, mult in weights)."""
+    total = [0] * km.KUMMER_LATTICE.dim
+    for label, mult in weights:
+        for k, x in enumerate(gens[label]):
+            total[k] += mult * x
+    return tuple(total)
+
+
 def polarized_pairing(x, y):
     """<(a,b;A), (a',b';A')> = 2(a b' + a' b) - 2 sum_ij A_ij A'_ij, the
     polarization of the self-intersection rule (a,b;A) -> 4ab - 2 Tr(A A^T)."""
@@ -27,8 +47,18 @@ def polarized_pairing(x, y):
 
 
 @pytest.fixture(scope="module")
-def gens():
-    return km.named_classes()
+def fib():
+    return km.fibration()
+
+
+@pytest.fixture(scope="module")
+def gens(fib):
+    return fib.gens
+
+
+@pytest.fixture(scope="module")
+def tree(fib):
+    return km.labeled_tree_report(fib)
 
 
 class TestPairing:
@@ -116,10 +146,16 @@ class TestClassesFromPolynomials:
     def test_reference_class(self, gens, name, f1, f2, nodes):
         assert gens[name] == _expansion(gens, f1, f2, nodes.items())
 
-    def test_reference_e8_weights(self, gens):
-        assert set(km.e8_fiber_weights(gens)) == {
-            ("F1_1", 2), ("G1_4", 4), ("G4_4", 3), ("F2_4", 6), ("G2_4", 5),
-            ("F1_2", 4), ("G2_3", 3), ("F2_3", 2), ("G3_3", 1)}
+    def test_reference_e8_weights(self, fib):
+        assert dict(fib.fibers[0]) == E8_FIBER
+
+    def test_reference_stars(self, fib):
+        # H_plus = u1 C1 C2 and H_minus = v1 C3 C4, read by the same rule
+        assert [dict(star) for star in fib.fibers[1:]] == [STAR_1, STAR_2]
+
+    def test_every_fiber_sums_to_d(self, fib):
+        for fiber in fib.fibers:
+            assert combination(fib.gens, fiber.items()) == fib.gens["D"]
 
     def test_h_inf_line_orders(self):
         # (l2-1)(u1-l1 v1)^3 (u1-v1) u2 v2^2: columns (0, inf, 1, l1), rows (0, inf, 1, l2)
@@ -127,14 +163,16 @@ class TestClassesFromPolynomials:
         assert km.line_orders(c.H_INF, 2) == [1, 2, 0, 0]
 
     def test_orders_add_over_factors(self):
-        # H_plus = u1 * C1_POLY * C2_POLY: the class of a product is the sum
-        factors = [km.curve_class(p) for p in (c.u1, c.C1_POLY, c.C2_POLY)]
-        assert km.curve_class(c.h_plus()) == tuple(map(sum, zip(*factors)))
+        # H_plus = u1 C1 C2 and H_minus = v1 C3 C4: the class of a product is the sum
+        for product, factors in ((c.h_plus(), c.h_plus_factors()),
+                                 (c.h_minus(), c.h_minus_factors())):
+            classes = [km.curve_class(p) for p in factors]
+            assert km.curve_class(product) == tuple(map(sum, zip(*classes)))
 
     def test_h_inf_not_a_product_of_branch_lines(self, monkeypatch):
         monkeypatch.setattr(c, "H_INF", c.H_INF + c.u1**4 * c.u2**3)
         with pytest.raises(ValueError, match="branch lines"):
-            km.named_classes()
+            km.fibration()
 
 
 class TestOneOneCurves:
@@ -159,23 +197,62 @@ class TestOneOneCurves:
             km.curve_class(poly)
 
 
-class TestE8Fiber:
-    def test_decomposition(self, gens):
-        assert km.verify_e8_fiber(gens)
-        assert combination(gens, km.e8_fiber_weights(gens)) == gens["D"]
+def _raised(fiber: dict, label: str) -> dict:
+    return {**fiber, label: fiber[label] + 1}
 
-    def test_perturbed_weight_fails(self, gens):
-        weights = [(label, 5 if label == "F2_4" else mult)
-                   for label, mult in km.e8_fiber_weights(gens)]
-        assert any(combination(gens, weights + [("D", -1)]))
+
+class TestE8Fiber:
+    def test_decomposition(self, fib, tree):
+        assert km.is_affine(fib.fibers[0], tree.gram, km.E8_DEGREES)
+        assert combination(fib.gens, fib.fibers[0].items()) == fib.gens["D"]
+
+    def test_perturbed_weight_fails(self, fib, tree):
+        weights = _raised(fib.fibers[0], "F2_4")
+        assert not km.is_affine(weights, tree.gram, km.E8_DEGREES)
+        assert combination(fib.gens, weights.items()) != fib.gens["D"]
 
     def test_component_orthogonality(self, gens):
         assert pair(gens["D"], gens["G3_3"]) == 0
 
+    def test_degrees_tell_e8_from_d8(self):
+        # affine E8 and affine D8 both have nine curves and a positive null
+        # vector; only E8 has one node of degree 3 and arms 1, 2, 5
+        e8 = [f"e{k}" for k in range(9)]
+        e8_gram = curve_gram(e8, [*zip(e8[:7], e8[1:8]), (e8[5], e8[8])])
+        assert km.is_affine(dict(zip(e8, (1, 2, 3, 4, 5, 6, 4, 2, 3))), e8_gram, km.E8_DEGREES)
+        d8 = [f"d{k}" for k in range(9)]
+        d8_gram = curve_gram(d8, [("d0", "d2"), ("d1", "d2"), *zip(d8[2:6], d8[3:7]),
+                                  ("d6", "d7"), ("d6", "d8")])
+        d8_weights = dict(zip(d8, (1, 1, 2, 2, 2, 2, 2, 1, 1)))
+        assert not km.is_affine(d8_weights, d8_gram, km.E8_DEGREES)
+        assert km.is_affine(d8_weights, d8_gram, [1, 1, 1, 1, 2, 2, 2, 3, 3])
+
+    def test_double_meeting_is_not_simple(self):
+        # two curves meeting twice have the null vector (1, 1), but are no tree
+        pair_gram = GramLattice(("a", "b"), ((-2, 2), (2, -2)))
+        assert not km.is_affine({"a": 1, "b": 1}, pair_gram, [1, 1])
+
 
 class TestStarFibers:
-    def test_sums(self, gens):
-        assert km.verify_star_fibers(gens)
+    def test_sums(self, fib, tree):
+        assert km.verify_star_fibers(fib, tree.gram)
+
+    @pytest.mark.parametrize("star,label", [(1, "F2_1"), (1, "C1"), (2, "G4_2")])
+    def test_raised_weight_fails_null_vector(self, fib, tree, star, label):
+        fibers = list(fib.fibers)
+        fibers[star] = _raised(fibers[star], label)
+        assert not km.verify_star_fibers(fib._replace(fibers=tuple(fibers)), tree.gram)
+
+    def test_overlapping_fibers_fail(self, fib, tree):
+        # the first star twice: each is affine D4 and met once by the section,
+        # but the two are not orthogonal
+        e8, star1, _ = fib.fibers
+        assert not km.verify_star_fibers(fib._replace(fibers=(e8, star1, star1)), tree.gram)
+
+    @pytest.mark.parametrize("section", ["F2_1", "G3_3"])
+    def test_section_off_a_simple_component_fails(self, fib, tree, section):
+        # the hub of a star, and a curve of the E8-type fiber
+        assert not km.verify_star_fibers(fib._replace(section=section), tree.gram)
 
     def test_c2_numbers(self, gens):
         assert pair(gens["C2"], gens["C2"]) == -2
@@ -187,34 +264,50 @@ class TestStarFibers:
 
 
 class TestLabeledTree:
-    def test_report(self, gens):
-        report = km.labeled_tree_report(gens)
-        assert report.matches_expected
-        assert report.rank == 18
+    def test_report(self, tree):
+        assert tree.matches_expected
+        assert tree.rank == 18
+
+    def test_reference_labels(self, tree):
+        assert set(tree.gram.labels) == TWENTY_LABELS
+        assert len(tree.gram.labels) == 20
+
+    def test_pairing_one_graph_is_the_drawn_tree(self, tree):
+        g, labels = tree.gram.gram, tree.gram.labels
+        ones = {frozenset((labels[i], labels[j]))
+                for i in range(20) for j in range(i) if g[i][j] == 1}
+        assert ones == set(map(frozenset, c.TWENTY_EDGES))
 
     def test_specific_adjacencies(self, gens):
         assert pair(gens["F1_3"], gens["G3_3"]) == 1
         assert pair(gens["C1"], gens["C2"]) == 0
 
-    def test_section_isolation(self, gens):
-        # F1_3 meets exactly its three tree neighbors among the twenty
+    def test_section_isolation(self, fib, gens):
+        # F1_3 is the one standard generator off the fibers with D.s = 1, and
+        # meets exactly its three tree neighbors among the twenty
+        assert fib.section == "F1_3"
+        off = [label for label in km.standard_generators()
+               if not any(label in fiber for fiber in fib.fibers)]
+        assert [label for label in off if pair(gens["D"], gens[label]) == 1] == ["F1_3"]
         neighbors = {b for a, b in c.TWENTY_EDGES if a == "F1_3"}
         neighbors |= {a for a, b in c.TWENTY_EDGES if b == "F1_3"}
         assert neighbors == {"G3_1", "G3_2", "G3_3"}
-        for label in c.TWENTY_LABELS:
-            if label == "F1_3":
-                continue
+        for label in TWENTY_LABELS - {"F1_3"}:
             expected = 1 if label in neighbors else 0
             assert pair(gens["F1_3"], gens[label]) == expected
 
 
 class TestBranchOctet:
-    def test_pairwise_orthogonal_minus_two(self, gens):
-        octet = km.branch_octet(gens)
+    def test_reference_octet(self, fib):
+        assert set(fib.octet) == BRANCH_OCTET
+        assert len(fib.octet) == 8
+
+    def test_pairwise_orthogonal_minus_two(self, fib, gens):
+        octet = [gens[label] for label in fib.octet]
         assert len(octet) == 8
-        for i, (_, a) in enumerate(octet):
+        for i, a in enumerate(octet):
             assert pair(a, a) == -2
-            for _, b in octet[i + 1:]:
+            for b in octet[i + 1:]:
                 assert pair(a, b) == 0
 
     def test_examples(self, gens):

@@ -322,6 +322,15 @@ class TestQuotientByKernel:
         inv = lattice_invariants(direct_sum(gram, gram))
         assert (inv.rank, inv.signature, inv.determinant) == (16, (0, 16), 1)
 
+    def test_one_row_reduction_on_the_tree(self, monkeypatch):
+        # the first reduction gives the kernel; nothing is reduced again to
+        # learn that no kernel is left
+        calls = []
+        monkeypatch.setattr(lattice, "_nullspace",
+                            lambda m, _fn=_nullspace: calls.append(len(m)) or _fn(m))
+        assert lattice_invariants(toric.curve_tree().gram).rank == 18
+        assert calls == [19]
+
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_invariant_under_unimodular_congruence(self, data):
