@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from . import constants as c
 from .exact import MultiPolynomial
-from .lattice import (GramLattice, curve_gram, direct_sum, induced_gram, kernel_basis,
+from .lattice import (GramLattice, curve_gram, direct_sum, induced_gram, integer_kernel,
                       matrix_rank)
 
 # branch values, the G_ij in coordinate order, and the (u, v, lambda) exponent
@@ -200,7 +200,7 @@ def is_affine(fiber: dict, gram: GramLattice, degrees: list) -> bool:
     own = gram.block(labels, labels)
     simple = all(row[i] == -2 and {*row[:i], *row[i + 1:]} <= {0, 1} for i, row in enumerate(own))
     return (simple and sorted(sum(row) + 2 for row in own) == degrees
-            and kernel_basis(GramLattice(labels, own)) == [list(weights)])
+            and integer_kernel(own) == [list(weights)])
 
 
 def verify_star_fibers(fib: Fibration, gram: GramLattice) -> bool:
@@ -235,22 +235,18 @@ def labeled_tree_report(fib: Fibration) -> TreeReport:
 class IsogenyFiberNumbers(NamedTuple):
     """Intersection data of the graph fibration induced by an n-isogeny."""
 
-    ry_f1: int
-    ry_f2: int
     proj_square: int
     rx_square: int
-    generator_square: int
 
 
 def isogeny_fiber_numbers(n: int) -> IsogenyFiberNumbers:
     """For the fibration induced by an n-isogeny between the two factors:
     the fiber class R_Y pairs 2n with F1 and 2 with F2 and is G-orthogonal;
-    projecting away the F-part gives square -4n, doubling under the
-    branched-cover pullback gives R_X^2 = -8n, and the primitive generator
-    of the rank-one complement has square -2n.
+    projecting away the F-part gives square -4n, and doubling under the
+    branched-cover pullback gives R_X^2 = -8n.
     """
     if n < 1:
         raise ValueError("the isogeny degree must be a positive integer")
     ambient = GramLattice(("F1", "F2", "RY"), ((0, 2, 2 * n), (2, 0, 2), (2 * n, 2, 0)))
     proj_square = induced_gram(ambient, [(-1, -n, 1)], ("RY-nF2-F1",)).gram[0][0]
-    return IsogenyFiberNumbers(2 * n, 2, proj_square, 2 * proj_square, 2 * proj_square // 4)
+    return IsogenyFiberNumbers(proj_square, 2 * proj_square)

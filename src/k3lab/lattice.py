@@ -3,9 +3,9 @@
 A lattice is a labeled symmetric integer Gram matrix.  A configuration of
 (-2)-curves is stored only as its Gram (`curve_gram`): an induced Gram equal
 to a reference Gram read in the same order fixes both which curves meet and
-how.  Everything is exact and stays in Z: rank and kernels by one
-fraction-free row reduction; the quotient by the kernel by integer
-congruence, so its Gram stays integral; its signature and determinant by
+how.  Everything is exact and stays in Z: rank, a Z-basis of the kernel
+and a basis of the quotient by it from one unimodular integer reduction,
+so the quotient's Gram stays integral; its signature and determinant by
 integer congruence diagonalization (never floating eigenvalues); pairings
 as integer dot products, divided once by the denominators of the
 coordinates.
@@ -149,103 +149,75 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 # ---------------------------------------------------------------------------
 
 
-def _content_free(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g, a gcd of a and b."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x0, x1, y0, y1 = b, r, x1, x0 - q * x1, y1, y0 - q * y1
+    return a, x0, y0
 
 
-def _row_reduce(m) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduced echelon form of the integer matrix m, and its
-    pivot columns.
+def _unimodular_reduce(m) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(r, basis, images) for the integer matrix m with n columns: `basis` is
+    a basis of Z^n whose first r vectors v have images m v (`images`) in
+    echelon form, so r is the rank of m, and whose last n - r vectors are a
+    Z-basis of the integer kernel of m.
 
-    A pivot p in column col is cleared from row i by
-    row_i := p row_i - row_i[col] row_r, and row_i is then divided by the gcd
-    of its entries, so every row stays integral and content-free.  Each
-    pivot row ends up zero in every other pivot column.
+    Each vector is carried as v followed by m v, and only unimodular moves
+    are applied to them, starting from the unit vectors.  Row i of m is
+    cleared with the live vector p of least nonzero |entry| a as pivot, by
+    one step per other vector w with entry b != 0: w becomes w - (b/a) p
+    where a divides b; elsewhere, with x a + y b = g, the pair becomes
+    (x p + y w, (b/g) p - (a/g) w), of determinant -1.  The pivot then
+    leaves the live vectors; what is live after the last row is the kernel
+    (Cohen, "A Course in Computational Algebraic Number Theory", 2.4).
     """
-    rows = [_content_free(list(row)) for row in m]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    piv_cols: list[int] = []
-    for col in range(nc):
-        r = len(piv_cols)
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][col]), None)
-        if piv is None:
+    n = len(m[0]) if m else 0
+    live = [[*([0] * j), 1, *([0] * (n - 1 - j)), *col] for j, col in enumerate(zip(*m))]
+    done = []
+    for i in range(n, n + len(m)):
+        hits = [(abs(w[i]), k) for k, w in enumerate(live) if w[i]]
+        if not hits:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        p = pivot_row[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                rows[i] = _content_free([p * x - f * y for x, y in zip(row, pivot_row)])
-        piv_cols.append(col)
-    return rows, piv_cols
+        p = live.pop(min(hits)[1])
+        for k, w in enumerate(live):
+            a, b = p[i], w[i]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                a, b = a // g, b // g
+                p, live[k] = ([x * s + y * t for s, t in zip(p, w)],
+                              [b * s - a * t for s, t in zip(p, w)])
+            elif b:
+                f = b // a
+                live[k] = [t - f * s for s, t in zip(p, w)]
+        done.append(p)
+    return len(done), [w[:n] for w in done + live], [w[n:] for w in done]
 
 
 def matrix_rank(m) -> int:
     """Rank over Q of an integer matrix given as a list of rows."""
-    return len(_row_reduce(m)[1])
+    return _unimodular_reduce(m)[0]
 
 
-def _nullspace(m) -> list[list[int]]:
-    """One primitive integer vector of {v : m v = 0} per free column of the
-    integer matrix m, with its first nonzero entry positive; together they
-    span the rational null space."""
-    if not m:
-        return []
-    rows, piv_cols = _row_reduce(m)
-    nc = len(rows[0])
-    pivots = [row[pc] for row, pc in zip(rows, piv_cols)]
-    scale = lcm(*pivots)
-    basis = []
-    for free in (col for col in range(nc) if col not in piv_cols):
-        v = [0] * nc
-        v[free] = scale
-        for row, pc, p in zip(rows, piv_cols, pivots):
-            v[pc] = -row[free] * (scale // p)
-        v = _content_free(v)
-        basis.append(v if next(x for x in v if x) > 0 else [-x for x in v])
-    return basis
+def integer_kernel(m) -> list[list[int]]:
+    """A Z-basis of {v in Z^n : m v = 0} for the integer matrix m, each
+    vector with its first nonzero entry positive."""
+    r, basis, _ = _unimodular_reduce(m)
+    return [v if next(x for x in v if x) > 0 else [-x for x in v] for v in basis[r:]]
 
 
 def kernel_basis(L: GramLattice) -> list[list[int]]:
-    """Primitive integer generators of the null space of the Gram matrix."""
-    return _nullspace(L.gram)
+    """A Z-basis of the integer kernel of the Gram matrix (`integer_kernel`)."""
+    return integer_kernel(L.gram)
 
 
 def _quotient_gram(gram) -> list[list[int]]:
-    """Integer Gram of the quotient by the kernel.
-
-    Peels the kernel basis of one row reduction a vector v at a time.
-    Euclid's steps on the entries of v bring it to a multiple of a unit
-    vector e_k; each step v[b] -= q v[a] is the change of basis
-    e_a -> e_a + q e_b, applied to the Gram as a congruence (row a += q row
-    b, then column a += q column b) and to the vectors left.  Then row and
-    column k are zero and are dropped, as is entry k of the vectors left.
-    """
-    g = [list(row) for row in gram]
-    null = _nullspace(g)
-    while null:
-        v = null.pop()
-        while True:
-            nz = sorted((i for i, x in enumerate(v) if x), key=lambda i: abs(v[i]))
-            if len(nz) == 1:
-                break
-            a, b = nz[:2]
-            q = v[b] // v[a]
-            for w in (v, *null):
-                w[b] -= q * w[a]
-            g[a] = [x + q * y for x, y in zip(g[a], g[b])]
-            for row in g:
-                row[a] += q * row[b]
-        for row in (*g, *null):
-            del row[nz[0]]
-        del g[nz[0]]
-    return g
+    """Integer Gram of the quotient by the kernel: the pairings v_i . (G v_j)
+    of the first r vectors of `_unimodular_reduce`'s basis, which map to a
+    basis of the quotient because the rest are a Z-basis of the kernel."""
+    r, basis, images = _unimodular_reduce(gram)
+    return [[sum(map(mul, v, gw)) for gw in images] for v in basis[:r]]
 
 
 class LatticeInvariants(NamedTuple):

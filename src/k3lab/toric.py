@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import constants as c
-from .lattice import GramLattice, _nullspace, curve_gram, matrix_rank
+from .lattice import GramLattice, curve_gram, integer_kernel, matrix_rank
 
 Vec3 = tuple[int, int, int]
 
@@ -59,7 +59,7 @@ class LatticePolytope:
         the sign that puts vertex k strictly inside."""
         out = []
         for k, vk in enumerate(self.vertices):
-            (kernel,) = _nullspace([[*v, 1] for i, v in enumerate(self.vertices) if i != k])
+            (kernel,) = integer_kernel([[*v, 1] for i, v in enumerate(self.vertices) if i != k])
             normal, offset = tuple(kernel[:3]), -kernel[3]
             if _dot(normal, vk) > offset:
                 normal, offset = (-normal[0], -normal[1], -normal[2]), -offset

@@ -318,15 +318,14 @@ class TestBranchOctet:
 
 class TestIsogenyFiberNumbers:
     @pytest.mark.parametrize("n,expected", [
-        (1, (2, 2, -4, -8, -2)),
-        (2, (4, 2, -8, -16, -4)),
-        (3, (6, 2, -12, -24, -6)),
-        (5, (10, 2, -20, -40, -10)),
+        (1, (-4, -8)),
+        (2, (-8, -16)),
+        (3, (-12, -24)),
+        (5, (-20, -40)),
     ])
     def test_table(self, n, expected):
         got = km.isogeny_fiber_numbers(n)
-        assert (got.ry_f1, got.ry_f2, got.proj_square,
-                got.rx_square, got.generator_square) == expected
+        assert (got.proj_square, got.rx_square) == expected
 
     def test_bad_degree(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Gram lattices: standard forms, curve Grams, invariants, kernels."""
 
 import collections
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -12,13 +13,14 @@ from k3lab import lattice, suites, toric
 from k3lab.lattice import (
     E8_EDGES,
     E8_NODES,
-    _nullspace,
     _quotient_gram,
     _signature,
+    _unimodular_reduce,
     GramLattice,
     curve_gram,
     direct_sum,
     induced_gram,
+    integer_kernel,
     kernel_basis,
     lattice_invariants,
     matrix_rank,
@@ -145,6 +147,40 @@ class TestKernel:
             e = [1 if j == i else 0 for j in range(n)]
             assert lat.pairing(k, e) == 0
 
+    def test_kernel_is_a_z_basis(self):
+        # the Gram v v^T, v = (2, 1, 1): (0, 1, -1) is in the kernel, so it
+        # is an integer combination of a Z-basis
+        v = (2, 1, 1)
+        lat = GramLattice(("a", "b", "c"), tuple(tuple(x * y for y in v) for x in v))
+        basis = kernel_basis(lat)
+        assert len(basis) == 2
+        (b1, b2), target = basis, (0, 1, -1)
+        i, j = next((i, j) for i in range(3) for j in range(i + 1, 3)
+                    if b1[i] * b2[j] - b1[j] * b2[i])
+        det = b1[i] * b2[j] - b1[j] * b2[i]
+        c1 = Fraction(target[i] * b2[j] - target[j] * b2[i], det)
+        c2 = Fraction(b1[i] * target[j] - b1[j] * target[i], det)
+        assert c1.denominator == c2.denominator == 1
+        assert [c1 * x + c2 * y for x, y in zip(b1, b2)] == list(target)
+
+
+def _fraction_det(m):
+    """Determinant by elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for row in rows[col + 1:]:
+            f = row[col] / rows[col][col]
+            row[:] = [x - f * y for x, y in zip(row, rows[col])]
+    return det
+
 
 def _rational_rank(m):
     """Rank by Gauss-Jordan elimination over Fraction: the reference that the
@@ -192,7 +228,7 @@ class TestIntegerKernel:
     def test_matches_rational_elimination(self, m):
         rank = matrix_rank(m)
         assert rank == _rational_rank(m)
-        basis = _nullspace(m)
+        basis = integer_kernel(m)
         assert len(basis) == len(m[0]) - rank
         for v in basis:
             assert all(type(x) is int for x in v)
@@ -201,10 +237,16 @@ class TestIntegerKernel:
             assert next(x for x in v if x) > 0
         if basis:
             assert _rational_rank(basis) == len(basis)
+            # saturation: the maximal minors of a Z-basis of a kernel, which
+            # is a primitive sublattice, have gcd 1
+            k = len(basis)
+            minors = [_fraction_det([[v[j] for j in cols] for v in basis])
+                      for cols in itertools.combinations(range(len(m[0])), k)]
+            assert gcd(*map(int, minors)) == 1
 
     def test_input_left_unchanged(self):
         m = [[2, 4, 6], [1, 1, 1]]
-        assert _nullspace(m) == [[1, -2, 1]]
+        assert integer_kernel(m) == [[1, -2, 1]]
         assert m == [[2, 4, 6], [1, 1, 1]]
 
 
@@ -323,12 +365,12 @@ class TestQuotientByKernel:
         assert (inv.rank, inv.signature, inv.determinant) == (16, (0, 16), 1)
 
     def test_one_row_reduction_on_the_tree(self, monkeypatch):
-        # the first reduction gives the kernel; nothing is reduced again to
-        # learn that no kernel is left
-        calls = []
-        monkeypatch.setattr(lattice, "_nullspace",
-                            lambda m, _fn=_nullspace: calls.append(len(m)) or _fn(m))
-        assert lattice_invariants(toric.curve_tree().gram).rank == 18
+        # one unimodular reduction of the 19 x 19 Gram gives the kernel and
+        # the quotient together; nothing else is reduced
+        gram, calls = toric.curve_tree().gram, []
+        monkeypatch.setattr(lattice, "_unimodular_reduce",
+                            lambda m, _fn=_unimodular_reduce: calls.append(len(m)) or _fn(m))
+        assert lattice_invariants(gram).rank == 18
         assert calls == [19]
 
     @settings(deadline=None, max_examples=60)
