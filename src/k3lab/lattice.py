@@ -51,6 +51,15 @@ class GramLattice:
         s = lcm(*[x.denominator for x in v])
         return s, [x.numerator * (s // x.denominator) for x in v]
 
+    def _image(self, w: Sequence[int]) -> list:
+        """G w for an integer vector w, over the nonzero Gram entries."""
+        gw = [0] * self.dim
+        for wj, row in zip(w, self._nonzero_rows):  # G w = sum_j w_j G_j, G symmetric
+            if wj:
+                for i, g in row:
+                    gw[i] += g * wj
+        return gw
+
     def pairings(self, vectors: Sequence[Sequence], others: Sequence[Sequence]) -> list:
         """The matrix of exact pairings v.w, v in `vectors`, w in `others`:
         an ``int`` where the pairing is integral, a ``Fraction`` elsewhere.
@@ -59,16 +68,10 @@ class GramLattice:
         nonzero Gram entries, so each pairing is one integer dot product,
         divided by the two scales at the end.
         """
-        rows = self._nonzero_rows
         images, scales = [], []
         for w in others:
             t, w = self._scaled(w)
-            gw = [0] * self.dim
-            for wj, row in zip(w, rows):  # G w = sum_j w_j G_j, as G is symmetric
-                if wj:
-                    for i, g in row:
-                        gw[i] += g * wj
-            images.append(gw)
+            images.append(self._image(w))
             scales.append(t)
         scaled_others = max(scales, default=1) > 1
         out = []
@@ -287,16 +290,25 @@ def induced_gram(ambient: GramLattice, vectors: Sequence[Sequence],
                  labels: "Sequence[str] | None" = None) -> GramLattice:
     """Gram of the pairwise ambient pairings of the given vectors.
 
-    Raises if any pairing is non-integral; use ambient.pairings directly for
-    rational-valued needs.
+    The vectors are scaled into Z by one common denominator s and each G w
+    is formed once; only the pairings v_i . w_j with i <= j are computed,
+    each an integer dot product divided by s^2.  Raises if any pairing is
+    non-integral; use ambient.pairings directly for rational-valued needs.
     """
-    vecs = [list(v) for v in vectors]
+    if any(len(v) != ambient.dim for v in vectors):
+        raise ValueError("vector length does not match lattice dimension")
     if labels is None:
-        labels = tuple(f"v{i}" for i in range(len(vecs)))
-    gram = []
-    for row in ambient.pairings(vecs, vecs):
-        for p in row:
-            if p.denominator != 1:
-                raise ValueError(f"non-integer pairing {p} in induced form")
-        gram.append(tuple(int(p) for p in row))
-    return GramLattice(tuple(labels), tuple(gram))
+        labels = tuple(f"v{i}" for i in range(len(vectors)))
+    s = lcm(*[x.denominator for v in vectors for x in v])
+    vecs = [[x.numerator * (s // x.denominator) for x in v] for v in vectors]
+    images = [ambient._image(w) for w in vecs]
+    s2 = s * s
+    gram = [[0] * len(vecs) for _ in vecs]
+    for i, v in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            x = sum(map(mul, v, images[j]))
+            p, r = divmod(x, s2)
+            if r:
+                raise ValueError(f"non-integer pairing {Fraction(x, s2)} in induced form")
+            gram[i][j] = gram[j][i] = p
+    return GramLattice(tuple(labels), tuple(map(tuple, gram)))

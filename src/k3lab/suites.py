@@ -1,6 +1,13 @@
 """Named verification suites behind the CLI: every check re-derives its
 claim from the constants at call time, so a mutated constant flips the
-owning check to fail.  Each suite imports its layers when it runs."""
+owning check to fail.  Each suite imports its layers when it runs.
+
+Each object a suite derives (Delta and its dual, the curve tree, the Kummer
+fibration and the Gram of its twenty curves, each Phi_n) is built once per
+run, by the first check that needs it, and nothing outlives the run: a
+constant mutated before a run still reaches every check, and a build that
+raises fails each check that needs it.  A polytope keeps its lattice points
+as it keeps its facets."""
 
 from __future__ import annotations
 
@@ -81,7 +88,6 @@ def _lattice_checks(checks):
     from . import lattice as lat
     from . import toric
 
-    # One tree, and one set of its invariants, per call, as in _toric_checks.
     tree = functools.cache(toric.curve_tree)
     invariants = functools.cache(lambda: lat.lattice_invariants(tree().gram))
 
@@ -152,9 +158,6 @@ def _lattice_checks(checks):
 def _kummer_checks(checks):
     from . import kummer as km
 
-    # One fibration and one Gram of its twenty curves per call, built by the
-    # first check that needs them: a constant mutated before the run reaches
-    # every check, and a build that raises fails each of them inside _check.
     fibration = functools.cache(km.fibration)
     tree = functools.cache(lambda: km.labeled_tree_report(fibration()))
 
@@ -212,9 +215,6 @@ def _toric_checks(checks):
     from . import constants as cst
     from . import toric
 
-    # Each simplex once per call, as in _kummer_checks: a constant mutated
-    # before the run still reaches every check, and a build that raises
-    # fails each of them inside _check.
     simplex = functools.cache(toric.delta)
     dual_simplex = functools.cache(lambda: toric.dual_polytope(simplex()))
 
@@ -242,9 +242,9 @@ def _toric_checks(checks):
     _check(checks, "toric.genera", "facet genera are 0, 0, 1, 2", genera)
 
     def points():
-        dual_count = len(toric.lattice_points(dual_simplex()))
-        own = set(toric.lattice_points(simplex()))
-        shifted = set(toric.shifted_support_points().values())
+        dual_count = len(dual_simplex().points)
+        own = set(simplex().points)
+        shifted = set(toric.shifted_support_points(simplex()).values())
         oracle = 0
         for dd in range(3):
             for cc in range(4):
@@ -257,9 +257,9 @@ def _toric_checks(checks):
            "lattice point counts match the weighted-monomial oracle", points)
 
     def shift():
-        s = toric.support_shift()
-        pts = toric.shifted_support_points()
         p = simplex()
+        s = toric.support_shift(p)
+        pts = toric.shifted_support_points(p)
         interior = [m for m, q in pts.items() if p.strictly_contains(q)]
         ok = s == cst.SUPPORT_SHIFT and len(interior) == 1
         return ok, f"shift {s}, interior monomial {interior}"
@@ -335,6 +335,9 @@ STURM_TOP_WEIGHT_12 = 1
 def _modular_checks(checks):
     from . import modular as md
 
+    # read off md when the run starts, so a build replaced before the run is used
+    build = functools.cache(md.build_modular_polynomial)
+
     def j_values():
         # E4^3 - E6^2 and 1728 Delta, Delta = q prod (1 - q^n)^24, are
         # weight-12 forms, so they are equal once they agree through q^1.
@@ -352,7 +355,7 @@ def _modular_checks(checks):
         # domain: so j(2i) is the other root of Phi_2(1728, Y).  Both sides
         # are lists of coefficients in Y, constant term first.
         row = [0] * 4
-        for (i, k), c in md.build_modular_polynomial(2).coefficients.items():
+        for (i, k), c in build(2).coefficients.items():
             row[k] += c * 1728**i
         expected = [1]
         for r in (1728, 287496, 287496):  # times (Y - r)
@@ -366,7 +369,7 @@ def _modular_checks(checks):
 
     def phi(n):
         def run():
-            p = md.build_modular_polynomial(n)
+            p = build(n)
             ok = p.is_symmetric() and p.degree() == n + 1
             ok = ok and all(isinstance(v, int) for v in p.coefficients.values())
             ok = ok and p.coefficients.get((n, n)) == -1

@@ -66,6 +66,11 @@ class LatticePolytope:
             out.append(Facet(normal, offset))
         return tuple(out)
 
+    @cached_property
+    def points(self) -> tuple:
+        """The integer points, enumerated once by `lattice_points`."""
+        return tuple(lattice_points(self))
+
     # plain loops: a generator per point costs more than the four tests
     def contains(self, point) -> bool:
         for f in self.facets:
@@ -107,7 +112,9 @@ def dual_polytope(p: LatticePolytope) -> LatticePolytope:
 
 
 def lattice_points(p: LatticePolytope) -> list:
-    """All integer points of p: bounding box filtered by facet inequalities."""
+    """All integer points of p: bounding box filtered by facet inequalities.
+    This is the enumerator; read a polytope's points as `p.points`, which
+    runs it once per polytope, as `p.facets` solves the facets once."""
     lo = [min(v[i] for v in p.vertices) for i in range(3)]
     hi = [max(v[i] for v in p.vertices) for i in range(3)]
     return [point for point in product(*(range(lo[i], hi[i] + 1) for i in range(3)))
@@ -115,7 +122,7 @@ def lattice_points(p: LatticePolytope) -> list:
 
 
 def interior_lattice_points(p: LatticePolytope) -> list:
-    return [q for q in lattice_points(p) if p.strictly_contains(q)]
+    return [q for q in p.points if p.strictly_contains(q)]
 
 
 class EdgeReport(NamedTuple):
@@ -145,34 +152,35 @@ def facet_genera(p: LatticePolytope) -> tuple[int, ...]:
     opposite vertex k, from one enumeration: a point counts for facet k when
     facet k is the only facet it is tight on (points on two lie on an edge)."""
     counts = [0] * len(p.facets)
-    for q in lattice_points(p):
+    for q in p.points:
         tight = [k for k, f in enumerate(p.facets) if _dot(f.normal, q) == f.offset]
         if len(tight) == 1:
             counts[tight[0]] += 1
     return tuple(counts)
 
 
-def support_shift():
+def support_shift(simplex: LatticePolytope):
     """The translation taking the hypersurface monomial support into the
-    Newton simplex, with z, 1/z, x^3, y^2 landing on the four vertices."""
-    dd = delta()
+    Newton simplex `simplex` (`delta()`), with z, 1/z, x^3, y^2 landing on
+    the four vertices."""
     shifts = set()
     for mono, vidx in c.SUPPORT_VERTEX_MAP:
         m = c.SUPPORT_MONOMIALS[mono]
-        v = c.DELTA_VERTICES[vidx]
+        v = simplex.vertices[vidx]
         shifts.add(_sub(v, m))
     if len(shifts) != 1:
         raise ValueError(f"vertex correspondences disagree: {shifts}")
     (s,) = shifts
     for mono, e in c.SUPPORT_MONOMIALS.items():
         shifted = (e[0] + s[0], e[1] + s[1], e[2] + s[2])
-        if not dd.contains(shifted):
+        if not simplex.contains(shifted):
             raise ValueError(f"shifted monomial {mono} falls outside the simplex")
     return s
 
 
-def shifted_support_points() -> dict:
-    s = support_shift()
+def shifted_support_points(simplex: LatticePolytope) -> dict:
+    """The monomial support translated by `support_shift(simplex)`."""
+    s = support_shift(simplex)
     return {
         mono: (e[0] + s[0], e[1] + s[1], e[2] + s[2])
         for mono, e in c.SUPPORT_MONOMIALS.items()

@@ -203,10 +203,10 @@ def test_criterion_06_toric():
         assert oracle == 39
         assert len(toric.lattice_points(d)) == 39
         own = set(toric.lattice_points(p))
-        assert own == set(toric.shifted_support_points().values())
+        assert own == set(toric.shifted_support_points(p).values())
         assert len(own) == 9
-        assert toric.support_shift() == (0, -2, -3)
-        pts = toric.shifted_support_points()
+        assert toric.support_shift(p) == (0, -2, -3)
+        pts = toric.shifted_support_points(p)
         assert pts["z"] == v1 and pts["z^-1"] == v2
         assert pts["x^3"] == v3 and pts["y^2"] == v4
 

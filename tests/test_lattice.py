@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lab import lattice, suites, toric
+from k3lab import kummer, lattice, suites, toric
 from k3lab.lattice import (
     E8_EDGES,
     E8_NODES,
@@ -292,6 +292,22 @@ class TestInducedGram:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             induced_gram(standard_lattice("U"), [(1, 0, 0)])
+
+    def test_twenty_curves_match_pairings(self):
+        # Fraction halves (the half-fiber curves) mixed with int vectors
+        fib = kummer.fibration()
+        e8, star1, star2 = fib.fibers
+        vs = [fib.gens[label] for label in (*star1, fib.section, *e8, *star2)]
+        assert any(isinstance(x, Fraction) for v in vs for x in v)
+        got = induced_gram(kummer.KUMMER_LATTICE, vs).gram
+        assert [list(row) for row in got] == kummer.KUMMER_LATTICE.pairings(vs, vs)
+
+    def test_non_integral_pairing_raises(self):
+        # (G1_1 / 2)^2 = -1/2
+        half = [Fraction(1, 2) if label == "G1_1" else 0
+                for label in kummer.KUMMER_LATTICE.labels]
+        with pytest.raises(ValueError, match="-1/2"):
+            induced_gram(kummer.KUMMER_LATTICE, [half])
 
     def test_e8_sides_match_standard(self):
         # both eight-node sides of the tree induce the standard E8(-1) Gram

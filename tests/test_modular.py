@@ -1,5 +1,6 @@
 """Numeric j, Fricke pairs, modular polynomials solved from q-expansions."""
 
+import collections
 import random
 import subprocess
 import sys
@@ -462,6 +463,17 @@ class TestSuiteChecks:
             checks = {c.id: c for c in suites.run_suite("modular").checks}
             assert checks["modular.j_values"].status == "fail", key
             assert checks["modular.j_values"].witness.startswith("Phi_2(1728, Y) has")
+
+    def test_one_build_per_level_per_run(self, monkeypatch):
+        # j_values and phi2 share one Phi_2
+        build, calls = md.build_modular_polynomial, collections.Counter()
+
+        def counted(n):
+            calls[n] += 1
+            return build(n)
+        monkeypatch.setattr(md, "build_modular_polynomial", counted)
+        assert suites.run_suite("modular").status == "pass"
+        assert calls == {2: 1, 3: 1}
 
     def test_j_values_is_exact(self, monkeypatch):
         # no floating point: the numeric j is never called

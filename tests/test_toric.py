@@ -46,7 +46,7 @@ class TestDelta:
         assert len(lattice_points(dual_polytope(delta()))) == 39
         pts = set(lattice_points(delta()))
         assert len(pts) == 9
-        assert pts == set(shifted_support_points().values())
+        assert pts == set(shifted_support_points(delta()).values())
 
 
 class TestDual:
@@ -151,10 +151,10 @@ class TestFacetGenus:
 
 class TestSupportShift:
     def test_shift_value(self):
-        assert support_shift() == c.SUPPORT_SHIFT == (0, -2, -3)
+        assert support_shift(delta()) == c.SUPPORT_SHIFT == (0, -2, -3)
 
     def test_vertex_correspondence(self):
-        pts = shifted_support_points()
+        pts = shifted_support_points(delta())
         assert pts["z"] == c.DELTA_VERTICES[0]
         assert pts["z^-1"] == c.DELTA_VERTICES[1]
         assert pts["x^3"] == c.DELTA_VERTICES[2]
@@ -162,12 +162,12 @@ class TestSupportShift:
 
     def test_all_nine_inside(self):
         p = delta()
-        for q in shifted_support_points().values():
+        for q in shifted_support_points(p).values():
             assert p.contains(q)
 
     def test_exactly_one_interior(self):
         p = delta()
-        interior = [m for m, q in shifted_support_points().items()
+        interior = [m for m, q in shifted_support_points(p).items()
                     if p.strictly_contains(q)]
         assert len(interior) == 1
 
@@ -224,11 +224,13 @@ class TestTreeShape:
 class TestToricSuite:
     def test_one_simplex_pair_per_run(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("lattice_points", "dual_polytope", "facet_genera"):
+        for name in ("delta", "lattice_points", "dual_polytope", "facet_genera"):
             def counted(*args, _fn=getattr(toric, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(toric, name, counted)
         assert suites.run_suite("toric").status == "pass"
-        # one Delta and one dual per run; Delta** is built once, in toric.dual
-        assert calls == {"facet_genera": 1, "lattice_points": 5, "dual_polytope": 2}
+        # one Delta and one dual per run, each enumerated once; Delta** is
+        # built once, in toric.dual, and never enumerated
+        assert calls == {"delta": 1, "facet_genera": 1, "lattice_points": 2,
+                         "dual_polytope": 2}
