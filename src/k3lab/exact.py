@@ -1,9 +1,25 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
-A polynomial is a map from exponent vectors to nonzero rational coefficients,
-always kept in canonical form (no stored zeros), so identity testing is exact:
-two polynomials are equal iff their term maps are equal, and a sum of terms is
-zero iff the map is empty.
+A polynomial is a map from monomials to nonzero rational coefficients,
+always kept in canonical form (no stored zeros), so identity testing is
+exact: two polynomials are equal iff their term maps are equal, and a sum of
+terms is zero iff the map is empty.
+
+A monomial is stored as a packed integer key (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Each exponent sits in a 16-bit field, the first
+variable's in the most significant one, so integer order is lex order and
+the monomial of a product is one integer sum.  The top bit of every field is
+a guard bit that no stored exponent sets: an exponent runs from 0 to
+``MAX_EXPONENT`` = 2**15 - 1, and one subtraction compares two keys field
+by field.  Each polynomial keeps a packed bound on its degree in every
+variable, so a product or power whose exponent would pass ``MAX_EXPONENT``
+raises ``OverflowError`` before any field can carry.  The constructor takes
+exponent tuples and raises ``ValueError`` on a tuple of the wrong length or
+an exponent outside 0..``MAX_EXPONENT``.  ``terms`` is a read-only map from
+exponent tuples: its length needs no unpacking, and a polynomial's keys are
+unpacked only when a caller first reads them, so a product that nobody reads
+stays packed.
 
 Coefficients are ``int`` or ``fractions.Fraction``; the two interoperate, and
 an integral coefficient is always stored as ``int``, so integer-only inputs
@@ -20,12 +36,18 @@ avoids multivariate gcd entirely.
 from __future__ import annotations
 
 import heapq
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, sub
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cache, reduce
+from types import MappingProxyType
+from typing import Iterable, Sequence, Union
 
 Coeff = Union[int, Fraction]
 Exponents = tuple[int, ...]
+
+_BITS = 16  # one struct "H" field per exponent
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
 
 def _exact_ratio(a: Coeff, b: Coeff) -> Coeff:
@@ -36,51 +58,139 @@ def _exact_ratio(a: Coeff, b: Coeff) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
+class _Fields:
+    """The packing of n exponents into one key, field 0 most significant."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._struct = struct.Struct(f">{n}H")
+        self.guards = int.from_bytes(b"\x80\x00" * n, "big")
+
+    def pack(self, exponents) -> int:
+        """The key of n exponents from 0 to MAX_EXPONENT; ValueError on any other."""
+        try:
+            key = int.from_bytes(self._struct.pack(*exponents), "big")
+        except struct.error:  # a wrong length, or an exponent outside 0 .. 2**16 - 1
+            key = None
+        if key is None or key & self.guards:
+            raise ValueError(f"exponents {exponents!r} are not {self.n} integers "
+                             f"from 0 to {MAX_EXPONENT}")
+        return key
+
+    def unpack(self, key: int) -> Exponents:
+        return self._struct.unpack(key.to_bytes(self._struct.size, "big"))
+
+    def max(self, a: int, b: int) -> int:
+        """The field-wise maximum of two packed exponent vectors."""
+        # a field of (a | guards) - b keeps its guard bit iff a >= b there
+        ge = ((a | self.guards) - b) & self.guards
+        take_a = ge - (ge >> (_BITS - 1))  # the exponent bits of those fields
+        return a & take_a | b & ~take_a
+
+
+_fields = cache(_Fields)
+
+
+class _Terms(Mapping):
+    """The terms of a polynomial not yet unpacked, as a read-only map from
+    exponent tuples to coefficients: its length is the packed map's, and any
+    other read unpacks the keys, once per polynomial."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPolynomial"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        return iter(self._poly._tuples())
+
+    def __getitem__(self, exponents) -> Coeff:
+        return self._poly._tuples()[exponents]
+
+    def items(self):
+        return self._poly._tuples().items()
+
+    def values(self):
+        return self._poly._terms.values()
+
+
 class MultiPolynomial:
     """Polynomial in a fixed ordered tuple of variables, exact over Q."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms", "_degrees", "_unpacked")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[Exponents, Coeff]):
-        self.vars = vars
+    def __new__(cls, vars: tuple[str, ...], terms: Mapping[Exponents, Coeff]):
+        fields = _fields(len(vars))
+        kept = [e for e, c in terms.items() if c != 0]
+        return cls._packed(vars, {fields.pack(e): c for e, c in terms.items()},
+                           fields.pack(map(max, zip(*kept))) if kept else 0)
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        return MultiPolynomial, (self.vars, dict(self.terms))
+
+    @classmethod
+    def _packed(cls, vars: tuple[str, ...], terms: dict, degrees: int) -> "MultiPolynomial":
+        """The polynomial of the nonzero ones of the packed terms, given a
+        packed bound on its degree in each variable; no exponent is checked."""
+        p = object.__new__(cls)
+        p.vars, p._unpacked = vars, None
         # Fraction * int is a Fraction even when integral: store those as int
-        self.terms = {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                      for e, c in terms.items() if c != 0}
+        p._terms = {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                    for k, c in terms.items() if c}
+        p._degrees = degrees if p._terms else 0
+        return p
+
+    @property
+    def terms(self) -> Mapping[Exponents, Coeff]:
+        """The terms, as a read-only map from exponent tuples to coefficients."""
+        return self._unpacked or _Terms(self)
+
+    def _tuples(self) -> Mapping[Exponents, Coeff]:
+        """The terms keyed by exponent tuples, unpacked on first use and kept."""
+        if self._unpacked is None:
+            unpack = _fields(len(self.vars)).unpack
+            self._unpacked = MappingProxyType({unpack(k): c for k, c in self._terms.items()})
+        return self._unpacked
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "MultiPolynomial":
-        return cls(vars, {})
+        return cls._packed(vars, {}, 0)
 
     @classmethod
     def constant(cls, vars: tuple[str, ...], value: Coeff) -> "MultiPolynomial":
-        return cls(vars, {(0,) * len(vars): value})
+        return cls._packed(vars, {0: value}, 0)
 
     @classmethod
     def variable(cls, vars: tuple[str, ...], name: str) -> "MultiPolynomial":
         if name not in vars:
             raise ValueError(f"unknown variable {name!r}; have {vars}")
-        exp = tuple(1 if w == name else 0 for w in vars)
-        return cls(vars, {exp: 1})
+        key = 1 << _BITS * (len(vars) - 1 - vars.index(name))
+        return cls._packed(vars, {key: 1}, key)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPolynomial.constant(self.vars, other)
         if not isinstance(other, MultiPolynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        if self._terms.keys() <= {0}:  # a constant hashes as the number it equals
+            return hash(self._terms.get(0, 0))
+        return hash((self.vars, frozenset(self._terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -97,19 +207,21 @@ class MultiPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPolynomial(self.vars, out)
+        out = dict(self._terms)
+        get = out.get
+        for k, c in other._terms.items():
+            out[k] = get(k, 0) + c
+        # the field-wise larger bound; cancellation can leave it above the degree
+        degrees = self._degrees
+        if other._degrees & ~degrees:  # else each field of other's is within ours
+            degrees = _fields(len(self.vars)).max(degrees, other._degrees)
+        return MultiPolynomial._packed(self.vars, out, degrees)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPolynomial":
-        return MultiPolynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPolynomial._packed(
+            self.vars, {k: -c for k, c in self._terms.items()}, self._degrees)
 
     def __sub__(self, other) -> "MultiPolynomial":
         other = self._coerce(other)
@@ -122,24 +234,28 @@ class MultiPolynomial:
 
     def __mul__(self, other) -> "MultiPolynomial":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MultiPolynomial.zero(self.vars)
-            return MultiPolynomial(
-                self.vars, {e: c * other for e, c in self.terms.items()}
-            )
+            return MultiPolynomial._packed(
+                self.vars, {k: c * other for k, c in self._terms.items()},
+                self._degrees)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
+        degrees = self._degrees + other._degrees  # no field carries: both < 2**15
+        fields = _fields(len(self.vars))
+        if degrees & fields.guards:
+            bounds = dict(zip(self.vars, fields.unpack(degrees)))
+            raise OverflowError(f"product degrees {bounds} pass {MAX_EXPONENT}")
+        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        b = b.items()
         out: dict = {}
         get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return MultiPolynomial(self.vars, out)  # drops the cancelled terms
+        for k1, c1 in a.items():
+            for k2, c2 in b:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return MultiPolynomial._packed(self.vars, out, degrees)
 
     __rmul__ = __mul__
 
@@ -158,51 +274,59 @@ class MultiPolynomial:
     def divide_exact(self, divisor: "MultiPolynomial") -> "MultiPolynomial":
         """The quotient q with q * divisor == self; raises if there is none.
 
-        Lex leading-term division.  If the divisor divides self, every step
-        cancels the remainder's leading term and the quotient is exact; the
-        first leading term the divisor's cannot divide, or a quotient term
-        beyond the per-variable degree bound deg(self) - deg(divisor), shows
-        that it does not.  Quotient coefficients stay ``int`` where integral.
+        Lex leading-term division on packed keys.  If the divisor divides
+        self, every step cancels the remainder's leading term and the
+        quotient is exact; the first leading term the divisor's cannot
+        divide, or a quotient term beyond the per-variable degree bound
+        deg(self) - deg(divisor), shows that it does not.  The bound also
+        keeps every remainder exponent within self's, so no field carries.
+        Quotient coefficients stay ``int`` where integral.
         """
         divisor = self._coerce(divisor)
         if divisor is NotImplemented:
             raise TypeError("can only divide by a polynomial or a constant")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = max(divisor.terms)
-        lead_c = divisor.terms[lead]
-        tail = [(e, c) for e, c in divisor.terms.items() if e != lead]
-        bound = [
-            max((e[i] for e in self.terms), default=0)
-            - max(e[i] for e in divisor.terms)
-            for i in range(len(self.vars))
-        ]
-        rem = dict(self.terms)
-        # max-heap of remainder monomials, keyed by negated exponents;
-        # entries whose monomial has since cancelled are skipped
-        heap = [tuple(-k for k in e) for e in rem]
+        if self.is_zero():
+            return MultiPolynomial.zero(self.vars)
+        fields = _fields(len(self.vars))
+        guards = fields.guards
+        # a field of (k | guards) - j keeps its guard bit iff k >= j there.
+        # The divisor's degrees are read off its terms, since a bound above
+        # them could reject a true divisor; self's bound only loosens this.
+        bound = (self._degrees | guards) - reduce(fields.max, divisor._terms, 0)
+        if bound & guards != guards:
+            raise ValueError("the divisor does not divide the polynomial")
+        lead = max(divisor._terms)
+        lead_c = divisor._terms[lead]
+        tail = [(k, c) for k, c in divisor._terms.items() if k != lead]
+        rem = dict(self._terms)
+        # max-heap of remainder monomials, keyed by negated keys; entries
+        # whose monomial has since cancelled are skipped
+        heap = [-k for k in rem]
         heapq.heapify(heap)
         quotient: dict = {}
         while rem:
-            e = tuple(-k for k in heapq.heappop(heap))
-            c = rem.pop(e, 0)
+            k = -heapq.heappop(heap)
+            c = rem.pop(k, 0)
             if not c:
                 continue
-            qe = tuple(map(sub, e, lead))
-            if any(k < 0 or k > b for k, b in zip(qe, bound)):
+            q = (k | guards) - lead
+            if q & guards != guards or (bound - (q ^ guards)) & guards != guards:
                 raise ValueError("the divisor does not divide the polynomial")
+            q ^= guards
             qc = _exact_ratio(c, lead_c)
-            quotient[qe] = qc
-            for te, tc in tail:
-                m = tuple(map(add, qe, te))
+            quotient[q] = qc
+            for tk, tc in tail:
+                m = q + tk
                 if m not in rem:
-                    heapq.heappush(heap, tuple(-k for k in m))
+                    heapq.heappush(heap, -m)
                 s = rem.get(m, 0) - qc * tc
                 if s:
                     rem[m] = s
                 else:
                     rem.pop(m, None)
-        return MultiPolynomial(self.vars, quotient)
+        return MultiPolynomial._packed(self.vars, quotient, bound ^ guards)
 
     # -- queries -----------------------------------------------------------
 
@@ -222,14 +346,14 @@ class MultiPolynomial:
         return total
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return 0
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, names: Iterable[str]) -> int:
         """Max combined exponent of the given variables over all terms."""
         idx = [self.vars.index(w) for w in names]
-        if not self.terms:
+        if not self._terms:
             return 0
         return max(sum(e[i] for i in idx) for e in self.terms)
 
@@ -242,7 +366,7 @@ class MultiPolynomial:
         return sorted(self.terms.items())
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
         for e, c in self.coefficient_items():

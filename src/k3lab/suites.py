@@ -6,8 +6,10 @@ Each object a suite derives (Delta and its dual, the curve tree, the Kummer
 fibration and the Gram of its twenty curves, each Phi_n) is built once per
 run, by the first check that needs it, and nothing outlives the run: a
 constant mutated before a run still reaches every check, and a build that
-raises fails each check that needs it.  A polytope keeps its lattice points
-as it keeps its facets."""
+raises fails each check that needs it.  Delta and its dual are built once
+per `run_suite` call, so that `all` shares them between the lattice suite,
+which reads the curve tree off them, and the toric suite.  A polytope keeps
+its lattice points and facet genera as it keeps its facets."""
 
 from __future__ import annotations
 
@@ -39,6 +41,20 @@ class SuiteReport(NamedTuple):
         return {**self._asdict(), "checks": tuple(chk._asdict() for chk in self.checks)}
 
 
+class _Polytopes:
+    """Delta and its dual for one `run_suite` call, each built on first use."""
+
+    @functools.cached_property
+    def simplex(self):
+        from . import toric
+        return toric.delta()
+
+    @functools.cached_property
+    def dual(self):
+        from . import toric
+        return toric.dual_polytope(self.simplex)
+
+
 def _check(checks, cid, description, fn):
     try:
         ok, witness = fn()
@@ -52,7 +68,7 @@ def _check(checks, cid, description, fn):
 # ---------------------------------------------------------------------------
 
 
-def _identities_checks(checks):
+def _identities_checks(checks, polytopes):
     from . import constants as cst
     from . import shioda_inose as si
 
@@ -84,11 +100,11 @@ def _identities_checks(checks):
 # ---------------------------------------------------------------------------
 
 
-def _lattice_checks(checks):
+def _lattice_checks(checks, polytopes):
     from . import lattice as lat
     from . import toric
 
-    tree = functools.cache(toric.curve_tree)
+    tree = functools.cache(lambda: toric.curve_tree(polytopes.simplex, polytopes.dual))
     invariants = functools.cache(lambda: lat.lattice_invariants(tree().gram))
 
     def tree_invariants():
@@ -155,7 +171,7 @@ def _lattice_checks(checks):
 # ---------------------------------------------------------------------------
 
 
-def _kummer_checks(checks):
+def _kummer_checks(checks, polytopes):
     from . import kummer as km
 
     fibration = functools.cache(km.fibration)
@@ -211,40 +227,37 @@ def _kummer_checks(checks):
 # ---------------------------------------------------------------------------
 
 
-def _toric_checks(checks):
+def _toric_checks(checks, polytopes):
     from . import constants as cst
     from . import toric
 
-    simplex = functools.cache(toric.delta)
-    dual_simplex = functools.cache(lambda: toric.dual_polytope(simplex()))
-
     def dual():
-        d = dual_simplex()
+        d = polytopes.dual
         ok = set(d.vertices) == set(cst.DELTA_DUAL_VERTICES)
         dd = toric.dual_polytope(d)
         ok = ok and set(dd.vertices) == set(cst.DELTA_VERTICES)
-        ok = ok and toric.interior_lattice_points(simplex()) == [(0, 0, 0)]
+        ok = ok and toric.interior_lattice_points(polytopes.simplex) == [(0, 0, 0)]
         ok = ok and toric.interior_lattice_points(d) == [(0, 0, 0)]
         return ok, f"dual vertices {sorted(d.vertices)}"
     _check(checks, "toric.dual",
            "the dual simplex has the expected vertices and is reflexive", dual)
 
     def edges():
-        profile = sorted(r.singularity for r in toric.edge_reports(dual_simplex()))
+        profile = sorted(r.singularity for r in toric.edge_reports(polytopes.dual))
         ok = profile == sorted(["A11", "A2", "A2", "A1", "A1", "smooth"])
         return ok, ", ".join(profile)
     _check(checks, "toric.edges",
            "the edge singularity profile is A11, A2, A2, A1, A1, smooth", edges)
 
     def genera():
-        got = sorted(toric.facet_genera(simplex()))
+        got = sorted(polytopes.simplex.genera)
         return got == [0, 0, 1, 2], f"facet genera {got}"
     _check(checks, "toric.genera", "facet genera are 0, 0, 1, 2", genera)
 
     def points():
-        dual_count = len(dual_simplex().points)
-        own = set(simplex().points)
-        shifted = set(toric.shifted_support_points(simplex()).values())
+        dual_count = len(polytopes.dual.points)
+        own = set(polytopes.simplex.points)
+        shifted = set(toric.shifted_support_points(polytopes.simplex).values())
         oracle = 0
         for dd in range(3):
             for cc in range(4):
@@ -257,7 +270,7 @@ def _toric_checks(checks):
            "lattice point counts match the weighted-monomial oracle", points)
 
     def shift():
-        p = simplex()
+        p = polytopes.simplex
         s = toric.support_shift(p)
         pts = toric.shifted_support_points(p)
         interior = [m for m, q in pts.items() if p.strictly_contains(q)]
@@ -272,7 +285,7 @@ def _toric_checks(checks):
 # ---------------------------------------------------------------------------
 
 
-def _weierstrass_checks(checks):
+def _weierstrass_checks(checks, polytopes):
     from . import shioda_inose as si
     from . import weierstrass as w
     from .exact import variables
@@ -332,7 +345,7 @@ PHI_CHECK_TOP = 16
 STURM_TOP_WEIGHT_12 = 1
 
 
-def _modular_checks(checks):
+def _modular_checks(checks, polytopes):
     from . import modular as md
 
     # read off md when the run starts, so a build replaced before the run is used
@@ -390,7 +403,7 @@ def _modular_checks(checks):
            phi(3))
 
 
-# suite name -> the function that appends its checks, `_<name>_checks`
+# suite name -> `_<name>_checks`, which appends its checks given the run's polytopes
 _SUITE_BUILDERS = {name: globals()[f"_{name}_checks"] for name in SUITE_NAMES}
 
 
@@ -401,8 +414,9 @@ def run_suite(name: str) -> SuiteReport:
     started = time.monotonic()
     checks: list[CheckResult] = []
     names = SUITE_NAMES if name == "all" else (name,)
+    polytopes = _Polytopes()
     for suite in names:
-        _SUITE_BUILDERS[suite](checks)
+        _SUITE_BUILDERS[suite](checks, polytopes)
     checks.sort(key=lambda chk: chk.id)
     ids = [chk.id for chk in checks]
     if len(set(ids)) != len(ids):

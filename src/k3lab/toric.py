@@ -71,6 +71,11 @@ class LatticePolytope:
         """The integer points, enumerated once by `lattice_points`."""
         return tuple(lattice_points(self))
 
+    @cached_property
+    def genera(self) -> tuple[int, ...]:
+        """The facet genera, counted once by `facet_genera`."""
+        return facet_genera(self)
+
     # plain loops: a generator per point costs more than the four tests
     def contains(self, point) -> bool:
         for f in self.facets:
@@ -150,7 +155,8 @@ def edge_reports(p: LatticePolytope) -> list[EdgeReport]:
 def facet_genera(p: LatticePolytope) -> tuple[int, ...]:
     """Lattice points in the relative interior of each facet, facet k
     opposite vertex k, from one enumeration: a point counts for facet k when
-    facet k is the only facet it is tight on (points on two lie on an edge)."""
+    facet k is the only facet it is tight on (points on two lie on an edge).
+    This is the counter; read a polytope's genera as `p.genera`."""
     counts = [0] * len(p.facets)
     for q in p.points:
         tight = [k for k, f in enumerate(p.facets) if _dot(f.normal, q) == f.offset]
@@ -211,10 +217,11 @@ def _edge_interior(a, b) -> list:
     return [tuple(a[i] + k * d[i] // n for i in range(3)) for k in range(1, n)]
 
 
-def curve_tree() -> CurveTree:
+def curve_tree(simplex: LatticePolytope, dual: LatticePolytope) -> CurveTree:
     """The 19-curve tree of the generic hypersurface X with Newton simplex
-    Delta, read off the dual simplex (Batyrev, "Dual polyhedra and mirror
-    symmetry for Calabi-Yau hypersurfaces in toric varieties", 1994).
+    Delta = `simplex` (`delta()`), read off its dual `dual` (Batyrev, "Dual
+    polyhedra and mirror symmetry for Calabi-Yau hypersurfaces in toric
+    varieties", 1994).
 
     A point inside an edge of Delta* carries a rational curve, vertex k one
     of the genus of facet k of Delta; genus-0 vertices are the hubs, the
@@ -223,9 +230,7 @@ def curve_tree() -> CurveTree:
     section; div x and div y each cut out one coordinate curve, its class.
     An E8 side is a fiber less the curve meeting the section.
     """
-    simplex = delta()
-    dual = dual_polytope(simplex)
-    genera = dict(zip(dual.vertices, facet_genera(simplex)))
+    genera = dict(zip(dual.vertices, simplex.genera))
     hubs = [v for v in dual.vertices if not genera[v]]
     curves, meetings = list(hubs), []
     for a, b in combinations(dual.vertices, 2):

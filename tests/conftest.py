@@ -1,10 +1,11 @@
-"""Helpers for the tests: random Legendre parameters, and references that
-are written apart from the code they check."""
+"""Helpers for the tests: random Legendre parameters, the curve tree, and
+references that are written apart from the code they check."""
 
 import random
 from fractions import Fraction
 
 from k3lab import constants as c
+from k3lab import toric
 
 
 def random_lambda(rng: random.Random) -> Fraction:
@@ -13,6 +14,12 @@ def random_lambda(rng: random.Random) -> Fraction:
         l = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
         if l not in (0, 1):
             return l
+
+
+def curve_tree() -> toric.CurveTree:
+    """The 19-curve tree, read off Delta and its dual."""
+    simplex = toric.delta()
+    return toric.curve_tree(simplex, toric.dual_polytope(simplex))
 
 
 def cubic_relation_terms_at(point) -> list:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import cubic_relation_terms_at, random_lambda
+from conftest import cubic_relation_terms_at, curve_tree, random_lambda
 from k3lab import cli
 from k3lab import constants as cst
 from k3lab import kummer as km
@@ -137,7 +137,7 @@ def test_criterion_03_route_independence():
 def test_criterion_04_tree_lattice():
     with _Criterion(4, "19-curve tree: even rank-18 lattice, signature (1,17), "
                        "unimodular basis, E8 sides, hyperbolic S/F, kernel", 5):
-        tree = toric.curve_tree()
+        tree = curve_tree()
         gram = tree.gram
         inv = lat.lattice_invariants(gram)
         assert inv.rank == 18

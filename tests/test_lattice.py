@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import curve_tree
 from k3lab import kummer, lattice, suites, toric
 from k3lab.lattice import (
     E8_EDGES,
@@ -118,7 +119,7 @@ class TestGraphToGram:
         assert inv.signature == (0, 8)
 
     def test_full_tree_rank_and_kernel(self):
-        lat = toric.curve_tree().gram
+        lat = curve_tree().gram
         inv = lattice_invariants(lat)
         assert inv.rank == 18
         assert len(kernel_basis(lat)) == 1
@@ -134,13 +135,13 @@ class TestKernel:
         assert basis == [[1, 2, 3, 4, 5, 6, 4, 2, 3]]
 
     def test_tree_kernel_is_fiber_difference(self):
-        tree = toric.curve_tree()
+        tree = curve_tree()
         (k,) = kernel_basis(tree.gram)
         diff = [a - b for a, b in zip(tree.fiber_zero, tree.fiber_infinity)]
         assert k == diff or k == [-x for x in diff]
 
     def test_kernel_pairs_to_zero_with_nodes(self):
-        lat = toric.curve_tree().gram
+        lat = curve_tree().gram
         (k,) = kernel_basis(lat)
         n = lat.dim
         for i in range(n):
@@ -252,7 +253,7 @@ class TestIntegerKernel:
 
 class TestSectionAndFiber:
     def test_u_pairings(self):
-        tree = toric.curve_tree()
+        tree = curve_tree()
         lat, s, f, f2 = tree.gram, tree.section, tree.fiber_zero, tree.fiber_infinity
         assert lat.pairing(s, s) == -2
         assert lat.pairing(f, f) == 0
@@ -312,7 +313,7 @@ class TestInducedGram:
     def test_e8_sides_match_standard(self):
         # both eight-node sides of the tree induce the standard E8(-1) Gram
         # when read off in chain-then-branch order
-        tree = toric.curve_tree()
+        tree = curve_tree()
         lat = tree.gram
         std = standard_lattice("E8(-1)")
         for idx in tree.e8_sides:
@@ -323,13 +324,13 @@ class TestInducedGram:
 
 class TestCoordinateCurveClasses:
     def test_genus1_self_pairing(self):
-        tree = toric.curve_tree()
+        tree = curve_tree()
         g, w = tree.coordinate_classes[0]
         assert g == 1
         assert tree.gram.pairing(w, w) == 0  # 2g - 2 with g = 1
 
     def test_genus2_self_pairing(self):
-        tree = toric.curve_tree()
+        tree = curve_tree()
         lat = tree.gram
         g, w = tree.coordinate_classes[1]
         assert g == 2
@@ -340,7 +341,7 @@ class TestCoordinateCurveClasses:
 
 class TestInvariantUniquenessCrossCheck:
     def test_tree_matches_mirror_lattice_invariants(self):
-        tree_inv = lattice_invariants(toric.curve_tree().gram)
+        tree_inv = lattice_invariants(curve_tree().gram)
         ref_inv = lattice_invariants(direct_sum(
             standard_lattice("E8(-1)"), standard_lattice("E8(-1)"), standard_lattice("U")))
         assert tree_inv.rank == ref_inv.rank == 18
@@ -383,7 +384,7 @@ class TestQuotientByKernel:
     def test_one_row_reduction_on_the_tree(self, monkeypatch):
         # one unimodular reduction of the 19 x 19 Gram gives the kernel and
         # the quotient together; nothing else is reduced
-        gram, calls = toric.curve_tree().gram, []
+        gram, calls = curve_tree().gram, []
         monkeypatch.setattr(lattice, "_unimodular_reduce",
                             lambda m, _fn=_unimodular_reduce: calls.append(len(m)) or _fn(m))
         assert lattice_invariants(gram).rank == 18
@@ -481,7 +482,7 @@ class TestIntegerSignature:
         assert _signature(m) == _fraction_signature(m)
 
     def test_tree_quotient(self):
-        q = _quotient_gram(toric.curve_tree().gram.gram)
+        q = _quotient_gram(curve_tree().gram.gram)
         assert _signature(q) == _fraction_signature(q) == (1, 17, -1)
 
 

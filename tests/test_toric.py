@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from conftest import curve_tree
 from k3lab import constants as c
 from k3lab import suites, toric
 from k3lab.toric import (
@@ -146,7 +147,7 @@ class TestFacetGenus:
         # curves give the 19 tree nodes
         lengths = [r.lattice_length - 1 for r in edge_reports(dual_polytope(delta()))]
         assert sum(lengths) == 17
-        assert sum(lengths) + 2 == toric.curve_tree().gram.dim == 19
+        assert sum(lengths) + 2 == curve_tree().gram.dim == 19
 
 
 class TestSupportShift:
@@ -174,7 +175,7 @@ class TestSupportShift:
 
 class TestTreeShape:
     def test_node_and_edge_counts(self):
-        lat = toric.curve_tree().gram
+        lat = curve_tree().gram
         assert lat.dim == 19
         assert all(row[i] == -2 for i, row in enumerate(lat.gram))
         meetings = [x for i, row in enumerate(lat.gram) for x in row[i + 1:] if x]
@@ -182,14 +183,14 @@ class TestTreeShape:
 
     def test_trivalent_nodes(self):
         # the hubs of the tree are the genus-0 vertices of the dual simplex
-        lat = toric.curve_tree().gram
+        lat = curve_tree().gram
         trivalent = [lab for lab, row in zip(lat.labels, lat.gram) if row.count(1) == 3]
         assert trivalent == [(-1, -1, -1), (11, -1, -1)]
         genera = dict(zip(dual_polytope(delta()).vertices, facet_genera(delta())))
         assert [genera[v] for v in trivalent] == [0, 0]
 
     def test_section_is_the_midpoint_of_the_a11_edge(self):
-        tree = toric.curve_tree()
+        tree = curve_tree()
         (section,) = [lab for lab, w in zip(tree.gram.labels, tree.section) if w]
         (ends,) = [r.endpoints for r in edge_reports(dual_polytope(delta()))
                    if r.singularity == "A11"]
@@ -199,7 +200,7 @@ class TestTreeShape:
     def test_fibers_are_affine_e8_null_vectors(self):
         # each fiber, read in the side's E8_NODES order with its
         # multiplicity-one curve first, is the affine-E8 null vector
-        tree = toric.curve_tree()
+        tree = curve_tree()
         for fiber, side in zip((tree.fiber_zero, tree.fiber_infinity), tree.e8_sides):
             (end,) = [i for i, w in enumerate(fiber) if w == 1]
             order = [end, *side]
@@ -211,7 +212,7 @@ class TestTreeShape:
         # side's E8_NODES order, then on the section: chain, branch and
         # section weights (2,...,2,1,0; 1; 2) of genus 1, (3,...,3,2,1; 1; 3)
         # of genus 2
-        tree = toric.curve_tree()
+        tree = curve_tree()
         (sec,) = [i for i, w in enumerate(tree.section) if w]
         expected = {1: [2, 2, 2, 2, 2, 2, 1, 0, 1], 2: [3, 3, 3, 3, 3, 3, 2, 1, 1]}
         for genus, cls in tree.coordinate_classes:
@@ -222,15 +223,25 @@ class TestTreeShape:
 
 
 class TestToricSuite:
-    def test_one_simplex_pair_per_run(self, monkeypatch):
+    @staticmethod
+    def _count_builds(monkeypatch, suite):
         calls = collections.Counter()
         for name in ("delta", "lattice_points", "dual_polytope", "facet_genera"):
             def counted(*args, _fn=getattr(toric, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(toric, name, counted)
-        assert suites.run_suite("toric").status == "pass"
+        assert suites.run_suite(suite).status == "pass"
+        return calls
+
+    def test_one_simplex_pair_per_run(self, monkeypatch):
         # one Delta and one dual per run, each enumerated once; Delta** is
         # built once, in toric.dual, and never enumerated
-        assert calls == {"delta": 1, "facet_genera": 1, "lattice_points": 2,
-                         "dual_polytope": 2}
+        assert self._count_builds(monkeypatch, "toric") == {
+            "delta": 1, "facet_genera": 1, "lattice_points": 2, "dual_polytope": 2}
+
+    def test_all_shares_the_simplex_pair(self, monkeypatch):
+        # the lattice suite reads the curve tree off the same Delta and dual
+        # that the toric suite checks
+        assert self._count_builds(monkeypatch, "all") == {
+            "delta": 1, "facet_genera": 1, "lattice_points": 2, "dual_polytope": 2}
