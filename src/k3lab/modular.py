@@ -6,23 +6,36 @@ q * prod (1 - q^n)^24,
 
     j(q) = E4(q)^3 / (q * prod(1 - q^n)^24),
 
-truncated at order SERIES_ORDER = 64 after reducing the argument into the
-standard fundamental domain, where |q| <= exp(-pi sqrt(3)) makes the tail
-negligible at PREC_BITS = 256.  The reduction is exact: a tau read from
+truncated after reducing the argument into the standard fundamental domain,
+where |q| <= exp(-pi sqrt(3)).  The reduction is exact: a tau read from
 decimal text is a point of Q(i) (RationalPoint), an mpf is dyadic, and
 Gauss's reduction of the binary quadratic form whose root is tau runs in
-integers, so the reduced point is rounded once, when j is evaluated there.
-The truncation error is bounded empirically by doubling the order (see the
-test suite).  The truncated series is summed by Horner's rule over Python
-integers scaled by 2^W, W = PREC_BITS + GUARD_BITS (QSeries.evaluate); at
-a reduced q the sum is within 2^(14 - W) of its exact value, far below the
-rounding that q itself carries.  This module alone fixes the working
-precision, the series order and the tolerances: `same_j`, with which two
-numeric j-values count as equal, and `CHOP_TOL`, below which a part of a
-numeric value is rounding noise.  mpmath is imported by the numeric
-functions when they first run, so a process that only verifies (`k3lab
-verify`, `report`, `modpoly`) never loads it; of the CLI commands only
-`family` does.
+integers, so the reduced point stays exact until q is built from it (q_at).
+
+The truncation order rests on a proven bound.  The coefficients c(n) of j
+satisfy c(n) <= e^(4 pi sqrt n) / (sqrt 2 n^(3/4)) (1 + 0.055/n)
+(Brisebarre and Philibert, "Effective lower and upper bounds for the Fourier
+coefficients of powers of the modular invariant j", J. Ramanujan Math. Soc.
+20, 2005), so every coefficient s_k of S = q j satisfies
+|s_k| <= e^(4 pi sqrt k).  At the reduced point t, with y = Im t, the tail
+of S beyond q^N is then at most sum_{k > N} e^(4 pi sqrt k - 2 pi y k).
+`truncation_order` takes the least N with e^(4 pi x - 2 pi y x^2) <=
+2^-(W + 1) at x = sqrt(N + 1), W = PREC_BITS + GUARD_BITS: the root of that
+quadratic in x, in closed form.  The exponent is concave in k and falls
+past k = N + 1 by at least 2 pi (y - 1/x) > 4.5 per step, so the whole tail
+is below 2^-W.  N is 53 at y = sqrt(3)/2, 45 at i, 20 at y = 2 and 0 once
+y > 34; the series is cached once, at SERIES_ORDER = 64, and j_numeric
+sums its first N + 1 coefficients by Horner's rule over Python integers
+scaled by 2^W (QSeries.evaluate).  At a reduced q that sum is within
+2^(14 - W) of the truncated series, so it is within 2^(14 - W) + 2^-W of
+S(q), far below the rounding that q itself carries.
+
+This module alone fixes the working precision, the series order and the
+tolerances: `same_j`, with which two numeric j-values count as equal, and
+`CHOP_TOL`, below which a part of a numeric value is rounding noise.  mpmath
+is imported by the numeric functions when they first run, so a process that
+only verifies (`k3lab verify`, `report`, `modpoly`) never loads it; of the
+CLI commands only `family` does.
 
 Modular polynomials are derived, not transcribed: Phi_n is solved from
 the linear conditions that Phi_n(j(q), j(q^n)) = 0 puts on the q-expansion,
@@ -60,9 +73,14 @@ from . import LEVELS
 from .errors import DomainError, PrecisionError
 
 PREC_BITS = 256
+# The length of the cached j-series; truncation_order is at most 53 on the
+# fundamental domain.
 SERIES_ORDER = 64
 # Fractional bits of the fixed-point q-series sum beyond PREC_BITS.
 GUARD_BITS = 32
+# a = (W + 1) ln 2 / (2 pi), W = PREC_BITS + GUARD_BITS: truncation_order's
+# target 2^-(W + 1) for the first omitted term, as an exponent over 2 pi.
+_TAIL_TARGET = (PREC_BITS + GUARD_BITS + 1) * math.log(2) / (2 * math.pi)
 
 
 class QSeries(NamedTuple):
@@ -159,6 +177,19 @@ def j_series(order: int) -> QSeries:
     return eisenstein_e4(order).power(3) * eta_product_24(order).inverse()
 
 
+def truncation_order(im) -> int:
+    """The order N at which j_numeric truncates S = q j at a reduced point
+    with Im = im >= sqrt(3)/2: the least N with e^(4 pi x - 2 pi y x^2) <=
+    2^-(W + 1) at x = sqrt(N + 1), which bounds the tail beyond q^N by 2^-W
+    (module docstring).  With a = (W + 1) ln 2 / (2 pi), the larger root of
+    y x^2 - 2 x - a is (1 + sqrt(1 + a y)) / y, and N + 1 is the least
+    integer above its square.  y is float(im) lowered by 2^-32 of itself,
+    which raises the square by more than the float rounding can lower it."""
+    y = float(im) * (1 - 2.0**-32)
+    x = (1 + math.sqrt(1 + _TAIL_TARGET * y)) / y
+    return int(x * x)
+
+
 # The reader's size bound.  A part of tau, read from decimal text or taken
 # from an mpmath number, is zero or lies between 2^-TAU_FLOOR_BITS and
 # TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) in absolute value, and Im(tau) after
@@ -184,17 +215,10 @@ def _mpf(value: float):
 
 
 class RationalPoint(NamedTuple):
-    """x + iy with x, y rational: a point of Q(i), held exactly.  mpmath
-    reads it as an mpc rounded at its working precision (`_mpmath_`)."""
+    """x + iy with x, y rational: a point of Q(i), held exactly."""
 
     real: Fraction
     imag: Fraction
-
-    def _mpmath_(self, prec, rounding):
-        from mpmath import libmp, mp
-
-        return mp.make_mpc(tuple(libmp.from_rational(x.numerator, x.denominator, prec, rounding)
-                                 for x in self))
 
 
 # Five significant digits, at any exponent.
@@ -293,8 +317,8 @@ def reduce_to_fundamental_domain(tau) -> RationalPoint:
     """The canonical representative of the SL_2(Z)-orbit of tau, exactly:
     Re in [-1/2, 1/2), |tau| >= 1, and Re <= 0 on |tau| = 1.  tau is a
     RationalPoint, or a number that exact_part converts exactly, within the
-    reader's size bound; nothing is rounded, so the point that j_numeric
-    evaluates is rounded once, at PREC_BITS."""
+    reader's size bound; nothing is rounded, so j_numeric builds q from the
+    exact point (q_at)."""
     return _reduced(*_form(tau))
 
 
@@ -341,29 +365,51 @@ def chop(value):
     return value
 
 
+def q_at(t: RationalPoint):
+    """q = exp(2 pi i t) = e^(-2 pi y) (cos 2 pi x + i sin 2 pi x) at the
+    exact point t = x + iy, an mpc at PREC_BITS.  The exponent and the
+    angle are computed at PREC_BITS + 16 bits and each part is then rounded
+    to nearest, so q is within (1.001 + 2 pi y 2^-14) 2^-PREC_BITS of its
+    exact value, relative to |q|.  Built on mpmath's mpf layer: converting t
+    to an mpc and taking a complex exp costs about twice as much."""
+    from mpmath import libmp, mp
+
+    wp = PREC_BITS + 16
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp), 1)
+    angle, height = (libmp.mpf_mul(two_pi, libmp.from_rational(v.numerator, v.denominator, wp),
+                                   wp) for v in t)
+    modulus = libmp.mpf_exp(libmp.mpf_neg(height), wp)
+    return mp.make_mpc(tuple(libmp.mpf_mul(modulus, part, PREC_BITS, libmp.round_nearest)
+                             for part in libmp.mpf_cos_sin(angle, wp)))
+
+
 def j_numeric(tau):
     """j(tau) at PREC_BITS, from the exactly reduced point t.
 
-    q = exp(2 pi i t) carries a relative rounding error of about
-    2 pi Im(t) 2^-PREC_BITS, and so does j.  Beyond Im(t) = TAU_PART_LIMIT =
-    2^(PREC_BITS/2 - 16) that error would exceed 2^(-PREC_BITS/2 - 13),
+    q = exp(2 pi i t) carries a relative rounding error below
+    (1 + 2 pi Im(t)) 2^-PREC_BITS (q_at), and so does j.  Beyond Im(t) =
+    TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) that bound would exceed
+    2^(-PREC_BITS/2 - 13),
     leaving less than 13 bits of margin under the relative tolerance
     SAME_J_TOL of `same_j`; such a tau raises PrecisionError.  t itself is
-    exact, so its one rounding is the conversion to PREC_BITS.  The
-    fixed-point sum of the series (QSeries.evaluate) adds less than
-    2^(14 - PREC_BITS - GUARD_BITS) = 2^-274 to S = q j, well below the
-    error that q carries.
+    exact, and q is rounded once, to PREC_BITS (q_at).  S = q j is
+    summed through q^N, N = truncation_order(Im t): the tail beyond q^N is
+    below 2^-W (Brisebarre and Philibert's bound on the coefficients; see the
+    module docstring), and the fixed-point sum (QSeries.evaluate) adds less
+    than 2^(14 - W), W = PREC_BITS + GUARD_BITS = 288.  S is thus within
+    2^-273 of its exact value at q, well below the error that q carries.
     """
     t = reduce_to_fundamental_domain(tau)
     if t.imag > TAU_PART_LIMIT:
         raise PrecisionError(
             f"Im(tau) = {_shown(t.imag)} after reduction is beyond "
             f"2^{TAU_PART_BITS}, the limit of {PREC_BITS}-bit precision")
+    head = QSeries(j_series(SERIES_ORDER).coefficients[: truncation_order(t.imag) + 1])
     import mpmath
 
+    q = q_at(t)
     with mpmath.workprec(PREC_BITS):
-        q = mpmath.exp(2j * mpmath.pi * t)
-        return j_series(SERIES_ORDER).evaluate(q) / q
+        return head.evaluate(q) / q
 
 
 def fricke_pair(tau, n: int):

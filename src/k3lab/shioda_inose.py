@@ -65,30 +65,31 @@ def z_invariant(h: HPolys) -> RationalFunction:
 
 
 def _identity_terms(kappa) -> list:
-    """The three terms of the cubic relation's left side, as rational
-    functions: the cubic in x1 by Horner's rule, one ratio over X1_DEN^3,
-    then y1^2 and the z + 1/z term.  The polynomial coefficients enter
-    without a denominator."""
+    """Four times the three terms of the cubic relation's left side, as
+    rational functions: the cubic in x1 by Horner's rule, one ratio over
+    X1_DEN^3, then y1^2 and the z + 1/z term.  The factor 4 enters the
+    numerators before any product (4 x1 in the first Horner step, 4 times
+    each coefficient), so MASTER_X0's halves and MASTER_Z's quarters become
+    integers and every product runs over Z."""
     h = build_h_polys()
     x1 = RationalFunction(c.X1_NUM, c.X1_DEN)
     return [
-        ((x1 + c.MASTER_X2) * x1 + c.MASTER_X1) * x1 + c.MASTER_X0,
-        RationalFunction(kappa * c.Y1_NUM_FACTOR * h.h_plus * h.h_minus, c.Y1_DEN),
-        z_invariant(h) * c.MASTER_Z,
+        ((RationalFunction(4 * c.X1_NUM, c.X1_DEN) + 4 * c.MASTER_X2) * x1
+         + 4 * c.MASTER_X1) * x1 + 4 * c.MASTER_X0,
+        RationalFunction(4 * kappa * c.Y1_NUM_FACTOR * h.h_plus * h.h_minus, c.Y1_DEN),
+        z_invariant(h) * (4 * c.MASTER_Z),
     ]
 
 
 def verify_master_identity(kappa: Fraction) -> bool:
-    """Clear denominators and test the cubic relation as a polynomial.
+    """Clear denominators and test the cubic relation, times 4, as a
+    polynomial.
 
     The common denominator is a common multiple of the three term
     denominators, built by `clear_denominators` from exact divisibility
-    (Y1_DEN * H_INF for the true constants, with X1_DEN^3 dividing Y1_DEN);
-    the sum is scaled by 4 first so that all coefficients stay integral,
-    which is exactness-neutral.
+    (Y1_DEN * H_INF for the true constants, with X1_DEN^3 dividing Y1_DEN).
     """
-    terms = [RationalFunction(t.num * 4, t.den) for t in _identity_terms(kappa)]
-    return clear_denominators(terms).is_zero()
+    return clear_denominators(_identity_terms(kappa)).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from k3lab import cli
 from k3lab import constants as cst
 from k3lab import modular as md
+from k3lab import shioda_inose as si
 from k3lab import suites
 from k3lab.exact import MultiPolynomial
 
@@ -89,6 +90,29 @@ CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_
     pytest.param("identities", "J_DEN", lambda v: v + 1,
                  "j1728_factorization route_independence", id="J_DEN"),
 ]
+
+
+def reference_tau_lines(tau, n):
+    """The j1, j2, a and b lines of `family --tau --n` from j_series(128):
+    j at each reduced point of tau and -1/(n tau), exactly in Q(i), as
+    S(q)/q with S summed through q^128 by Horner's rule at PREC_BITS + 64."""
+    x, y = tau
+    norm = n * (x * x + y * y)
+    js = []
+    for point in (tau, md.RationalPoint(-x / norm, y / norm)):
+        with mpmath.workprec(md.PREC_BITS):
+            t = mpmath.mpc(*(mpmath.mpf(v.numerator) / v.denominator
+                             for v in md.reduce_to_fundamental_domain(point)))
+            q = mpmath.exp(2j * mpmath.pi * t)
+        with mpmath.workprec(md.PREC_BITS + 64):
+            total = mpmath.mpf(0)
+            for c in reversed(md.j_series(128).coefficients):
+                total = total * q + c
+        with mpmath.workprec(md.PREC_BITS):
+            js.append(md.chop(+total / q))
+    a, b = map(md.chop, si.ab_numeric(*js))
+    return [f"j1 = {cli._fmt(js[0])}", f"j2 = {cli._fmt(js[1])}",
+            f"a = {cli._fmt(a)}", f"b = {cli._fmt(b)}"]
 
 
 class TestFamilyCommand:
@@ -232,6 +256,22 @@ class TestFamilyCommand:
         code, out, _ = run_main(["family", f"--tau={tau}", "--n=1"], capsys)
         assert code == 0
         assert out.splitlines() == [*lines[:2], "degenerate = true", *lines[2:]]
+
+    @pytest.mark.parametrize("tau, n", [
+        ("i", 1), ("i", 2), ("2i", 1), ("0.5i", 2), ("1.4142135623730951i", 1),
+        ("0.7071067811865476i", 2), ("1.7320508075688772i", 1),
+        ("0.5773502691896258i", 3), ("0.5+0.8660254037844386i", 1),
+        ("0.31+1.37i", 2), ("-0.5+1.2i", 2), ("0.123456+1.654321i", 2),
+        ("0.3+1.4i", 3), ("-0.27+1.05i", 3), ("0.05+0.2i", 3),
+    ])
+    def test_tau_lines_match_the_full_series(self, capsys, tau, n):
+        # the CM table of the query stream and generic tau: the j1, j2, a
+        # and b lines as j_numeric prints them, against j summed through
+        # q^128 at 64 more bits, then rounded and printed the same way
+        code, out, _ = run_main(["family", f"--tau={tau}", f"--n={n}"], capsys)
+        assert code == 0
+        assert [line for line in out.splitlines() if not line.startswith("degenerate")] \
+            == reference_tau_lines(cli.parse_complex(tau), n)
 
     def test_tau_parsed_past_double_precision(self):
         assert cli.parse_complex("0.1+1.00000000000000000001i").imag != 1

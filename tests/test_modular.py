@@ -64,17 +64,6 @@ class TestJNumeric:
         with pytest.raises(PrecisionError):
             md.j_numeric(mpmath.mpc(0, 2**113))
 
-    def test_truncation_error_by_doubling(self):
-        rng = random.Random(3)
-        with mpmath.workprec(md.PREC_BITS):
-            for _ in range(5):
-                tau = mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0))
-                q = mpmath.exp(2j * mpmath.pi * md.reduce_to_fundamental_domain(tau))
-                coarse = md.j_series(64).evaluate(q) / q
-                fine = md.j_series(128).evaluate(q) / q
-                scale = max(mpmath.mpf(1), abs(fine))
-                assert abs(coarse - fine) / scale < tol(-40)
-
     def test_modularity(self):
         rng = random.Random(5)
         with mpmath.workprec(256):
@@ -103,8 +92,8 @@ CM_TABLE = ((0, "1", 1), (0, "1", 2), (0, "2", 1), (0, "0.5", 2),
             ("0.5", "0.8660254037844386", 1))
 
 
-def reduced_q_values():
-    """q at the reduced CM points, at 100 seeded random reduced tau and at
+def reduced_points():
+    """The reduced CM points, 100 seeded random reduced tau and the point
     Im tau = 2^111, where q is below the last fixed-point bit."""
     taus = []
     for re, im, n in CM_TABLE:
@@ -113,11 +102,79 @@ def reduced_q_values():
     rng = random.Random(13)
     taus += [mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.05, 3)) for _ in range(100)]
     taus.append(mpmath.mpc(0, 2**111))
-    return [mpmath.exp(2j * mpmath.pi * md.reduce_to_fundamental_domain(tau))
-            for tau in taus]
+    return [md.reduce_to_fundamental_domain(tau) for tau in taus]
+
+
+def reduced_q_values():
+    """q at each of the reduced_points(), as j_numeric computes it."""
+    return [md.q_at(t) for t in reduced_points()]
+
+
+# W, the fractional bits of the fixed-point sum
+FIXED_BITS = md.PREC_BITS + md.GUARD_BITS
+SQRT3_HALF = Fraction(8660254037844386, 10**16)  # just below sqrt(3)/2
+
+
+def tail_bound(y, order):
+    """sum_{k > order} e^(4 pi sqrt k - 2 pi y k), through k = 400, where
+    the terms are far below 2^-10000 for y >= sqrt(3)/2."""
+    with mpmath.workprec(64):
+        return mpmath.fsum(mpmath.exp(4 * mpmath.pi * mpmath.sqrt(k) - 2 * mpmath.pi * y * k)
+                           for k in range(order + 1, 401))
+
+
+class TestTruncationOrder:
+    def test_coefficient_bound(self):
+        # |s_k| <= e^(4 pi sqrt k), from Brisebarre and Philibert's bound on
+        # the coefficients of j, on the exact coefficients of S = q j
+        with mpmath.workprec(96):
+            for k, s in enumerate(md.j_series(128).coefficients):
+                assert 0 < s <= mpmath.exp(4 * mpmath.pi * mpmath.sqrt(k)), k
+
+    def test_order_fits_the_cached_series(self):
+        assert md.truncation_order(SQRT3_HALF) == 53 <= md.SERIES_ORDER
+        assert [md.truncation_order(y) for y in (1, 2, 4, 35)] == [45, 20, 9, 0]
+
+    def test_order_never_rises(self):
+        heights = sorted({SQRT3_HALF, Fraction(2**111)}
+                         | {Fraction(k, 64) for k in range(56, 64 * 40)})
+        orders = [md.truncation_order(y) for y in heights]
+        assert all(a >= b for a, b in zip(orders, orders[1:]))
+        assert orders[0] == 53 and orders[-1] == 0
+
+    @pytest.mark.parametrize("y", [SQRT3_HALF, 1, Fraction(3, 2), 2, Fraction(31, 7), 33, 34])
+    def test_order_bounds_the_tail(self, y):
+        # the tail beyond N is below 2^-W, and N is at most one order more
+        # than that needs: the tail beyond N - 1 is above 2^-(W + 2)
+        n = md.truncation_order(y)
+        assert tail_bound(y, n) < mpmath.mpf(2) ** -FIXED_BITS
+        if n:
+            assert tail_bound(y, n - 1) > mpmath.mpf(2) ** -(FIXED_BITS + 2)
+
+    def test_truncated_sum_within_the_bound(self):
+        # at every reduced point, the sum through q^N is within
+        # 2^(14 - W) + 2^-W of S(q), read off j_series(128) at W + 64 bits
+        full = md.j_series(128)
+        bound = mpmath.mpf(2) ** (14 - FIXED_BITS) + mpmath.mpf(2) ** -FIXED_BITS
+        for t in reduced_points():
+            q = md.q_at(t)
+            head = md.QSeries(full.coefficients[: md.truncation_order(t.imag) + 1])
+            with mpmath.workprec(FIXED_BITS + 64):
+                assert abs(head.evaluate(q) - horner_reference(full, q)) <= bound, t
 
 
 class TestQSeries:
+    def test_q_within_its_bound(self):
+        # q_at against exp(2 pi i t) at twice the precision, at every reduced
+        # point: within (1.001 + 2 pi Im(t) 2^-14) 2^-PREC_BITS, relative to |q|
+        for t in reduced_points():
+            q = md.q_at(t)
+            with mpmath.workprec(2 * md.PREC_BITS):
+                exact = mpmath.exp(2j * mpmath.pi * mpmath.mpc(
+                    *(mpmath.mpf(v.numerator) / v.denominator for v in t)))
+                bound = (1.001 + 2 * mpmath.pi * t.imag / 2**14) / mpmath.mpf(2) ** md.PREC_BITS
+                assert abs(q - exact) <= bound * abs(exact), t
+
     @pytest.mark.parametrize("order", [64, 128])
     def test_fixed_point_sum_matches_horner(self, order):
         series = md.j_series(order)

@@ -154,16 +154,22 @@ class TestMasterIdentity:
             assert sum(cubic_relation_terms_at(pt)) == 0
 
     def test_terms_match_the_reference(self):
-        # the symbolic terms, evaluated at two rational points, against the
-        # reference that evaluates the constants there
+        # the symbolic terms, evaluated at two rational points, against four
+        # times the reference that evaluates the constants there
         points = ({"u1": 2, "v1": 1, "u2": 3, "v2": 1, "l1": 5, "l2": 7},
                   {"u1": 5, "v1": 3, "u2": -2, "v2": 7,
                    "l1": Fraction(11, 4), "l2": Fraction(-7, 3)})
         terms = si._identity_terms(c.KAPPA)
         for pt in points:
             reference = cubic_relation_terms_at(pt)
-            assert [t.evaluate(pt) for t in terms] == reference
+            assert [t.evaluate(pt) for t in terms] == [4 * value for value in reference]
             assert all(value != 0 for value in reference)
+
+    def test_terms_are_integral(self):
+        # the factor 4 enters before any product, so every product runs over Z
+        for term in si._identity_terms(c.KAPPA):
+            for poly in (term.num, term.den):
+                assert all(type(v) is int for v in poly.terms.values())
 
     def test_master_identity_symbolic(self):
         assert si.verify_master_identity(c.KAPPA)
