@@ -228,6 +228,7 @@ def cmd_family(args) -> int:
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
         degenerate = md.same_j(j1, j2)
+        powers = None
     else:
         if mode == "lambda":
             j1, j2 = si.j_from_lambda(args.lambda1), si.j_from_lambda(args.lambda2)
@@ -240,7 +241,10 @@ def cmd_family(args) -> int:
         print(f"b_squared = {powers.b_squared}")
         degenerate = j1 == j2
     print(f"degenerate = {'true' if degenerate else 'false'}")
-    a, b = map(md.chop, si.ab_numeric(j1, j2))
+    # a and b of a rational pair are real roots of these exact powers times
+    # an exact phase (ab_numeric); chop still clears a root below CHOP_TOL,
+    # as a = 0.0 at --j1=1e-300 --j2=1e-300
+    a, b = map(md.chop, si.ab_numeric(j1, j2, powers))
     print(f"a = {_fmt(a)}")
     print(f"b = {_fmt(b)}")
     return EXIT_PASS

@@ -13,7 +13,11 @@ lambda2 exist only as rational functions, for the route-independence
 identity in Q(l1, l2); every member is computed from (j1, j2), with
 j = J_NUM/J_DEN for a Legendre pair.  Quantities with cube/square-root
 ambiguities are exposed as a^3 and b^2; `ab_numeric` additionally returns a
-principal-branch representative of the root orbit.
+principal-branch representative of the root orbit.  For rational j1, j2 it
+takes that representative from the exact a^3 and b^2: one real root of each,
+rounded once, times an exact phase, e^(i k pi/3) for a and i^m for b, with k
+and m the numbers of j below 0 and below 1728.  A member with j1 = j2 = j
+needs one root of j; other numeric members take four principal roots.
 
 Conventions (pinned by the cubic relation; see constants.py):
 
@@ -28,6 +32,7 @@ Conventions (pinned by the cubic relation; see constants.py):
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple
 
 from . import constants as c
@@ -148,18 +153,37 @@ def route_independence() -> bool:
             and via_l.b_squared.equals(via_j.b_squared))
 
 
-def ab_numeric(j1, j2):
-    """Principal-branch (a, b) at modular.PREC_BITS; one representative of
-    the root orbit.
+def ab_numeric(j1, j2, powers: AbPowers | None = None):
+    """(a, b) = (-cbrt(j1/48^3) cbrt(j2), -sqrt((j1-1728)/864^2)
+    sqrt(j2-1728)) under principal roots, at modular.PREC_BITS; one
+    representative of the root orbit.  `powers` is ab_powers_from_j(j1, j2)
+    where the caller holds it already.
 
     Different root choices give isomorphic surfaces; only a^3 and b^2 are
     canonical, and those agree with ab_powers_from_j by construction.  The
     j-divisors are positive, so they divide under the principal roots.
+
+    For rational j1, j2 each principal root is a real root times an exact
+    phase, a = -|a^3|^(1/3) e^(i k pi/3) and b = -|b^2|^(1/2) i^m, with k
+    the number of j below 0 and m that below 1728; each part is one real
+    root of an exact rational, rounded once (`roots.rational_ab`).  For
+    j1 = j2 = j otherwise, the roots of j pair off: a = -cbrt(j)^2 / 48 and
+    b = (1728 - j) / 864.  Other members take four principal roots in
+    mpmath.
     """
+    if isinstance(j1, Rational) and isinstance(j2, Rational):
+        from . import roots
+
+        return roots.rational_ab(j1, j2, powers or ab_powers_from_j(j1, j2))
     import mpmath
 
     with mpmath.workprec(md.PREC_BITS):
         j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
+        if j1 == j2:
+            # the roots of the divisors are 48 and 864, exactly
+            root = mpmath.cbrt(j1)
+            return (-root * root / mpmath.cbrt(c.A_CUBED_J_DIVISOR),
+                    (1728 - j1) / mpmath.sqrt(c.B_SQUARED_J_DIVISOR))
         a = -mpmath.cbrt(j1 / c.A_CUBED_J_DIVISOR) * mpmath.cbrt(j2)
         b = -mpmath.sqrt((j1 - 1728) / c.B_SQUARED_J_DIVISOR) * mpmath.sqrt(j2 - 1728)
         return a, b

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from k3lab import constants as c
+from k3lab import modular as md
 from k3lab import toric
 
 
@@ -49,3 +50,14 @@ def cubic_discriminant(p, q) -> Fraction:
     """Discriminant -4p^3 - 27q^2 of x^3 + p*x + q; zero iff a repeated root."""
     p, q = Fraction(p), Fraction(q)
     return -4 * p**3 - 27 * q**2
+
+
+def principal_ab(j1, j2):
+    """The reference (a, b) of a member: four principal roots in mpmath at
+    PREC_BITS, -cbrt(j1/48^3) cbrt(j2) and -sqrt((j1-1728)/864^2) sqrt(j2-1728)."""
+    import mpmath
+
+    with mpmath.workprec(md.PREC_BITS):
+        j1, j2 = mpmath.mpmathify(j1), mpmath.mpmathify(j2)
+        return (-mpmath.cbrt(j1 / 48**3) * mpmath.cbrt(j2),
+                -mpmath.sqrt((j1 - 1728) / 864**2) * mpmath.sqrt(j2 - 1728))

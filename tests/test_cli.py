@@ -13,10 +13,10 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from conftest import principal_ab
 from k3lab import cli
 from k3lab import constants as cst
 from k3lab import modular as md
-from k3lab import shioda_inose as si
 from k3lab import suites
 from k3lab.exact import MultiPolynomial
 
@@ -92,6 +92,13 @@ CONSTANT_MUTATIONS = [pytest.param("kummer", *row, id=row[0]) for row in KUMMER_
 ]
 
 
+def principal_ab_lines(j1, j2):
+    """The a and b lines of `family` from four principal roots in mpmath
+    (conftest.principal_ab), chopped and printed as the command prints them."""
+    a, b = map(md.chop, principal_ab(j1, j2))
+    return [f"a = {cli._fmt(a)}", f"b = {cli._fmt(b)}"]
+
+
 def reference_tau_lines(tau, n):
     """The j1, j2, a and b lines of `family --tau --n` from j_series(128):
     j at each reduced point of tau and -1/(n tau), exactly in Q(i), as
@@ -110,9 +117,7 @@ def reference_tau_lines(tau, n):
                 total = total * q + c
         with mpmath.workprec(md.PREC_BITS):
             js.append(md.chop(+total / q))
-    a, b = map(md.chop, si.ab_numeric(*js))
-    return [f"j1 = {cli._fmt(js[0])}", f"j2 = {cli._fmt(js[1])}",
-            f"a = {cli._fmt(a)}", f"b = {cli._fmt(b)}"]
+    return [f"j1 = {cli._fmt(js[0])}", f"j2 = {cli._fmt(js[1])}", *principal_ab_lines(*js)]
 
 
 class TestFamilyCommand:
@@ -353,6 +358,30 @@ class TestFamilyCommand:
             code, out, err = run_main(["family", f"--{mode}1={beyond}", f"--{mode}2=3"], capsys)
             assert (code, out) == (3, "")
             assert err.startswith(f"precision error: --{mode}1 has a ")
+
+    @pytest.mark.parametrize("option, v1, v2", [
+        # j1 and j2 below 0, in (0, 1728) or above 1728: a's phase e^(i k pi/3)
+        # counts the negative j, b's i^m the j below 1728
+        ("j", "-5/3", "-20000"), ("j", "-5/3", "1000/7"), ("j", "-90001", "62813/19"),
+        ("j", "3/4", "1727"), ("j", "1", "1729"), ("j", "35152/9", "1000000000"),
+        ("j", "0", "-25255"), ("j", "1728", "-1"), ("j", "0", "1728"), ("j", "1728", "1728"),
+        ("j", "0", "0"), ("j", "-7", "-7"),
+        ("lambda", "2", "3/7"), ("lambda", "-1", "1/4"), ("lambda", "1/3", "5"),
+        ("lambda", "-40/11", "37/12"), ("lambda", "9", "9"),
+    ])
+    def test_rational_a_b_lines_match_principal_roots(self, capsys, option, v1, v2):
+        code, out, _ = run_main(["family", f"--{option}1={v1}", f"--{option}2={v2}"], capsys)
+        assert code == 0
+        j1, j2 = map(Fraction, (v1, v2))
+        if option == "lambda":
+            j1, j2 = (256 * (l * l - l + 1) ** 3 / (l * l * (l - 1) ** 2) for l in (j1, j2))
+        assert out.splitlines()[-2:] == principal_ab_lines(j1, j2)
+
+    def test_tiny_member_prints_zero_a(self, capsys):
+        # |a| is about 2e-202, below CHOP_TOL: the exact root is still chopped
+        code, out, _ = run_main(["family", "--j1=1e-300", "--j2=1e-300"], capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["a = 0.0", "b = 2.0"]
 
     def test_purely_imaginary_b_keeps_its_digits(self, capsys):
         # the 256-bit b is -7.5522721384538315425...i; rounded to 53 bits by
@@ -671,10 +700,12 @@ class TestSubprocessEntry:
 
     @pytest.mark.parametrize("argv, last_line, loaded, left_out", [
         (["family", "--tau=i", "--n=2"], "b = ", FAMILY_LAYERS, SUITE_LAYERS),
-        (["family", "--lambda1=1/3", "--lambda2=2"], "b = ", FAMILY_LAYERS, SUITE_LAYERS),
-        (["modpoly", "--n", "2"], "3 0 1", {"k3lab.modular"}, SUITE_LAYERS | FAMILY_LAYERS),
+        (["family", "--lambda1=1/3", "--lambda2=2"], "b = ", FAMILY_LAYERS | {"k3lab.roots"},
+         SUITE_LAYERS),
+        (["modpoly", "--n", "2"], "3 0 1", {"k3lab.modular"},
+         SUITE_LAYERS | FAMILY_LAYERS | {"k3lab.roots"}),
         (["verify", "--suite", "all"], "suite all: pass (26 checks",
-         SUITE_LAYERS | FAMILY_LAYERS | {"k3lab.modular"}, set()),
+         SUITE_LAYERS | FAMILY_LAYERS | {"k3lab.modular"}, {"k3lab.roots"}),
         (["verify", "--suite", "lattice"], "suite lattice: pass (5 checks",
          {"k3lab.suites", "k3lab.lattice", "k3lab.toric", "k3lab.constants", "k3lab.exact"},
          {"k3lab.shioda_inose", "k3lab.weierstrass", "k3lab.modular", "k3lab.kummer"}),

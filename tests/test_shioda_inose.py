@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cubic_relation_terms_at, random_lambda
+from conftest import cubic_relation_terms_at, principal_ab, random_lambda
+from k3lab import cli
 from k3lab import constants as c
 from k3lab import kummer as km
+from k3lab import modular as md
+from k3lab import roots
 from k3lab import shioda_inose as si
 from k3lab import suites
 from k3lab.errors import DomainError
@@ -334,7 +339,75 @@ class TestAbPowers:
             si.ab_powers_from_j(si.j_from_lambda(Fraction(0)), si.j_from_lambda(Fraction(3)))
 
 
+def assert_near(got, ref):
+    with mpmath.workprec(md.PREC_BITS):
+        assert abs(got - ref) <= mpmath.mpf(2) ** -240 * max(1, abs(ref))
+
+
+def assert_no_noise(value):
+    # each part is exactly zero or the share of the value that the phase
+    # gives it, at least |value|/2 (checked against a third, for rounding);
+    # a real value has no imaginary part at all
+    parts = (value.real, value.imag) if isinstance(value, mpmath.mpc) else (value,)
+    with mpmath.workprec(md.PREC_BITS):
+        assert all(part == 0 or abs(part) >= abs(value) / 3 for part in parts)
+
+
+_TOP = 10**cli.J_DIGITS - 1
+# rational j below 0, between 0 and 1728 and above it, the points 0 and
+# 1728 themselves and their neighbours, and parts at the --j reader's bound
+RATIONAL_J = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1728), Fraction(1727), Fraction(1729),
+                     Fraction(-1728), Fraction(1, 10**300), Fraction(-1, 7),
+                     Fraction(_TOP, _TOP - 1), Fraction(-_TOP, 2), Fraction(1, _TOP)]),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    st.fractions(min_value=1700, max_value=1760, max_denominator=10**3),
+    st.builds(Fraction, st.integers(-_TOP, _TOP), st.integers(1, _TOP)),
+)
+
+
 class TestAbNumeric:
+    @settings(deadline=None, max_examples=300)
+    @given(RATIONAL_J, RATIONAL_J)
+    def test_rational_member_is_a_real_root_times_a_phase(self, j1, j2):
+        a, b = si.ab_numeric(j1, j2)
+        ref_a, ref_b = principal_ab(j1, j2)
+        assert_near(a, ref_a)
+        assert_near(b, ref_b)
+        powers = si.ab_powers_from_j(j1, j2)
+        k, m = (j1 < 0) + (j2 < 0), (j1 < 1728) + (j2 < 1728)
+        assert isinstance(a, mpmath.mpf) == (powers.a_cubed == 0 or k == 0)
+        assert isinstance(b, mpmath.mpf) == (powers.b_squared == 0 or m != 1)
+        if isinstance(b, mpmath.mpc):
+            assert b.real == 0 and b.imag < 0
+        assert_no_noise(a)
+        assert_no_noise(b)
+
+    def test_exact_powers_passed_in(self):
+        # the caller's exact powers give the same (a, b) as ab_numeric's own
+        j1, j2 = Fraction(-35, 3), Fraction(1000, 7)
+        assert si.ab_numeric(j1, j2, si.ab_powers_from_j(j1, j2)) == si.ab_numeric(j1, j2)
+
+    @pytest.mark.parametrize("j", [mpmath.mpf(-5000.25), mpmath.mpf(300), mpmath.mpf(287496),
+                                   mpmath.mpc(-3, 1e-30), mpmath.mpc(-3, -1e-30)])
+    def test_degenerate_numeric_member(self, j):
+        # j1 = j2: a = -cbrt(j)^2 / 48 and b = (1728 - j) / 864
+        a, b = si.ab_numeric(j, j)
+        ref_a, ref_b = principal_ab(j, j)
+        assert_near(a, ref_a)
+        assert_near(b, ref_b)
+        assert isinstance(b, type(j))
+        assert isinstance(a, mpmath.mpf) == (isinstance(j, mpmath.mpf) and j >= 0)
+
+    def test_degenerate_tau_member(self):
+        # a tau at level 1: the Fricke pair is one complex value twice
+        j1, j2 = md.fricke_pair(md.RationalPoint(Fraction(1, 5), Fraction(3, 2)), 1)
+        assert j1 is j2 and isinstance(j1, mpmath.mpc)
+        a, b = si.ab_numeric(j1, j2)
+        ref_a, ref_b = principal_ab(j1, j2)
+        assert_near(a, ref_a)
+        assert_near(b, ref_b)
+
     @pytest.mark.parametrize("j1,j2", [
         (-1728, 5), (Fraction(-3, 7), -20000), (mpmath.mpc(-3302.5, 0.25), 10**9),
         (mpmath.mpc(2, -7), mpmath.mpc(-8914, -1e-30)), (0, 1728),
@@ -372,6 +445,26 @@ class TestAbNumeric:
                 scale_b = max(mpmath.mpf(1), abs(mpmath.mpmathify(powers.b_squared)))
                 assert abs(a**3 - mpmath.mpmathify(powers.a_cubed)) / scale_a < mpmath.mpf(10) ** -30
                 assert abs(b**2 - mpmath.mpmathify(powers.b_squared)) / scale_b < mpmath.mpf(10) ** -30
+
+
+class TestRealRoot:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 10**60), st.integers(1, 10**60), st.sampled_from([2, 3, 6]))
+    def test_rounded_once_to_nearest(self, p, q, k):
+        # against the root at 200 more bits, rounded to PREC_BITS
+        with mpmath.workprec(md.PREC_BITS + 200):
+            wide = mpmath.root(mpmath.mpf(p) / q, k)
+        with mpmath.workprec(md.PREC_BITS):
+            assert roots.real_root(Fraction(p, q), k) == (+wide)._mpf_
+
+    @pytest.mark.parametrize("x, k, root", [
+        (Fraction(c.A_CUBED_J_DIVISOR), 3, 48), (Fraction(c.B_SQUARED_J_DIVISOR), 2, 864),
+        (Fraction(729, 64), 6, Fraction(3, 2)), (Fraction(9, 4), 2, Fraction(3, 2)),
+        (Fraction(1, 2**600), 3, Fraction(1, 2**200)),
+    ])
+    def test_exact_roots_are_exact(self, x, k, root):
+        with mpmath.workprec(md.PREC_BITS):
+            assert mpmath.mp.make_mpf(roots.real_root(x, k)) == mpmath.mpmathify(root)
 
 
 class TestJ1728Factorization:
