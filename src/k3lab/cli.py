@@ -15,9 +15,13 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import LEVELS, SUITE_NAMES
 from .errors import DomainError, PrecisionError
+
+if TYPE_CHECKING:
+    from .modular import RationalPoint
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -85,7 +89,7 @@ _DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX = rf"(?P<re>[+-]?{_DECIMAL})??(?:(?P<im>[+-]?(?:{_DECIMAL})?)[ij])?"
 
 
-def parse_complex(text: str) -> md.RationalPoint:
+def parse_complex(text: str) -> RationalPoint:
     """Accepts forms like '2', '1/2', 'i', '2i', '1+2i', '-0.5+1.25i'; read
     exactly, as a point of Q(i), so no digit is lost.  A decimal part
     outside the reader's size bound (modular.exact_part) raises
@@ -217,17 +221,17 @@ def cmd_family(args) -> int:
     from . import shioda_inose as si
 
     # every mode is answered from (j1, j2); disc(a, b - 2) disc(a, b + 2) =
-    # (j1 - j2)^2 / 256 exactly, so the degeneracy flag compares j1 with j2
+    # (j1 - j2)^2 / 256 exactly, so the degeneracy flag is j1 == j2, exact
+    # for tau too: fricke_pair compares the reduced points of its pair
     mode = complete[0]
     if mode == "tau":
         if args.n < 1:
             print("--n must be a positive integer", file=sys.stderr)
             return EXIT_USAGE
         # fricke_pair chops j1 and j2, so a and b follow the printed values
-        j1, j2 = md.fricke_pair(args.tau, args.n)
+        j1, j2, degenerate = md.fricke_pair(args.tau, args.n)
         print(f"j1 = {_fmt(j1)}")
         print(f"j2 = {_fmt(j2)}")
-        degenerate = md.same_j(j1, j2)
         powers = None
     else:
         if mode == "lambda":

@@ -31,8 +31,8 @@ scaled by 2^W (QSeries.evaluate).  At a reduced q that sum is within
 S(q), far below the rounding that q itself carries.
 
 This module alone fixes the working precision, the series order and the
-tolerances: `same_j`, with which two numeric j-values count as equal, and
-`CHOP_TOL`, below which a part of a numeric value is rounding noise.  mpmath
+one tolerance, `CHOP_TOL`, below which a part of a numeric value is
+rounding noise; no two j-values are ever compared numerically.  mpmath
 is imported by the numeric functions when they first run, so a process that
 only verifies (`k3lab verify`, `report`, `modpoly`) never loads it; of the
 CLI commands only `family` does.
@@ -200,8 +200,6 @@ TAU_PART_BITS = PREC_BITS // 2 - 16
 TAU_PART_LIMIT = 2**TAU_PART_BITS
 TAU_FLOOR_BITS = 4096
 _LOG2_10 = math.log2(10)
-# The relative tolerance of `same_j`.
-SAME_J_TOL = 2.0 ** (-PREC_BITS // 2)
 
 
 @functools.cache
@@ -322,18 +320,6 @@ def reduce_to_fundamental_domain(tau) -> RationalPoint:
     return _reduced(*_form(tau))
 
 
-def same_j(j1, j2) -> bool:
-    """j1 == j2, or |j1 - j2| <= SAME_J_TOL (|j1| + |j2|) at PREC_BITS,
-    SAME_J_TOL = 2^-(PREC_BITS/2): the one tolerance for comparing numeric
-    j-values.  j_numeric bounds its own error well below it."""
-    if j1 == j2:
-        return True
-    import mpmath
-
-    with mpmath.workprec(PREC_BITS):
-        return abs(j1 - j2) <= _mpf(SAME_J_TOL) * (abs(j1) + abs(j2))
-
-
 # A numeric value below CHOP_TOL in absolute value, or a real or imaginary
 # part below CHOP_TOL max(1, |value|), is rounding noise: `chop` sets it to
 # zero before the value is printed or a and b are built from it.  The
@@ -387,13 +373,12 @@ def j_numeric(tau):
     """j(tau) at PREC_BITS, from the exactly reduced point t.
 
     q = exp(2 pi i t) carries a relative rounding error below
-    (1 + 2 pi Im(t)) 2^-PREC_BITS (q_at), and so does j.  Beyond Im(t) =
-    TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) that bound would exceed
-    2^(-PREC_BITS/2 - 13),
-    leaving less than 13 bits of margin under the relative tolerance
-    SAME_J_TOL of `same_j`; such a tau raises PrecisionError.  t itself is
-    exact, and q is rounded once, to PREC_BITS (q_at).  S = q j is
-    summed through q^N, N = truncation_order(Im t): the tail beyond q^N is
+    (1 + 2 pi Im(t)) 2^-PREC_BITS (q_at), and so does j.  Up to Im(t) =
+    TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) that bound is below 2^-140, far
+    finer than the 17 significant digits that `family` prints; a larger
+    Im(t) raises PrecisionError.  t itself is exact, and q is rounded once,
+    to PREC_BITS (q_at).  S = q j is summed through q^N, N =
+    truncation_order(Im t): the tail beyond q^N is
     below 2^-W (Brisebarre and Philibert's bound on the coefficients; see the
     module docstring), and the fixed-point sum (QSeries.evaluate) adds less
     than 2^(14 - W), W = PREC_BITS + GUARD_BITS = 288.  S is thus within
@@ -413,18 +398,20 @@ def j_numeric(tau):
 
 
 def fricke_pair(tau, n: int):
-    """(j(tau), j(-1/(n tau))), each chopped.  Both points are reduced
-    exactly, and j_numeric runs once per distinct reduced point: where
-    -1/(n tau) reduces to the point of tau, as every tau does at n = 1, the
-    pair is one value twice, which `same_j` takes as equal without its
-    tolerance.  A tau outside the upper half plane raises DomainError before
-    it is inverted."""
+    """(j(tau), j(-1/(n tau)), same), j(tau) and j(-1/(n tau)) each chopped.
+    Both points are reduced exactly, and `same` tells whether they reduce
+    to one point.  The reduced point is unique in its SL_2(Z)-orbit and j is
+    injective on the fundamental domain, so `same` is j1 == j2, decided
+    exactly; then, as for every tau at n = 1, j_numeric runs once and the
+    pair is one value twice.  A tau outside the upper half plane raises
+    DomainError before it is inverted."""
     if n < 1:
         raise ValueError("the level must be a positive integer")
     a, b, c, s = _form(tau)
     here, there = _reduced(a, b, c, s), _reduced(c * n * n, -b * n, a, s * n)
+    same = there == here
     j = chop(j_numeric(here))
-    return j, (j if there == here else chop(j_numeric(there)))
+    return j, (j if same else chop(j_numeric(there))), same
 
 
 # ---------------------------------------------------------------------------

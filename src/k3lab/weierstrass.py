@@ -22,7 +22,8 @@ extraction), and at the closed forms in (j1, j2) it is (j1 - j2)^2 / 256
 exactly, an identity in Q[j1, j2] that the check
 weierstrass.degeneracy_equivalence decides.  So the family command, which
 answers every input from (j1, j2), flags a member as degenerate exactly
-when j1 = j2 for rational input.
+when j1 = j2: on the rational values, or for a tau on its reduced points
+(modular.fricke_pair).
 """
 
 from __future__ import annotations

@@ -37,14 +37,14 @@ def relative_residual(phi, x, y):
 class TestJNumeric:
     def test_j_i(self):
         # the numeric side of modular.j_values, which decides j(i) exactly
-        assert md.same_j(md.j_numeric(mpmath.mpc(0, 1)), 1728)
+        assert abs(md.j_numeric(mpmath.mpc(0, 1)) - 1728) <= 1728 * mpmath.mpf(2) ** -240
 
     def test_j_rho(self):
         rho = (1 + mpmath.mpc(0, 1) * mpmath.sqrt(3)) / 2
         assert abs(md.j_numeric(rho)) < tol(-20)
 
     def test_j_2i(self):
-        assert md.same_j(md.j_numeric(mpmath.mpc(0, 2)), 287496)
+        assert abs(md.j_numeric(mpmath.mpc(0, 2)) - 287496) <= 287496 * mpmath.mpf(2) ** -240
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
@@ -299,30 +299,25 @@ class TestChop:
         assert isinstance(md.chop(mpmath.mpc(1, mpmath.mpf(10) ** -39)), mpmath.mpc)
 
 
-class TestSameJ:
-    def test_boundary(self):
-        # the tolerance is 2^-128 (|j1| + |j2|), so about 2^-127 relative
-        with mpmath.workprec(md.PREC_BITS):
-            x = mpmath.mpf(287496) + mpmath.mpf(1) / 3
-            assert md.same_j(x, x * (1 + mpmath.mpf(2) ** -130))
-            assert not md.same_j(x, x * (1 + mpmath.mpf(2) ** -126))
-
-
 class TestFrickePair:
     def test_level_one_fixed(self):
-        a, b = md.fricke_pair(mpmath.mpc(0, 1), 1)
+        a, b, same = md.fricke_pair(mpmath.mpc(0, 1), 1)
+        assert same
         assert abs(a - 1728) < tol(-20)
         assert abs(b - 1728) < tol(-20)
 
     def test_level_two_at_i(self):
-        a, b = md.fricke_pair(mpmath.mpc(0, 1), 2)
+        a, b, same = md.fricke_pair(mpmath.mpc(0, 1), 2)
+        assert not same
         assert abs(a - 1728) < tol(-20)
         assert abs(b - 287496) < tol(-15)
 
     def test_level_two_fixed_point(self):
         with mpmath.workprec(256):
             tau = mpmath.mpc(0, 1) / mpmath.sqrt(2)
-            a, b = md.fricke_pair(tau, 2)
+            # 256 bits of i/sqrt(2) are near the fixed point, not on it
+            a, b, same = md.fricke_pair(tau, 2)
+            assert not same
             assert abs(a - b) < tol(-20)
             # classical CM value at this fixed point
             assert abs(a - 8000) < tol(-20)
@@ -340,9 +335,9 @@ class TestFrickePair:
         evaluated = []
         j_numeric = md.j_numeric
         monkeypatch.setattr(md, "j_numeric", lambda t: evaluated.append(t) or j_numeric(t))
-        j1, j2 = md.fricke_pair(md.RationalPoint(*map(Fraction, tau)), n)
+        j1, j2, same = md.fricke_pair(md.RationalPoint(*map(Fraction, tau)), n)
         assert len(evaluated) == calls
-        assert (j1 is j2) == (calls == 1)
+        assert (j1 is j2) == same == (calls == 1)
 
     def test_involution_swaps(self):
         rng = random.Random(7)
@@ -350,8 +345,8 @@ class TestFrickePair:
             for n in (2, 3):
                 for _ in range(5):
                     tau = mpmath.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.8))
-                    a, b = md.fricke_pair(tau, n)
-                    c, d = md.fricke_pair(-1 / (n * tau), n)
+                    a, b, _ = md.fricke_pair(tau, n)
+                    c, d, _ = md.fricke_pair(-1 / (n * tau), n)
                     scale = max(mpmath.mpf(1), abs(a), abs(b))
                     assert abs(c - b) / scale < tol(-25)
                     assert abs(d - a) / scale < tol(-25)
@@ -390,7 +385,7 @@ class TestModularPolynomials:
         rng = random.Random(11 + n)
         for _ in range(10):
             tau = mpmath.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.9, 1.9))
-            x, y = md.fricke_pair(tau, n)
+            x, y, _ = md.fricke_pair(tau, n)
             assert relative_residual(phi, x, y) < tol(-4)
 
     def test_vanishing_at_integer_pair(self):
@@ -543,11 +538,11 @@ class TestSuiteChecks:
 
 class TestFamilyCoefficients:
     def test_level_one_at_i(self):
-        a, b = si.ab_numeric(*md.fricke_pair(mpmath.mpc(0, 1), 1))
+        a, b = si.ab_numeric(*md.fricke_pair(mpmath.mpc(0, 1), 1)[:2])
         assert abs(a - (-3)) < tol(-20)
         assert abs(b) < tol(-15)
 
     def test_level_two_at_i(self):
-        a, b = si.ab_numeric(*md.fricke_pair(mpmath.mpc(0, 1), 2))
+        a, b = si.ab_numeric(*md.fricke_pair(mpmath.mpc(0, 1), 2)[:2])
         # a^3 = -1728 * 287496 / 110592 = -35937/8 exactly
         assert abs(a**3 - mpmath.mpf(-35937) / 8) < tol(-10)
