@@ -25,10 +25,13 @@ quadratic in x, in closed form.  The exponent is concave in k and falls
 past k = N + 1 by at least 2 pi (y - 1/x) > 4.5 per step, so the whole tail
 is below 2^-W.  N is 53 at y = sqrt(3)/2, 45 at i, 20 at y = 2 and 0 once
 y > 34; the series is cached once, at SERIES_ORDER = 64, and j_numeric
-sums its first N + 1 coefficients by Horner's rule over Python integers
-scaled by 2^W (QSeries.evaluate).  At a reduced q that sum is within
-2^(14 - W) of the truncated series, so it is within 2^(14 - W) + 2^-W of
-S(q), far below the rounding that q itself carries.
+sums its first N + 1 coefficients once, by Horner's rule over Python
+integers scaled by 2^W (`_fixed_sum`, which QSeries.evaluate shares), and
+divides the sum by q once, on mpmath's raw mpc layer.  At a reduced q that
+sum is within 2^(14 - W) of the truncated series, so it is within
+2^(14 - W) + 2^-W of S(q).  That is far below the rounding that q itself
+carries, relative to S, except near rho = e^(2 pi i/3), where S and j
+vanish; j_numeric states the bound with its absolute terms.
 
 This module alone fixes the working precision, the series order and the
 one tolerance, `CHOP_TOL`, below which a part of a numeric value is
@@ -128,24 +131,34 @@ class QSeries(NamedTuple):
         return QSeries(tuple(out))
 
     def evaluate(self, q):
-        """The sum at q, by Horner's rule over Python integers scaled by
-        2^W, W = PREC_BITS + GUARD_BITS, rounded to the working precision
-        once at the end.
-
-        Made for a reduced q, |q| <= exp(-pi sqrt(3)) < 1/200, where j_series
-        has |S'(q)| < 2^12.  Truncating q to W fractional bits moves the sum
-        by less than 2^(13 - W).  Each step truncates by less than 2^-W per
-        part, and the later steps multiply that by q, so the rounding totals
-        less than 2^(1 - W).  The sum is thus within 2^(14 - W) of S(q)."""
+        """The sum at the mpc q (_fixed_sum), rounded to the working
+        precision once at the end."""
         import mpmath
 
         w = PREC_BITS + GUARD_BITS
-        to_fixed = mpmath.libmp.to_fixed
-        qr, qi = to_fixed(q.real._mpf_, w), to_fixed(q.imag._mpf_, w)
-        re = im = 0
-        for c in reversed(self.coefficients):
-            re, im = ((re * qr - im * qi) >> w) + (c << w), (re * qi + im * qr) >> w
+        re, im = _fixed_sum(self.coefficients, q._mpc_)
         return mpmath.mpc(mpmath.mpf((re, -w)), mpmath.mpf((im, -w)))
+
+
+def _fixed_sum(coefficients, q) -> tuple:
+    """The sum of the integer series `coefficients` at the raw mpc q, by
+    Horner's rule over Python integers scaled by 2^W, W = PREC_BITS +
+    GUARD_BITS: integers (re, im) such that the sum of the series at q is
+    within 2^(14 - W) of (re + i im) 2^-W.
+
+    Made for a reduced q, |q| <= exp(-pi sqrt(3)) < 1/200, where j_series
+    has |S'(q)| < 2^12.  Truncating q to W fractional bits moves the sum by
+    less than 2^(13 - W).  Each step truncates by less than 2^-W per part,
+    and the later steps multiply that by q, so the rounding totals less than
+    2^(1 - W)."""
+    from mpmath.libmp import to_fixed
+
+    w = PREC_BITS + GUARD_BITS
+    qr, qi = to_fixed(q[0], w), to_fixed(q[1], w)
+    re = im = 0
+    for c in reversed(coefficients):
+        re, im = ((re * qr - im * qi) >> w) + (c << w), (re * qi + im * qr) >> w
+    return re, im
 
 
 def _sigma(k: int, n: int) -> int:
@@ -200,16 +213,6 @@ TAU_PART_BITS = PREC_BITS // 2 - 16
 TAU_PART_LIMIT = 2**TAU_PART_BITS
 TAU_FLOOR_BITS = 4096
 _LOG2_10 = math.log2(10)
-
-
-@functools.cache
-def _mpf(value: float):
-    """The float `value` as an mpf, exactly, made once: mpmath converts a
-    float operand again at every operation, which costs more than the
-    operation itself."""
-    import mpmath
-
-    return mpmath.mpf(value)
 
 
 class RationalPoint(NamedTuple):
@@ -325,30 +328,52 @@ def reduce_to_fundamental_domain(tau) -> RationalPoint:
 # zero before the value is printed or a and b are built from it.  The
 # double nearest 10^-40.
 CHOP_TOL = 1e-40
+# A nonzero raw mpf part (sign, man, exp, bc) lies in [2^(e - 1), 2^e), e =
+# exp + bc, and CHOP_TOL < 2^-(_CHOP_GAP + 12).  A part whose e is above
+# -_CHOP_GAP and above the other part's e - _CHOP_GAP is then no noise: its
+# square exceeds CHOP_TOL^2 max(1, |value|^2) by more than 2^20.  A value
+# whose parts both pass (a real value counts its one part twice) is kept.
+_CHOP_GAP = math.floor(-math.log2(CHOP_TOL)) - 12
 
 
 def chop(value):
     """The mpf or mpc `value` with its noise set to zero (CHOP_TOL): 0, its
-    real part alone, i times its imaginary part alone, or `value`.  Decided
-    on the exact squares of the parts, and the part kept keeps all its bits."""
-    import mpmath
+    real part alone, i times its imaginary part alone, or `value`.  A value
+    whose parts are nonzero and all far from noise is returned on their
+    binary exponents alone (_CHOP_GAP); the rest are decided on the exact
+    squares of the parts.  The part kept keeps all its bits."""
+    is_complex = hasattr(value, "_mpc_")
+    re, im = value._mpc_ if is_complex else (value._mpf_, value._mpf_)
+    if re[1] and im[1]:
+        e, f = re[2] + re[3], im[2] + im[3]
+        if min(e, f) > max(0, e, f) - _CHOP_GAP:
+            return value
+    from mpmath import mp
     from mpmath.libmp import fone, fzero, mpf_add, mpf_lt, mpf_mul
 
-    is_complex = hasattr(value, "_mpc_")
-    re, im = value._mpc_ if is_complex else (value._mpf_, fzero)
-    tol = _mpf(CHOP_TOL)._mpf_
-    tol2, re2, im2 = mpf_mul(tol, tol), mpf_mul(re, re), mpf_mul(im, im)
+    if not is_complex:
+        im = fzero
+    tol2, re2, im2 = _chop_tol2(), mpf_mul(re, re), mpf_mul(im, im)
     norm = mpf_add(re2, im2)
     if mpf_lt(norm, tol2):
-        return mpmath.mp.zero
+        return mp.zero
     if not is_complex:
         return value
     bound = tol2 if mpf_lt(norm, fone) else mpf_mul(tol2, norm)
     if mpf_lt(im2, bound):
-        return mpmath.mp.make_mpf(re)
+        return mp.make_mpf(re)
     if mpf_lt(re2, bound):
-        return mpmath.mp.make_mpc((fzero, im))
+        return mp.make_mpc((fzero, im))
     return value
+
+
+@functools.cache
+def _chop_tol2() -> tuple:
+    """CHOP_TOL^2 as a raw mpf, exactly, made once per process."""
+    from mpmath.libmp import from_float, mpf_mul
+
+    tol = from_float(CHOP_TOL)
+    return mpf_mul(tol, tol)
 
 
 def q_at(t: RationalPoint):
@@ -370,31 +395,42 @@ def q_at(t: RationalPoint):
 
 
 def j_numeric(tau):
-    """j(tau) at PREC_BITS, from the exactly reduced point t.
+    """j(tau) = S(q)/q at PREC_BITS, from the exactly reduced point t.
 
-    q = exp(2 pi i t) carries a relative rounding error below
-    (1 + 2 pi Im(t)) 2^-PREC_BITS (q_at), and so does j.  Up to Im(t) =
-    TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16) that bound is below 2^-140, far
-    finer than the 17 significant digits that `family` prints; a larger
-    Im(t) raises PrecisionError.  t itself is exact, and q is rounded once,
-    to PREC_BITS (q_at).  S = q j is summed through q^N, N =
-    truncation_order(Im t): the tail beyond q^N is
-    below 2^-W (Brisebarre and Philibert's bound on the coefficients; see the
-    module docstring), and the fixed-point sum (QSeries.evaluate) adds less
-    than 2^(14 - W), W = PREC_BITS + GUARD_BITS = 288.  S is thus within
-    2^-273 of its exact value at q, well below the error that q carries.
+    t itself is exact; q = exp(2 pi i t) is rounded once, to PREC_BITS, with
+    a relative error below d = (1.001 + 2 pi y 2^-14) 2^-PREC_BITS, y =
+    Im(t) (q_at).  S = q j is summed through q^N, N = truncation_order(y),
+    in fixed point (_fixed_sum): the tail beyond q^N is below 2^-W
+    (Brisebarre and Philibert's bound on the coefficients; see the module
+    docstring) and the sum adds less than 2^(14 - W), W = PREC_BITS +
+    GUARD_BITS = 288.  The sum, held exactly, is divided by q once, rounded
+    to nearest at PREC_BITS.  Moving q by a relative d moves S(q)/q by at
+    most |q dj/dq| d = |S'(q) - j| d <= (|j| + 2^12) d, so
+
+        |computed j - j| <= (|j| + 2^12) d + 2^(15 - W)/|q| + 1.01 |j| 2^-PREC_BITS.
+
+    Relative to |j| that is below (2.02 + 2 pi y 2^-14) 2^-PREC_BITS where
+    |j| is large, and up to Im(t) = TAU_PART_LIMIT = 2^(PREC_BITS/2 - 16)
+    below 2^-140, far finer than the 17 significant digits that `family`
+    prints; a larger Im(t) raises PrecisionError.  Near rho = e^(2 pi i/3),
+    where j has a triple zero, the absolute terms dominate: together they
+    are below 4 10^-74, so a j closer to 0 than that may keep no correct
+    digit.  `chop` sets every |j| below CHOP_TOL = 10^-40 to 0.
     """
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, mpc_div, round_nearest
+
     t = reduce_to_fundamental_domain(tau)
     if t.imag > TAU_PART_LIMIT:
         raise PrecisionError(
             f"Im(tau) = {_shown(t.imag)} after reduction is beyond "
             f"2^{TAU_PART_BITS}, the limit of {PREC_BITS}-bit precision")
-    head = QSeries(j_series(SERIES_ORDER).coefficients[: truncation_order(t.imag) + 1])
-    import mpmath
-
-    q = q_at(t)
-    with mpmath.workprec(PREC_BITS):
-        return head.evaluate(q) / q
+    q = q_at(t)._mpc_
+    w = PREC_BITS + GUARD_BITS
+    head = j_series(SERIES_ORDER).coefficients[: truncation_order(t.imag) + 1]
+    re, im = _fixed_sum(head, q)
+    return mp.make_mpc(mpc_div((from_man_exp(re, -w), from_man_exp(im, -w)), q,
+                               PREC_BITS, round_nearest))
 
 
 def fricke_pair(tau, n: int):

@@ -17,7 +17,9 @@ principal-branch representative of the root orbit.  For rational j1, j2 it
 takes that representative from the exact a^3 and b^2: one real root of each,
 rounded once, times an exact phase, e^(i k pi/3) for a and i^m for b, with k
 and m the numbers of j below 0 and below 1728.  A member with j1 = j2 = j
-needs one root of j; other numeric members take four principal roots.
+needs one root of j; other numeric members take one root of j1 j2 and one of
+(j1 - 1728)(j2 - 1728), each times a phase decided exactly by the branch
+rule for a product.
 
 Conventions (pinned by the cubic relation; see constants.py):
 
@@ -166,14 +168,16 @@ def ab_numeric(j1, j2, powers: AbPowers | None = None):
     For rational j1, j2 each principal root is a real root times an exact
     phase, a = -|a^3|^(1/3) e^(i k pi/3) and b = -|b^2|^(1/2) i^m, with k
     the number of j below 0 and m that below 1728; each part is one real
-    root of an exact rational, rounded once (`roots.rational_ab`).  For
-    j1 = j2 = j otherwise, the roots of j pair off: a = -cbrt(j)^2 / 48 and
-    b = (1728 - j) / 864.  Other members take four principal roots in
-    mpmath.
+    root of an exact rational, rounded once (`roots.rational_ab`).  Other
+    members are read as mpmath numbers at PREC_BITS.  For j1 = j2 = j the
+    roots of j pair off: a = -cbrt(j)^2 / 48 and b = (1728 - j) / 864.
+    Otherwise a and b each take one principal root of a product, j1 j2 or
+    (j1 - 1728)(j2 - 1728), times the exact phase that the branch rule for
+    a product gives (`roots.numeric_ab`).
     """
-    if isinstance(j1, Rational) and isinstance(j2, Rational):
-        from . import roots
+    from . import roots
 
+    if isinstance(j1, Rational) and isinstance(j2, Rational):
         return roots.rational_ab(j1, j2, powers or ab_powers_from_j(j1, j2))
     import mpmath
 
@@ -184,9 +188,7 @@ def ab_numeric(j1, j2, powers: AbPowers | None = None):
             root = mpmath.cbrt(j1)
             return (-root * root / mpmath.cbrt(c.A_CUBED_J_DIVISOR),
                     (1728 - j1) / mpmath.sqrt(c.B_SQUARED_J_DIVISOR))
-        a = -mpmath.cbrt(j1 / c.A_CUBED_J_DIVISOR) * mpmath.cbrt(j2)
-        b = -mpmath.sqrt((j1 - 1728) / c.B_SQUARED_J_DIVISOR) * mpmath.sqrt(j2 - 1728)
-        return a, b
+    return roots.numeric_ab(j1, j2)
 
 
 def j_minus_1728_factorization() -> bool:

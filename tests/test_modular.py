@@ -9,6 +9,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lab import modular as md
 from k3lab import shioda_inose as si
@@ -45,6 +47,23 @@ class TestJNumeric:
 
     def test_j_2i(self):
         assert abs(md.j_numeric(mpmath.mpc(0, 2)) - 287496) <= 287496 * mpmath.mpf(2) ** -240
+
+    @pytest.mark.parametrize("distance", ["1e-5", "1e-10", "1e-20", "1e-30"])
+    def test_error_near_rho(self, distance):
+        # tau = -1/2 + i y, y = sqrt(3)/2 + distance, where j has a triple
+        # zero: within j_numeric's bound, whose absolute terms dominate
+        # there, against j_series(160) at PREC_BITS + 128 bits
+        y = SQRT3_HALF_100 + Fraction(distance)
+        got = md.j_numeric(md.RationalPoint(Fraction(-1, 2), y))
+        with mpmath.workprec(md.PREC_BITS + 128):
+            height = mpmath.mpf(y.numerator) / y.denominator
+            q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(-0.5, height))
+            want = horner_reference(md.j_series(160), q) / q
+            d = (1.001 + 2 * mpmath.pi * height / 2**14) * mpmath.mpf(2) ** -md.PREC_BITS
+            bound = ((abs(want) + 2**12) * d + mpmath.mpf(2) ** (15 - FIXED_BITS) / abs(q)
+                     + 1.01 * abs(want) * mpmath.mpf(2) ** -md.PREC_BITS)
+            assert abs(want) < tol(-10)
+            assert abs(got - want) <= bound
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
@@ -113,6 +132,9 @@ def reduced_q_values():
 # W, the fractional bits of the fixed-point sum
 FIXED_BITS = md.PREC_BITS + md.GUARD_BITS
 SQRT3_HALF = Fraction(8660254037844386, 10**16)  # just below sqrt(3)/2
+# sqrt(3)/2 to 100 digits, just below it
+SQRT3_HALF_100 = Fraction("0.866025403784438646763723170752936183471402626905190314027903489725966"
+                          "5084544000185405730933786242878")
 
 
 def tail_bound(y, order):
@@ -277,7 +299,53 @@ class TestExactReduction:
             md.j_numeric(mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)))
 
 
+def chop_reference(value):
+    """chop's rule in Fractions: 0 below CHOP_TOL, else a part below
+    CHOP_TOL max(1, |value|) dropped."""
+    parts = value._mpc_ if isinstance(value, mpmath.mpc) else (value._mpf_, (0, 0, 0, 0))
+    re, im = (Fraction(*mpmath.libmp.to_rational(p)) for p in parts)
+    tol2, norm = Fraction(md.CHOP_TOL) ** 2, re * re + im * im
+    if norm < tol2:
+        return 0
+    if isinstance(value, mpmath.mpf):
+        return value
+    bound = tol2 * max(1, norm)
+    if im * im < bound:
+        return value.real
+    if re * re < bound:
+        return mpmath.mp.make_mpc(((0, 0, 0, 0), value._mpc_[1]))
+    return value
+
+
+@st.composite
+def chop_values(draw):
+    """An mpf or mpc with parts of up to 256 bits, exactly: the first at a
+    scale around the tolerance (about 2^-133) or anywhere in 2^+-300, the
+    second up to 150 bits apart from it, around the gap past which a part
+    is noise; either part may be zero."""
+    def part(scale):
+        m = draw(st.integers(1, 2**256))
+        return mpmath.libmp.from_man_exp(draw(st.sampled_from([m, -m])), scale - m.bit_length())
+
+    scale = draw(st.one_of(st.integers(-145, -120), st.integers(-300, 300)))
+    re, im = part(scale), part(scale + draw(st.integers(-150, 150)))
+    zero = draw(st.sampled_from([None, "re", "im", "real"]))
+    if zero == "real":
+        return mpmath.mp.make_mpf(re)
+    if zero:
+        re, im = (mpmath.libmp.fzero, im) if zero == "re" else (re, mpmath.libmp.fzero)
+    return mpmath.mp.make_mpc((re, im))
+
+
 class TestChop:
+    @settings(deadline=None, max_examples=300)
+    @given(chop_values())
+    def test_matches_the_rule_in_fractions(self, value):
+        # whether decided on the exponents or on the squares
+        got, want = md.chop(value), chop_reference(value)
+        assert type(got) is type(mpmath.mpf(0) if want == 0 else want)
+        assert got == want
+
     def test_kept_part_keeps_every_bit(self):
         # made at 256 bits, chopped at mpmath's default 53
         with mpmath.workprec(md.PREC_BITS):

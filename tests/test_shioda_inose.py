@@ -366,6 +366,43 @@ RATIONAL_J = st.one_of(
 )
 
 
+# Parts of numeric j: on and next to the branch cuts of the roots (an exact
+# zero imaginary part, +-1e-30), at 0 and 1728 and their neighbours, and
+# generic values of either sign
+_REAL_PART = st.one_of(
+    st.sampled_from([0.0, 1728.0, -1728.0, 1727.5, 1728.5, -3.0, 5.0, 1e-30, -1e-30]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(1700, 1760),
+)
+_IMAG_PART = st.one_of(
+    st.sampled_from([0.0, 1e-30, -1e-30, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_NUMERIC_J = st.one_of(
+    st.builds(mpmath.mpf, _REAL_PART),
+    st.builds(mpmath.mpc, _REAL_PART, _IMAG_PART),
+)
+
+
+@st.composite
+def numeric_pairs(draw):
+    """(j1, j2), mpf or mpc, drawn apart or so that j1 j2 or (j1 - 1728)(j2 -
+    1728) lands on the negative real axis or next to it: j2 - c = -s
+    conj(j1 - c) + i e, for c = 0 or 1728, s > 0 and e in (0, +-1e-30).  A
+    mixed pair has one Fraction that 53 bits do not hold."""
+    j1 = draw(_NUMERIC_J)
+    how = draw(st.sampled_from(["apart", "product", "shifted", "mixed"]))
+    if how == "apart":
+        return j1, draw(_NUMERIC_J)
+    if how == "mixed":
+        j = draw(st.sampled_from([Fraction(1, 3), Fraction(-1, 3), Fraction(5183, 3)]))
+        return draw(st.permutations([j, j1]))
+    center = 0 if how == "product" else 1728
+    scale = draw(st.sampled_from([1, 2, 0.5, 3.75]))
+    nudge = draw(st.sampled_from([0, 1e-30, -1e-30]))
+    return j1, center - scale * mpmath.conj(j1 - center) + mpmath.mpc(0, nudge)
+
+
 class TestAbNumeric:
     @settings(deadline=None, max_examples=300)
     @given(RATIONAL_J, RATIONAL_J)
@@ -387,6 +424,25 @@ class TestAbNumeric:
         # the caller's exact powers give the same (a, b) as ab_numeric's own
         j1, j2 = Fraction(-35, 3), Fraction(1000, 7)
         assert si.ab_numeric(j1, j2, si.ab_powers_from_j(j1, j2)) == si.ab_numeric(j1, j2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(numeric_pairs())
+    def test_numeric_member_on_the_branch_cuts(self, pair):
+        # one root of each product times the turn's phase, against four
+        # principal roots in mpmath; a Fraction is read at PREC_BITS
+        with mpmath.workprec(md.PREC_BITS):
+            j1, j2 = pair
+            if j1 == j2:
+                return
+        a, b = si.ab_numeric(j1, j2)
+        ref_a, ref_b = principal_ab(j1, j2)
+        assert_near(a, ref_a)
+        assert_near(b, ref_b)
+        if isinstance(j1, mpmath.mpf) and isinstance(j2, mpmath.mpf):
+            # a real result is an mpf, as at a rational member
+            k, m = (j1 < 0) + (j2 < 0), (j1 < 1728) + (j2 < 1728)
+            assert isinstance(a, mpmath.mpf) == (j1 * j2 == 0 or k == 0)
+            assert isinstance(b, mpmath.mpf) == ((j1 - 1728) * (j2 - 1728) == 0 or m != 1)
 
     @pytest.mark.parametrize("j", [mpmath.mpf(-5000.25), mpmath.mpf(300), mpmath.mpf(287496),
                                    mpmath.mpc(-3, 1e-30), mpmath.mpc(-3, -1e-30)])
